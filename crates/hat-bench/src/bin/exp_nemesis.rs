@@ -23,8 +23,8 @@
 //! configuration: shorter horizon, fewer keys; `--schedule` filters the
 //! catalog by name substring, e.g. `--schedule handoff` for the
 //! shard-smoke job; `--json` emits one JSON object per pair with the
-//! per-window telemetry series and fault marks embedded, for
-//! `scripts/bench_snapshot.sh` and the CI obs-smoke validator).
+//! per-window telemetry series and fault marks embedded, for the CI
+//! obs-smoke validator).
 //! Exits non-zero if any pair fails its claims, so CI can gate on it.
 
 use hat_core::ProtocolKind;

@@ -42,8 +42,8 @@ use hat_sim::SimDuration;
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
     // `--json` emits one JSON object per (mix, engine) line instead of
-    // the table — consumed by scripts/bench_snapshot.sh to track the
-    // latency-percentile trajectory across PRs.
+    // the table (the shape of the `latency` rows archived in
+    // `BENCH_*.json`).
     let json = std::env::args().any(|a| a == "--json");
     let mixes: &[(&str, f64)] = &[
         ("read-heavy 90/10", 0.9),

@@ -21,7 +21,7 @@ use crate::frontend::{Frontend, Session, TxnBackend};
 use crate::messages::Msg;
 use crate::metrics::ClientMetrics;
 use crate::node::Node;
-use crate::protocol::ProtocolEngine;
+use crate::protocol::{engine_for, EnginePair};
 use crate::server::Server;
 use crate::txn::TxnRecord;
 use bytes::Bytes;
@@ -47,7 +47,7 @@ pub struct DeploymentBuilder {
     latency: LatencyModel,
     partitions: PartitionSchedule,
     drivers: Vec<Box<dyn TxnSource>>,
-    engine_factory: Option<Arc<dyn Fn() -> Box<dyn ProtocolEngine> + Send + Sync>>,
+    engine_factory: Option<EngineFactory>,
     durable: Option<(PathBuf, SyncPolicy)>,
 }
 
@@ -134,16 +134,16 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Installs a custom [`ProtocolEngine`] factory used for every
-    /// server, instead of the registry engine for the builder's
-    /// protocol kind. This is how engines outside
-    /// [`crate::protocol::engine_for`] plug into the simulator, the
-    /// threaded runtime and the benchmark harness without any
-    /// server-side changes. Client-side behavior (buffering, routing)
-    /// still follows the builder's [`ProtocolKind`].
+    /// Installs a custom engine factory: every server runs the
+    /// [`crate::ProtocolEngine`] half and every client the
+    /// [`crate::ClientProtocol`] half of a pair it yields, instead of
+    /// the registry pair for the builder's protocol kind. This is how
+    /// engines outside [`crate::protocol::engine_for`] plug into the
+    /// simulator, the threaded runtime and the benchmark harness without
+    /// any change to the server or the client core.
     pub fn engine_factory(
         mut self,
-        factory: impl Fn() -> Box<dyn ProtocolEngine> + Send + Sync + 'static,
+        factory: impl Fn() -> EnginePair + Send + Sync + 'static,
     ) -> Self {
         self.engine_factory = Some(Arc::new(factory));
         self
@@ -347,32 +347,28 @@ impl DeploymentBuilder {
         for cluster in 0..n_clusters {
             for &id in &layout.servers[cluster] {
                 let store = make_store(&self.durable, id, config.version_chain_limit);
-                let mut server = match &self.engine_factory {
-                    Some(factory) => Server::with_engine(
-                        id,
-                        cluster,
-                        Arc::clone(&layout),
-                        Arc::clone(&config),
-                        store,
-                        factory(),
-                    ),
-                    None => {
-                        Server::new(id, cluster, Arc::clone(&layout), Arc::clone(&config), store)
-                    }
-                };
+                let mut server = Server::with_engine(
+                    id,
+                    cluster,
+                    Arc::clone(&layout),
+                    Arc::clone(&config),
+                    store,
+                    make_engine(&self.engine_factory, &config).0,
+                );
                 server.set_trace_sink(trace.clone());
                 actors.push(Node::Server(server));
             }
         }
         for (i, &id) in clients.iter().enumerate() {
             // writer id 0 is reserved for the initial version's writer
-            let mut c = Client::new(
+            let mut c = Client::with_protocol(
                 id,
                 i as u32 + 1,
                 layout.client_home[i],
                 Arc::clone(&layout),
                 Arc::clone(&config),
                 self.default_session,
+                make_engine(&self.engine_factory, &config).1,
             );
             if let Some(d) = drivers[i].take() {
                 c = c.with_driver(d);
@@ -395,6 +391,18 @@ impl DeploymentBuilder {
             trace,
             obs,
         ))
+    }
+}
+
+/// Yields both halves of the engine a deployment runs.
+type EngineFactory = Arc<dyn Fn() -> EnginePair + Send + Sync>;
+
+/// Both halves of the deployment's engine: the injected factory's, else
+/// the registry's for the configured protocol kind.
+fn make_engine(factory: &Option<EngineFactory>, config: &SystemConfig) -> EnginePair {
+    match factory {
+        Some(factory) => factory(),
+        None => engine_for(config.protocol),
     }
 }
 
@@ -430,7 +438,7 @@ pub struct SimFrontend {
     layout: Arc<ClusterLayout>,
     config: Arc<SystemConfig>,
     opened: usize,
-    engine_factory: Option<Arc<dyn Fn() -> Box<dyn ProtocolEngine> + Send + Sync>>,
+    engine_factory: Option<EngineFactory>,
     durable: Option<(PathBuf, SyncPolicy)>,
     trace: TraceSink,
     obs: ObsSink,
@@ -670,23 +678,14 @@ impl SimFrontend {
             .map(|s| s.stats.wal_records_replayed)
             .unwrap_or(0);
         let store = make_store(&self.durable, node, self.config.version_chain_limit);
-        let mut server = match &self.engine_factory {
-            Some(factory) => Server::with_engine(
-                node,
-                cluster,
-                Arc::clone(&self.layout),
-                Arc::clone(&self.config),
-                store,
-                factory(),
-            ),
-            None => Server::new(
-                node,
-                cluster,
-                Arc::clone(&self.layout),
-                Arc::clone(&self.config),
-                store,
-            ),
-        };
+        let mut server = Server::with_engine(
+            node,
+            cluster,
+            Arc::clone(&self.layout),
+            Arc::clone(&self.config),
+            store,
+            make_engine(&self.engine_factory, &self.config).0,
+        );
         server.stats.wal_records_replayed += prior_replayed;
         server.mark_restarted();
         server.set_trace_sink(self.trace.clone());
@@ -821,20 +820,20 @@ impl TxnBackend for SimFrontend {
         session: &Session,
         keys: Vec<Key>,
     ) -> Result<Vec<Option<Bytes>>, HatError> {
-        // Only RAMP-Small has a native one-shot batch read; everything
-        // else reads sequentially (the trait default).
-        if self.config.protocol != ProtocolKind::RampSmall {
+        let n = keys.len();
+        let client = session.node();
+        let attributed = keys.first().cloned();
+        let batched = self.engine.with_actor_ctx(client, |node, ctx| {
+            node.as_client_mut().unwrap().issue_read_many(ctx, keys)
+        });
+        // No native one-shot batch read under this protocol: read
+        // sequentially.
+        if let Err(keys) = batched {
             return keys
                 .into_iter()
                 .map(|k| self.exec_get(session, k))
                 .collect();
         }
-        let n = keys.len();
-        let client = session.node();
-        let attributed = keys.first().cloned();
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().issue_read_many(ctx, keys)
-        });
         self.wait_idle(client, attributed.as_ref())?;
         self.check_interrupted(client)?;
         Ok(self

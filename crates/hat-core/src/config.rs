@@ -42,35 +42,10 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// True for protocols that are highly available (HAT-compliant).
-    pub fn is_hat(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Eventual
-                | ProtocolKind::ReadCommitted
-                | ProtocolKind::Mav
-                | ProtocolKind::RampFast
-                | ProtocolKind::RampSmall
-        )
-    }
-
     /// True for the Read Atomic (RAMP) family: reader-side repair from
     /// per-write metadata, two-phase (prepare/commit) writes.
     pub fn is_ramp(self) -> bool {
         matches!(self, ProtocolKind::RampFast | ProtocolKind::RampSmall)
-    }
-
-    /// True for protocols whose clients buffer writes until commit
-    /// (Read Committed write buffering, §5.1.1 — shared by RC, MAV and
-    /// both RAMP engines).
-    pub fn buffers_writes(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::ReadCommitted
-                | ProtocolKind::Mav
-                | ProtocolKind::RampFast
-                | ProtocolKind::RampSmall
-        )
     }
 
     /// Short label used in experiment output (matches the paper's legend).
@@ -297,11 +272,6 @@ pub struct SystemConfig {
     /// (RAMP's `get_at`, snapshot reads) only reach back a bounded
     /// distance, so replicas keep at most this many versions per key.
     pub version_chain_limit: usize,
-    /// Group commit: the most commit marks a RAMP phase-2 client
-    /// coalesces into one [`crate::Msg::CommitBatch`] per destination
-    /// server. Values ≤ 1 disable batching (one [`crate::Msg::Commit`]
-    /// per key, the pre-group-commit wire behavior).
-    pub commit_batch_size: usize,
     /// Anti-entropy lag (in log entries) above which a peer is caught up
     /// with one delta-compressed batch (latest version per key, closed
     /// over transaction stamps) instead of per-record replay. The default
@@ -377,7 +347,6 @@ impl SystemConfig {
             wan_rtt_bound: SimDuration::from_millis(400),
             record_history: true,
             version_chain_limit: 64,
-            commit_batch_size: 64,
             delta_catchup_threshold: crate::protocol::replication::MAX_BATCH as u64,
             trace: false,
             obs: ObsConfig::default(),
@@ -414,25 +383,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hat_classification() {
-        assert!(ProtocolKind::Eventual.is_hat());
-        assert!(ProtocolKind::ReadCommitted.is_hat());
-        assert!(ProtocolKind::Mav.is_hat());
-        assert!(ProtocolKind::RampFast.is_hat(), "RA is HAT-compliant");
-        assert!(ProtocolKind::RampSmall.is_hat(), "RA is HAT-compliant");
-        assert!(!ProtocolKind::Master.is_hat());
-        assert!(!ProtocolKind::TwoPhaseLocking.is_hat());
+    fn ramp_classification() {
         assert!(ProtocolKind::RampFast.is_ramp() && ProtocolKind::RampSmall.is_ramp());
         assert!(!ProtocolKind::Mav.is_ramp());
-        for p in [
-            ProtocolKind::ReadCommitted,
-            ProtocolKind::Mav,
-            ProtocolKind::RampFast,
-            ProtocolKind::RampSmall,
-        ] {
-            assert!(p.buffers_writes());
-        }
-        assert!(!ProtocolKind::Eventual.buffers_writes());
     }
 
     #[test]

@@ -17,11 +17,12 @@
 //!
 //! Servers and clients are deterministic [`hat_sim::Actor`]s; the same
 //! state machines run under the discrete-event simulator and the threaded
-//! runtime. Each protocol's server-side behavior is a
-//! [`protocol::ProtocolEngine`] implementation plugged into the
-//! protocol-agnostic [`Server`]; new levels register in
-//! [`protocol::engine_for`] or inject through
-//! [`DeploymentBuilder::engine_factory`] without touching the server.
+//! runtime. Each protocol is a pair of halves — a
+//! [`protocol::ProtocolEngine`] plugged into the protocol-agnostic
+//! [`Server`] and a [`protocol::ClientProtocol`] plugged into the
+//! protocol-agnostic [`ClientCore`]; new levels register both in
+//! [`protocol::engine_for`] or inject them through
+//! [`DeploymentBuilder::engine_factory`] without touching either.
 //!
 //! ## High-level API
 //!
@@ -67,7 +68,7 @@ pub mod timestamp;
 pub mod txn;
 
 pub use api::{DeploymentBuilder, SimFrontend};
-pub use client::{Client, SessionLevel, SessionOptions};
+pub use client::{Client, ClientCore, SessionLevel, SessionOptions};
 pub use cluster::{ClusterLayout, ClusterSpec};
 pub use config::{ProtocolKind, RetryPolicy, ServiceModel, SystemConfig};
 pub use error::HatError;
@@ -75,7 +76,7 @@ pub use frontend::{Frontend, Session, TxnBackend, TxnCtx};
 pub use messages::{Msg, VersionReq};
 pub use metrics::ClientMetrics;
 pub use node::Node;
-pub use protocol::{engine_for, ProtocolEngine, ServerView};
+pub use protocol::{engine_for, ClientProtocol, ProtocolEngine, ServerView};
 pub use server::{Server, ServerStats};
 pub use shard::ShardRing;
 pub use timestamp::{Timestamp, TimestampGen};

@@ -85,22 +85,11 @@ pub enum Msg {
         /// Which version is wanted.
         req: VersionReq,
     },
-    /// RAMP commit marker: promote the prepared version of `key` stamped
-    /// `ts` to visible (phase 2 of the two-phase write).
-    Commit {
-        /// Committing transaction.
-        txn: Timestamp,
-        /// Op index (correlates the ack, which is a [`Msg::PutResp`]).
-        op: u32,
-        /// Key whose prepared version commits.
-        key: Key,
-        /// Stamp of the version committing.
-        ts: Timestamp,
-    },
-    /// Group commit: every commit marker a transaction owes one server,
-    /// coalesced into a single message (phase 2 of the two-phase write
-    /// sends one `CommitBatch` per destination instead of one
-    /// [`Msg::Commit`] per key). Acked by [`Msg::CommitBatchResp`].
+    /// RAMP commit markers, group-committed: promote the prepared
+    /// versions of the marked keys stamped `ts` to visible (phase 2 of
+    /// the two-phase write). Every marker a transaction owes one server
+    /// is coalesced into a single message. Acked by
+    /// [`Msg::CommitBatchResp`].
     CommitBatch {
         /// Committing transaction.
         txn: Timestamp,
@@ -182,7 +171,7 @@ pub enum Msg {
         /// request.
         found: Option<SharedRecord>,
     },
-    /// Acknowledgement of [`Msg::Put`] (and of [`Msg::Commit`]).
+    /// Acknowledgement of [`Msg::Put`].
     PutResp {
         /// Transaction the write belongs to.
         txn: Timestamp,
@@ -356,7 +345,6 @@ impl Msg {
                 | Msg::GetVersion { .. }
                 | Msg::Scan { .. }
                 | Msg::Put { .. }
-                | Msg::Commit { .. }
                 | Msg::CommitBatch { .. }
                 | Msg::Lock { .. }
                 | Msg::Unlock { .. }
@@ -372,7 +360,6 @@ impl Msg {
             Msg::Put { .. } => "Put",
             Msg::GetTs { .. } => "GetTs",
             Msg::GetVersion { .. } => "GetVersion",
-            Msg::Commit { .. } => "Commit",
             Msg::CommitBatch { .. } => "CommitBatch",
             Msg::Lock { .. } => "Lock",
             Msg::Unlock { .. } => "Unlock",
@@ -426,7 +413,6 @@ impl Msg {
                 };
                 TS + 4 + key.len() as u64 + req_bytes
             }
-            Msg::Commit { key, .. } => TS + TS + 4 + key.len() as u64,
             Msg::CommitBatch { marks, .. } => {
                 TS + TS + marks.iter().map(|(_, k)| 4 + k.len() as u64).sum::<u64>()
             }
@@ -514,12 +500,6 @@ mod tests {
                 op: 0,
                 key: Key::from("x"),
                 req: VersionReq::Exact(Timestamp::new(2, 1)),
-            },
-            Msg::Commit {
-                txn: Timestamp::new(1, 1),
-                op: 0,
-                key: Key::from("x"),
-                ts: Timestamp::new(1, 1),
             },
         ];
         for m in ramp_reqs {

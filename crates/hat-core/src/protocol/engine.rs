@@ -1,31 +1,44 @@
-//! The pluggable protocol layer: one [`ProtocolEngine`] per
-//! isolation/consistency level.
+//! The pluggable protocol layer: one engine per isolation/consistency
+//! level, each a *pair* of halves.
 //!
-//! The server actor ([`crate::Server`]) owns everything protocol-agnostic
-//! — the service queue, the anti-entropy gossip loop, the replication log
-//! and the backing store — and delegates every protocol-specific decision
-//! to a boxed `ProtocolEngine`:
+//! The paper defines every HAT level (§5.1, Appendix B) as a client
+//! procedure plus a server procedure, and so does this crate:
 //!
-//! * how a read at a `required` bound is answered,
-//! * what a write costs and what happens when it is installed (plain
-//!   last-writer-wins vs MAV's pending/good two-phase visibility),
-//! * how anti-entropy copies, sibling notifications and lock traffic are
-//!   handled,
-//! * what extra work the anti-entropy timer performs.
+//! * the server half is a [`ProtocolEngine`], plugged into the
+//!   protocol-agnostic [`crate::Server`] (service queue, anti-entropy
+//!   gossip, replication log, backing store). It decides how a read at a
+//!   `required` bound is answered, what a write costs and what happens
+//!   when it is installed, how anti-entropy copies, sibling
+//!   notifications and lock traffic are handled, and what extra work the
+//!   anti-entropy timer performs;
+//! * the client half is a [`ClientProtocol`], plugged into the
+//!   protocol-agnostic [`crate::client::ClientCore`] (sessions, caches,
+//!   routing, shard overrides, the one outstanding-request round with
+//!   its retry and redirect paths, metrics, history). It decides where
+//!   requests are routed, how a read starts and which further rounds it
+//!   needs, what read metadata is folded into, whether a write is sent
+//!   now, buffered or locked first, and which phases a commit runs.
 //!
-//! Adding a new level is therefore local: implement the trait (most hooks
-//! have last-writer-wins defaults), register it in [`engine_for`], and
-//! every driver — the discrete-event simulator, the threaded runtime and
-//! the benchmark harness — picks it up without touching `server.rs`.
+//! **Adding a level = one file with both halves + one arm in
+//! [`engine_for`].** Most hooks have defaults (last-writer-wins servers,
+//! write-buffering clients), and every driver — the discrete-event
+//! simulator, the threaded runtime and the benchmark harness — picks the
+//! pair up without touching `server.rs` or `client/`. Engines outside
+//! the registry inject the same pair through
+//! [`crate::DeploymentBuilder::engine_factory`].
 
+use crate::client::{ClientCore, Done, Placement};
 use crate::cluster::ClusterLayout;
 use crate::config::{ProtocolKind, ServiceModel, SystemConfig};
 use crate::messages::{Msg, VersionReq};
 use crate::protocol::replication::ReplicationLog;
 use crate::protocol::twopl::Grant;
 use crate::timestamp::Timestamp;
-use hat_sim::{Ctx, NodeId, SimDuration};
+use crate::txn::TxnOutcome;
+use bytes::Bytes;
+use hat_sim::{Ctx, NodeId, SimDuration, SimTime};
 use hat_storage::{Key, Record, SharedRecord, Store};
+use std::collections::BTreeMap;
 
 /// What a [`ProtocolEngine::read_version`] produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,6 +255,186 @@ pub trait ProtocolEngine: Send + std::fmt::Debug {
     fn required_misses(&self) -> u64 {
         0
     }
+
+    /// True if a client write is acknowledged only once a replication
+    /// peer has confirmed it (instead of right after the local install).
+    /// A serializable engine cannot ack a write whose only copy sits in
+    /// a WAL tail a crash may tear off.
+    fn acks_after_replication(&self) -> bool {
+        false
+    }
+
+    /// True if this engine's request routing must stay on the ring
+    /// owner through a shard handoff (records are still streamed, but
+    /// the server never answers [`Msg::WrongShard`]). Engines with
+    /// per-server volatile state that cannot be split across a live
+    /// cutover — lock tables — pin.
+    fn pins_shards(&self) -> bool {
+        false
+    }
+}
+
+/// How a client half routes a request for a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Any replica: the home cluster's for a sticky session, a random
+    /// cluster's otherwise — drawn again on every retry, which is how a
+    /// non-sticky HAT client stays available under partition (§4.1).
+    Replica,
+    /// The key's designated master replica, following shard handoffs.
+    Master,
+    /// The key's master by ring position, ignoring shard handoffs (the
+    /// client-side counterpart of [`ProtocolEngine::pins_shards`]).
+    RingMaster,
+}
+
+/// What a [`ClientProtocol`] hook asks the core to do next.
+#[derive(Debug)]
+pub enum Step {
+    /// Nothing: requests are in flight, or the operation completed.
+    Continue,
+    /// The item read of `key` resolved to `record`.
+    Read {
+        /// Key read.
+        key: Key,
+        /// The version to observe.
+        record: SharedRecord,
+        /// When the read was issued.
+        issued: SimTime,
+    },
+    /// A one-shot multi-key read resolved: one read per entry of `keys`
+    /// (in order) is recorded from `found`, `⊥` where a key is absent.
+    ReadMany {
+        /// Keys in request order.
+        keys: Vec<Key>,
+        /// Versions found.
+        found: BTreeMap<Key, SharedRecord>,
+        /// When the batch was issued.
+        issued: SimTime,
+    },
+    /// The transaction is over.
+    Finish(TxnOutcome),
+}
+
+impl Step {
+    /// The read of `key` resolved to `found` (`None`: the initial `⊥`).
+    pub fn read(key: Key, found: Option<SharedRecord>, issued: SimTime) -> Step {
+        Step::Read {
+            key,
+            record: found.unwrap_or_else(crate::client::bottom),
+            issued,
+        }
+    }
+}
+
+/// The client half of a protocol: the decisions of §5.1 / Appendix B's
+/// client procedures, driven by the session core through these hooks.
+/// Per-transaction protocol state lives in the implementing type and is
+/// reset in [`ClientProtocol::begin`].
+///
+/// The defaults are the Read Committed client — route to any replica,
+/// one-round reads, writes buffered until a one-phase commit flush — so
+/// a level overrides only what it does differently.
+pub trait ClientProtocol: Send + std::fmt::Debug {
+    /// Where requests for a key go. Fixed for the client's lifetime.
+    fn route(&self) -> Route {
+        Route::Replica
+    }
+
+    /// A transaction begins: reset per-transaction state.
+    fn begin(&mut self) {}
+
+    /// Per-key lower bounds this transaction's reads carry (MAV's
+    /// `required` vector). Causal sessions fold it into their
+    /// cross-transaction floor at commit.
+    fn required(&self) -> Option<&BTreeMap<Key, Timestamp>> {
+        None
+    }
+
+    /// Starts an item read that missed the local buffer and cache.
+    fn read(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key) {
+        let floor = self.required().and_then(|r| r.get(&key).copied());
+        let target = core.pick_replica(ctx, &key);
+        core.send_get(ctx, key, target, floor.unwrap_or(Timestamp::INITIAL));
+    }
+
+    /// Starts a one-shot multi-key read if the protocol has one; `Err`
+    /// hands the keys back to be read one at a time.
+    fn read_many(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        keys: Vec<Key>,
+    ) -> Result<Step, Vec<Key>> {
+        let _ = (core, ctx);
+        Err(keys)
+    }
+
+    /// A `Get` or `GetVersion` for `key` was answered with `found`:
+    /// complete the read, or repair it with a further round.
+    fn on_value(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        key: Key,
+        found: Option<SharedRecord>,
+    ) -> Step {
+        let _ = (core, ctx);
+        Step::read(key, found, done.issued)
+    }
+
+    /// Folds the metadata of a completed read into protocol state.
+    fn fold_read(&mut self, core: &mut ClientCore, key: &Key, record: &Record) {
+        let _ = (core, key, record);
+    }
+
+    /// Issues a write: send it now, buffer it, or lock first.
+    fn write(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key, value: Bytes) {
+        core.buffer_write(key, value);
+        core.op_span(ctx.now(), hat_trace::OpKind::Put, true);
+    }
+
+    /// Starts commit.
+    fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        core.flush_writes(ctx, false, Placement::PerKey)
+    }
+
+    /// A commit-phase `Put` or mark batch was acknowledged.
+    fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
+        let _ = (ctx, done);
+        if core.busy() {
+            Step::Continue
+        } else {
+            Step::Finish(TxnOutcome::Committed)
+        }
+    }
+
+    /// A reply only this protocol's requests elicit (`GetTsResp`,
+    /// `LockResp`, `LockCheckResp`) arrived for `done`.
+    fn on_reply(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        reply: Msg,
+    ) -> Step {
+        let _ = (core, ctx, done, reply);
+        Step::Continue
+    }
+
+    /// A timer the protocol armed (tagged
+    /// [`crate::client::PROTOCOL_TIMER`]` | tag`) fired.
+    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, tag: u64) -> Step {
+        let _ = (core, ctx, tag);
+        Step::Continue
+    }
+
+    /// The transaction is being aborted or abandoned: give back what it
+    /// holds at servers.
+    fn release(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) {
+        let _ = (core, ctx);
+    }
 }
 
 /// Shared last-writer-wins install + gossip, used by every engine whose
@@ -278,20 +471,42 @@ pub fn resolve_version(store: &dyn Store, key: &Key, req: &VersionReq) -> Option
     }
 }
 
-/// Builds the engine for a built-in protocol kind. This registry is the
+/// Both halves of one engine.
+pub type EnginePair = (Box<dyn ProtocolEngine>, Box<dyn ClientProtocol>);
+
+/// Builds both halves of a built-in protocol kind. This registry is the
 /// single place a new engine is wired up; custom engines can instead be
-/// injected through [`crate::Server::with_engine`] or
-/// [`crate::DeploymentBuilder::engine_factory`].
-pub fn engine_for(kind: ProtocolKind) -> Box<dyn ProtocolEngine> {
+/// injected through [`crate::DeploymentBuilder::engine_factory`].
+pub fn engine_for(kind: ProtocolKind) -> EnginePair {
+    use crate::protocol::{eventual, master, mav, ramp, read_committed, twopl};
     match kind {
-        ProtocolKind::Eventual => Box::new(crate::protocol::eventual::EventualEngine),
-        ProtocolKind::ReadCommitted => {
-            Box::new(crate::protocol::read_committed::ReadCommittedEngine)
-        }
-        ProtocolKind::Mav => Box::new(crate::protocol::mav::MavEngine::default()),
-        ProtocolKind::RampFast => Box::new(crate::protocol::ramp::RampFastEngine::default()),
-        ProtocolKind::RampSmall => Box::new(crate::protocol::ramp::RampSmallEngine::default()),
-        ProtocolKind::Master => Box::new(crate::protocol::master::MasterEngine),
-        ProtocolKind::TwoPhaseLocking => Box::new(crate::protocol::twopl::TwoPlEngine::default()),
+        ProtocolKind::Eventual => (
+            Box::new(eventual::EventualEngine),
+            Box::new(eventual::EventualClient),
+        ),
+        ProtocolKind::ReadCommitted => (
+            Box::new(read_committed::ReadCommittedEngine),
+            Box::new(read_committed::ReadCommittedClient),
+        ),
+        ProtocolKind::Mav => (
+            Box::<mav::MavEngine>::default(),
+            Box::<mav::MavClient>::default(),
+        ),
+        ProtocolKind::RampFast => (
+            Box::<ramp::RampFastEngine>::default(),
+            Box::<ramp::RampFastClient>::default(),
+        ),
+        ProtocolKind::RampSmall => (
+            Box::<ramp::RampSmallEngine>::default(),
+            Box::<ramp::RampSmallClient>::default(),
+        ),
+        ProtocolKind::Master => (
+            Box::new(master::MasterEngine),
+            Box::new(master::MasterClient),
+        ),
+        ProtocolKind::TwoPhaseLocking => (
+            Box::<twopl::TwoPlEngine>::default(),
+            Box::<twopl::TwoPlClient>::default(),
+        ),
     }
 }

@@ -21,6 +21,12 @@
 //! `pending`. This is the "entirely master-less and operations never
 //! block due to replica coordination" property the paper claims.
 //!
+//! The client half ([`MavClient`]) is where those bounds come from:
+//! every version a transaction reads names its siblings, and the reader
+//! raises its `required` entry for each of them to the version's stamp
+//! (Appendix B client GET). Writes are buffered and flushed at commit
+//! carrying the whole write set as sibling metadata.
+//!
 //! Durability boundary: a client write is acknowledged while it sits in
 //! the volatile `pending` set — only promotion to the good set goes
 //! through the (possibly WAL-backed) store. A crash in the window
@@ -29,9 +35,10 @@
 //! engines, whose installs hit the log before the ack. The crash-restart
 //! end-to-end test pins this boundary down explicitly.
 
+use crate::client::{ClientCore, Placement};
 use crate::config::ServiceModel;
 use crate::messages::Msg;
-use crate::protocol::engine::{ProtocolEngine, ServerView};
+use crate::protocol::engine::{ClientProtocol, ProtocolEngine, ServerView, Step};
 use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration};
 use hat_storage::{Key, Memtable, Record, SharedRecord, Store};
@@ -397,6 +404,35 @@ impl ProtocolEngine for MavEngine {
 
     fn required_misses(&self) -> u64 {
         self.state.required_misses
+    }
+}
+
+/// Client half of [`crate::ProtocolKind::Mav`].
+#[derive(Debug, Default)]
+pub struct MavClient {
+    /// The transaction's `required` vector (Appendix B). Ordered for
+    /// determinism.
+    required: BTreeMap<Key, Timestamp>,
+}
+
+impl ClientProtocol for MavClient {
+    fn begin(&mut self) {
+        self.required.clear();
+    }
+
+    fn required(&self) -> Option<&BTreeMap<Key, Timestamp>> {
+        Some(&self.required)
+    }
+
+    fn fold_read(&mut self, _core: &mut ClientCore, _key: &Key, record: &Record) {
+        for sib in &record.siblings {
+            let e = self.required.entry(sib.clone()).or_insert(record.stamp);
+            *e = (*e).max(record.stamp);
+        }
+    }
+
+    fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        core.flush_writes(ctx, true, Placement::PerKey)
     }
 }
 

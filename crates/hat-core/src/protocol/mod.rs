@@ -1,12 +1,13 @@
-//! Protocol-specific server state machines, behind the pluggable
-//! [`ProtocolEngine`] layer.
+//! Protocol-specific state machines: per level, a server half behind
+//! [`ProtocolEngine`] and a client half behind [`ClientProtocol`], side
+//! by side in one module.
 //!
-//! * [`engine`] — the [`ProtocolEngine`] trait every isolation /
-//!   consistency level implements, the [`ServerView`] handed to its
-//!   hooks, and the [`engine_for`] registry.
+//! * [`engine`] — the two traits every isolation / consistency level
+//!   implements, the [`ServerView`] handed to server hooks, and the
+//!   [`engine_for`] registry.
 //! * [`eventual`] / [`read_committed`] / [`master`] — the last-writer-
-//!   wins engines (the isolation differences live client-side or in the
-//!   routing).
+//!   wins engines (the isolation differences live in the client halves:
+//!   write-through vs buffering, any-replica vs master routing).
 //! * [`mav`] — the two-phase Monotonic Atomic View algorithm of §5.1.2 /
 //!   Appendix B (pending/good sets, sibling acknowledgements).
 //! * [`ramp`] — the Read Atomic (RAMP) family: atomic visibility by
@@ -27,7 +28,8 @@ pub mod replication;
 pub mod twopl;
 
 pub use engine::{
-    engine_for, lww_apply, resolve_version, ProtocolEngine, ServerView, VersionAnswer,
+    engine_for, lww_apply, resolve_version, ClientProtocol, EnginePair, ProtocolEngine, Route,
+    ServerView, Step, VersionAnswer,
 };
 pub use eventual::EventualEngine;
 pub use master::MasterEngine;

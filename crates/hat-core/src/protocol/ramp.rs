@@ -26,7 +26,8 @@
 //!
 //! Server-side, both engines are the same state machine ([`RampCore`]);
 //! the difference is entirely in what the client attaches to writes and
-//! how it drives reads (see `client.rs`). An exact-stamp fetch that
+//! how it drives reads ([`RampFastClient`], [`RampSmallClient`]; the
+//! two-phase commit they share is [`TwoPhaseWrite`]). An exact-stamp fetch that
 //! arrives before its version does is **parked** and answered when the
 //! prepare or anti-entropy copy lands — the reader-side analogue of
 //! MAV's "pending guarantee", without any server→server notification
@@ -39,13 +40,18 @@
 //! timestamp-only metadata cannot name what it is missing, so its
 //! guarantee is exact within a cluster and best-effort across the WAN.
 
+use crate::client::{bottom, sibling_bytes, ClientCore, Done, Placement};
 use crate::config::ServiceModel;
 use crate::messages::{Msg, VersionReq};
-use crate::protocol::engine::{resolve_version, ProtocolEngine, ServerView, VersionAnswer};
+use crate::protocol::engine::{
+    resolve_version, ClientProtocol, ProtocolEngine, ServerView, Step, VersionAnswer,
+};
 use crate::timestamp::Timestamp;
+use crate::txn::TxnOutcome;
 use hat_sim::{Ctx, NodeId, SimDuration};
 use hat_storage::{Key, Memtable, Record, SharedRecord};
-use std::collections::BTreeMap;
+use hat_trace::OpKind;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A reader waiting on a parked exact-stamp fetch.
 type Waiter = (NodeId, Timestamp, u32);
@@ -386,6 +392,397 @@ ramp_engine!(
     "RAMP-Small: timestamp-only metadata, always two read rounds, \
      constant metadata size."
 );
+
+// ---------------------------------------------------------------------
+// Client halves
+// ---------------------------------------------------------------------
+
+/// Bound on chained RAMP-Fast ceiling repairs for one read. Each round
+/// strictly lowers the ceiling, so the loop terminates on its own; the
+/// cap is a defensive fuse (an exhausted loop is counted in
+/// [`crate::ClientMetrics::unrepaired_reads`]).
+const MAX_RAMP_REPAIRS: u32 = 4;
+
+/// Encoded size of one timestamp on the wire (seq + writer).
+const TS_WIRE_BYTES: u64 = 12;
+
+/// Group commit: the most phase-2 commit marks coalesced into one
+/// [`Msg::CommitBatch`] per destination server.
+const COMMIT_BATCH_MARKS: usize = 64;
+
+/// Continues the read `done` belongs to with a second-round version
+/// fetch (same op id — the fetch *is* the read's continuation). Pinned
+/// to the round-1 replica: both rounds must see one server's state.
+fn fetch_version(
+    core: &mut ClientCore,
+    ctx: &mut Ctx<'_, Msg>,
+    done: &Done,
+    key: Key,
+    req: VersionReq,
+) {
+    if let VersionReq::Among(set) = &req {
+        core.metrics.metadata_bytes += TS_WIRE_BYTES * set.len() as u64;
+    }
+    core.open_round(ctx, done.issued);
+    let (txn, op) = (core.txn_id(), done.op);
+    core.send(
+        ctx,
+        op,
+        done.target,
+        true,
+        Msg::GetVersion { txn, op, key, req },
+    );
+}
+
+/// The two-phase, master-less RAMP write both client halves share:
+/// PREPARE every buffered write at its replica — all in one cluster,
+/// because phase 2 must land exactly where phase 1 prepared, so RAMP
+/// commits never retry elsewhere and block under partition like any
+/// sticky commit — then, once every prepare is acknowledged, send the
+/// commit marks that make the versions visible, coalesced per replica.
+#[derive(Debug, Default)]
+pub struct TwoPhaseWrite {
+    /// Acknowledged prepares: `(op, key, replica)`.
+    prepared: Vec<(u32, Key, NodeId)>,
+    /// True once the outstanding requests are commit marks.
+    marking: bool,
+}
+
+impl TwoPhaseWrite {
+    fn begin(&mut self) {
+        self.prepared.clear();
+        self.marking = false;
+    }
+
+    fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
+        if let Msg::Put { key, .. } = done.msg {
+            // `done.target` is where the prepare finally landed, shard
+            // redirects included.
+            self.prepared.push((done.op, key, done.target));
+        }
+        if core.busy() {
+            return Step::Continue;
+        }
+        if std::mem::replace(&mut self.marking, true) {
+            return Step::Finish(TxnOutcome::Committed);
+        }
+        // Marks go out in prepare order, whatever order the acks took;
+        // grouped by destination in an ordered map so send order is
+        // deterministic.
+        self.prepared.sort_by_key(|p| p.0);
+        let (txn, ts) = (core.txn_id(), core.write_stamp());
+        core.open_round(ctx, ctx.now());
+        let mut per_dest: BTreeMap<NodeId, Vec<(u32, Key)>> = BTreeMap::new();
+        for (_, key, target) in self.prepared.drain(..) {
+            per_dest
+                .entry(target)
+                .or_default()
+                .push((core.next_op(), key));
+        }
+        for (target, marks) in per_dest {
+            for chunk in marks.chunks(COMMIT_BATCH_MARKS) {
+                let marks = chunk.to_vec();
+                core.send(
+                    ctx,
+                    chunk[0].0,
+                    target,
+                    true,
+                    Msg::CommitBatch { txn, ts, marks },
+                );
+            }
+        }
+        Step::Continue
+    }
+}
+
+/// Client half of [`crate::ProtocolKind::RampFast`]: one-round reads,
+/// checked against the write-set metadata of everything the transaction
+/// has observed and repaired with by-stamp fetches when fractured.
+#[derive(Debug, Default)]
+pub struct RampFastClient {
+    /// For every key named in the metadata of a version this
+    /// transaction observed, the highest such writer stamp. A later read
+    /// of that key below its floor is a fractured read.
+    floor: BTreeMap<Key, Timestamp>,
+    /// Chained ceiling repairs of the read in flight.
+    repairs: u32,
+    write: TwoPhaseWrite,
+}
+
+impl RampFastClient {
+    /// The repair a read of `key` needs after observing `record`, if
+    /// any:
+    ///
+    /// * below the key's floor (metadata of an earlier read names a
+    ///   newer write of this key by an observed transaction) → fetch
+    ///   that exact version;
+    /// * above a ceiling (this record's write-set includes a key this
+    ///   transaction already read *older* — returning it would expose a
+    ///   fractured write-set) → fetch the newest visible version at or
+    ///   below the oldest such observation.
+    fn repair(&self, core: &ClientCore, key: &Key, record: &Record) -> Option<VersionReq> {
+        let floor = self.floor.get(key).copied().unwrap_or(Timestamp::INITIAL);
+        if record.stamp < floor {
+            return Some(VersionReq::Exact(floor));
+        }
+        record
+            .siblings
+            .iter()
+            .filter(|sib| *sib != key)
+            .filter_map(|sib| core.cached(sib))
+            .filter(|prior| prior.stamp < record.stamp)
+            .map(|prior| prior.stamp)
+            .min()
+            .map(VersionReq::AtOrBelow)
+    }
+}
+
+impl ClientProtocol for RampFastClient {
+    fn begin(&mut self) {
+        self.floor.clear();
+        self.write.begin();
+    }
+
+    /// A fractured read is repaired with a further round before
+    /// anything is returned (the one-round fast path stays one round
+    /// when no fracture is detected). A repaired version is re-checked:
+    /// a ceiling fetch can land on a version that fractures an even
+    /// older observation.
+    fn on_value(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        key: Key,
+        found: Option<SharedRecord>,
+    ) -> Step {
+        let first_round = matches!(done.msg, Msg::Get { .. });
+        let mut record = found.unwrap_or_else(bottom);
+        if first_round {
+            // The fracture check runs on what the session will actually
+            // observe.
+            core.session_clamp(&key, &mut record);
+            self.repairs = 0;
+        }
+        if let Some(req) = self.repair(core, &key, &record) {
+            if first_round || self.repairs < MAX_RAMP_REPAIRS {
+                self.repairs += u32::from(!first_round);
+                core.metrics.repair_rounds += 1;
+                fetch_version(core, ctx, &done, key, req);
+                return Step::Continue;
+            }
+            core.metrics.unrepaired_reads += 1;
+        }
+        Step::Read {
+            key,
+            record,
+            issued: done.issued,
+        }
+    }
+
+    /// The sibling list raises per-key floors — later reads repair
+    /// themselves against them.
+    fn fold_read(&mut self, core: &mut ClientCore, _key: &Key, record: &Record) {
+        core.metrics.metadata_bytes += sibling_bytes(record);
+        for sib in &record.siblings {
+            let e = self.floor.entry(sib.clone()).or_insert(record.stamp);
+            *e = (*e).max(record.stamp);
+        }
+    }
+
+    fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        core.flush_writes(ctx, true, Placement::OneCluster)
+    }
+
+    fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
+        self.write.on_acked(core, ctx, done)
+    }
+}
+
+/// A one-shot multi-key read in progress.
+#[derive(Debug)]
+struct Batch {
+    /// Keys in request order (the recording order).
+    keys: Vec<Key>,
+    /// Collected results (round 2, plus cache/buffer hits).
+    found: BTreeMap<Key, SharedRecord>,
+    /// Round-1 answers: each remote key's latest committed stamp and
+    /// the replica that reported it (round 2 goes back there).
+    stamps: BTreeMap<Key, (Timestamp, NodeId)>,
+}
+
+/// Client half of [`crate::ProtocolKind::RampSmall`]: the only metadata
+/// is the stamp, so every read takes two rounds — the key's latest
+/// committed stamp, then the newest version among the stamps the
+/// transaction has observed.
+#[derive(Debug, Default)]
+pub struct RampSmallClient {
+    /// Stamps of every version this transaction has read (the
+    /// second-round `Among` set).
+    observed: BTreeSet<Timestamp>,
+    batch: Option<Batch>,
+    write: TwoPhaseWrite,
+}
+
+impl ClientProtocol for RampSmallClient {
+    fn begin(&mut self) {
+        self.observed.clear();
+        self.batch = None;
+        self.write.begin();
+    }
+
+    fn read(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key) {
+        let target = core.pick_replica(ctx, &key);
+        core.request(ctx, target, false, |txn, op| Msg::GetTs { txn, op, key });
+    }
+
+    /// The paper's `GET_ALL`: round 1 fetches every key's latest
+    /// committed stamp in parallel, round 2 fetches values by the union
+    /// timestamp set in parallel, each key at the replica that answered
+    /// its round 1.
+    fn read_many(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        keys: Vec<Key>,
+    ) -> Result<Step, Vec<Key>> {
+        core.op_span(ctx.now(), OpKind::GetMany, false);
+        // Resolve buffer/cache hits locally; the rest fan out.
+        let mut found = BTreeMap::new();
+        let mut remote: Vec<&Key> = Vec::new();
+        for key in &keys {
+            if found.contains_key(key) || remote.contains(&key) {
+                continue;
+            }
+            match core.local_version(key) {
+                Some(hit) => {
+                    found.insert(key.clone(), hit);
+                }
+                None => remote.push(key),
+            }
+        }
+        if !remote.is_empty() {
+            core.open_round(ctx, ctx.now());
+            for key in remote {
+                let target = core.pick_replica(ctx, key);
+                let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
+                core.send(ctx, op, target, true, Msg::GetTs { txn, op, key });
+            }
+            self.batch = Some(Batch {
+                keys,
+                found,
+                stamps: BTreeMap::new(),
+            });
+            return Ok(Step::Continue);
+        }
+        Ok(Step::ReadMany {
+            keys,
+            found,
+            issued: ctx.now(),
+        })
+    }
+
+    /// Round-1 answer: continue into round 2 with the transaction's
+    /// observed-stamp set plus the stamp(s) just learnt. With nothing to
+    /// fetch — no observed stamps and `⊥` keys — the read completes as
+    /// `⊥` without a value round.
+    fn on_reply(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        reply: Msg,
+    ) -> Step {
+        let (Msg::GetTsResp { ts, .. }, Some(key)) = (reply, done.key().cloned()) else {
+            return Step::Continue;
+        };
+        core.metrics.metadata_bytes += TS_WIRE_BYTES;
+        let Some(batch) = &mut self.batch else {
+            let mut set: Vec<Timestamp> = self.observed.iter().copied().collect();
+            if !ts.is_initial() && !self.observed.contains(&ts) {
+                set.push(ts);
+            }
+            if set.is_empty() {
+                return Step::read(key, None, done.issued);
+            }
+            fetch_version(core, ctx, &done, key, VersionReq::Among(set));
+            return Step::Continue;
+        };
+        batch.stamps.insert(key, (ts, done.target));
+        if core.busy() {
+            return Step::Continue;
+        }
+        let learnt = batch.stamps.values().map(|s| s.0);
+        let set: BTreeSet<Timestamp> = self
+            .observed
+            .iter()
+            .copied()
+            .chain(learnt.filter(|t| !t.is_initial()))
+            .collect();
+        if set.is_empty() {
+            // Nothing committed anywhere in sight: every remote key is ⊥.
+            return self.finish_batch(done.issued);
+        }
+        let set: Vec<Timestamp> = set.into_iter().collect();
+        core.open_round(ctx, done.issued);
+        core.metrics.metadata_bytes += TS_WIRE_BYTES * set.len() as u64 * batch.stamps.len() as u64;
+        for (key, &(_, target)) in &batch.stamps {
+            let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
+            let req = VersionReq::Among(set.clone());
+            core.send(ctx, op, target, true, Msg::GetVersion { txn, op, key, req });
+        }
+        Step::Continue
+    }
+
+    fn on_value(
+        &mut self,
+        core: &mut ClientCore,
+        _ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        key: Key,
+        found: Option<SharedRecord>,
+    ) -> Step {
+        let Some(batch) = &mut self.batch else {
+            return Step::read(key, found, done.issued);
+        };
+        if let Some(record) = found {
+            batch.found.insert(key, record);
+        }
+        if core.busy() {
+            return Step::Continue;
+        }
+        self.finish_batch(done.issued)
+    }
+
+    fn fold_read(&mut self, core: &mut ClientCore, _key: &Key, record: &Record) {
+        // A batch read served from the write buffer carries the
+        // transaction's own id, which is no committed stamp.
+        if !record.stamp.is_initial() && record.stamp != core.txn_id() {
+            self.observed.insert(record.stamp);
+        }
+    }
+
+    /// No sibling metadata — constant-size metadata (the stamp) is
+    /// RAMP-Small's whole point.
+    fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        core.flush_writes(ctx, false, Placement::OneCluster)
+    }
+
+    fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
+        self.write.on_acked(core, ctx, done)
+    }
+}
+
+impl RampSmallClient {
+    fn finish_batch(&mut self, issued: hat_sim::SimTime) -> Step {
+        let batch = self.batch.take().expect("batch in progress");
+        Step::ReadMany {
+            keys: batch.keys,
+            found: batch.found,
+            issued,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

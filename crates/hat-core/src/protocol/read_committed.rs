@@ -6,9 +6,10 @@
 //! The server-side engine is therefore identical to `eventual` — it only
 //! ever sees committed writes — and exists as its own type so the
 //! protocol registry, experiment labels and conformance suite treat the
-//! level as first-class.
+//! level as first-class. The client half is likewise the pure default
+//! of [`ClientProtocol`]: buffer writes, flush them at commit.
 
-use crate::protocol::engine::ProtocolEngine;
+use crate::protocol::engine::{ClientProtocol, ProtocolEngine};
 
 /// Engine for [`crate::ProtocolKind::ReadCommitted`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -19,3 +20,9 @@ impl ProtocolEngine for ReadCommittedEngine {
         "RC"
     }
 }
+
+/// Client half of [`crate::ProtocolKind::ReadCommitted`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ReadCommittedClient;
+
+impl ClientProtocol for ReadCommittedClient {}

@@ -10,12 +10,22 @@
 //! or exclusive (writes), granted FIFO with the standard compatibility
 //! matrix plus upgrade of a solely-held shared lock. Deadlocks are broken
 //! by client-side lock timeouts (external aborts).
+//!
+//! The client half ([`TwoPlClient`]) takes a shared lock before every
+//! read and an exclusive one before every (buffered) write, all at the
+//! key's master; at commit it re-validates its read-only locks, flushes
+//! the buffered writes to the masters, and only then unlocks.
 
-use crate::protocol::engine::{ProtocolEngine, ServerView};
+use crate::client::{ClientCore, Done, Placement, PROTOCOL_TIMER};
+use crate::messages::Msg;
+use crate::protocol::engine::{ClientProtocol, ProtocolEngine, Route, ServerView, Step};
 use crate::timestamp::Timestamp;
-use hat_sim::NodeId;
+use crate::txn::TxnOutcome;
+use bytes::Bytes;
+use hat_sim::{Ctx, NodeId};
 use hat_storage::Key;
-use std::collections::{HashMap, VecDeque};
+use hat_trace::TraceEventKind;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A lock grant to report back to a waiting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,6 +268,16 @@ impl ProtocolEngine for TwoPlEngine {
         self.locks.holds_any(key, txn)
     }
 
+    fn acks_after_replication(&self) -> bool {
+        true
+    }
+
+    /// Lock tables stay with the original placement: splitting one
+    /// across a live routing flip would forfeit serializability.
+    fn pins_shards(&self) -> bool {
+        true
+    }
+
     fn on_lock(
         &mut self,
         _view: &mut ServerView<'_>,
@@ -288,6 +308,199 @@ impl ProtocolEngine for TwoPlEngine {
             self.locks.release_all(txn)
         } else {
             self.locks.release(txn, &keys)
+        }
+    }
+}
+
+/// Client half of [`crate::ProtocolKind::TwoPhaseLocking`].
+#[derive(Debug, Default)]
+pub struct TwoPlClient {
+    /// Locks held, with the master holding each (for unlock).
+    held: Vec<(Key, NodeId)>,
+    /// The lock request in flight: its timeout-timer tag, and the value
+    /// to buffer once an exclusive lock is granted (`None`: a shared
+    /// lock, followed by the read itself).
+    waiting: Option<(u64, Option<Bytes>)>,
+}
+
+impl TwoPlClient {
+    fn acquire(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        key: Key,
+        write: Option<Bytes>,
+    ) {
+        core.trace(
+            ctx.now(),
+            TraceEventKind::LockWait {
+                txn: core.trace_txn(),
+                key: String::from_utf8_lossy(&key).into_owned(),
+            },
+        );
+        let target = core.pick_replica(ctx, &key);
+        let exclusive = write.is_some();
+        core.request(ctx, target, true, |txn, op| Msg::Lock {
+            txn,
+            op,
+            key,
+            exclusive,
+        });
+        // Lock timeout (deadlock breaker / unavailability bound). Keyed
+        // to the first issue, not to retries: the lock request keeps
+        // being re-sent on the retry backoff while this one timer runs.
+        let tag = core.issue_id();
+        ctx.set_timer(core.config().lock_timeout, tag | PROTOCOL_TIMER);
+        self.waiting = Some((tag, write));
+    }
+
+    /// Flushes the write buffer as stamped `Put`s to each key's lock
+    /// master (read-only transactions just unlock and finish). Runs
+    /// after commit-time lock validation when the transaction holds
+    /// read locks, immediately otherwise.
+    fn flush(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        let step = core.flush_writes(ctx, false, Placement::PerKey);
+        if matches!(step, Step::Finish(_)) {
+            self.release(core, ctx);
+        }
+        step
+    }
+}
+
+impl ClientProtocol for TwoPlClient {
+    /// 2PL is exempt from shard cutover (lock tables stay pinned to the
+    /// ring owner), so its routing ignores overrides.
+    fn route(&self) -> Route {
+        Route::RingMaster
+    }
+
+    fn begin(&mut self) {
+        *self = Self::default();
+    }
+
+    fn read(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key) {
+        self.acquire(core, ctx, key, None);
+    }
+
+    fn write(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key, value: Bytes) {
+        self.acquire(core, ctx, key, Some(value));
+    }
+
+    fn on_reply(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        reply: Msg,
+    ) -> Step {
+        match (reply, done.msg) {
+            (Msg::LockResp { floor, .. }, Msg::Lock { key, .. }) => {
+                let Some((_, write)) = self.waiting.take() else {
+                    return Step::Continue;
+                };
+                // Lamport-advance past the granted key's current version
+                // even if this transaction never reads it: the commit
+                // stamp must dominate every locked key's version, or a
+                // *blind* write could carry a stamp that last-writer-wins
+                // orders behind the version it overwrote, inverting the
+                // lock serialization order.
+                core.observe(floor);
+                self.held.push((key.clone(), done.target));
+                core.metrics
+                    .lock_latency_ms
+                    .record(ctx.now().since(done.issued).as_millis_f64());
+                core.trace(
+                    ctx.now(),
+                    TraceEventKind::LockGrant {
+                        txn: core.trace_txn(),
+                        key: String::from_utf8_lossy(&key).into_owned(),
+                    },
+                );
+                match write {
+                    // Read at the lock master (it has the authoritative
+                    // copy).
+                    None => core.send_get(ctx, key, done.target, Timestamp::INITIAL),
+                    // Just buffer the write (data moves at commit).
+                    Some(value) => {
+                        core.buffer_write(key, value);
+                        core.finish_write(ctx, done.issued);
+                    }
+                }
+                Step::Continue
+            }
+            // `!ok` means the lock master crashed and lost this
+            // transaction's lock — the read set may already be
+            // overwritten by a freshly granted writer, so the transaction
+            // aborts instead of publishing write skew.
+            (Msg::LockCheckResp { ok: false, .. }, _) => {
+                core.clear_round();
+                self.release(core, ctx);
+                Step::Finish(TxnOutcome::AbortedExternal)
+            }
+            (Msg::LockCheckResp { .. }, _) if !core.busy() => {
+                // Every read lock is confirmed still on its master's
+                // table; now the writes may be published.
+                self.flush(core, ctx)
+            }
+            _ => Step::Continue,
+        }
+    }
+
+    fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        // Keys locked for reading only. Their locks back the
+        // serializability of the read set, but nothing on the write path
+        // ever re-checks them: a crashed master rebuilds an empty lock
+        // table, a conflicting writer gets the key, and this transaction
+        // would commit write skew. Validate them before publishing
+        // anything.
+        let writes = core.write_buffer();
+        let read_only: Vec<&(Key, NodeId)> = self
+            .held
+            .iter()
+            .filter(|(k, _)| !writes.iter().any(|(wk, _)| wk == k))
+            .collect();
+        // A single-lock read-only transaction is trivially serializable
+        // at its read point; skip the round.
+        if read_only.is_empty() || (writes.is_empty() && self.held.len() <= 1) {
+            return self.flush(core, ctx);
+        }
+        core.open_round(ctx, ctx.now());
+        for (key, master) in read_only {
+            let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
+            core.send(ctx, op, *master, true, Msg::LockCheck { txn, op, key });
+        }
+        Step::Continue
+    }
+
+    fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, _done: Done) -> Step {
+        if core.busy() {
+            return Step::Continue;
+        }
+        self.release(core, ctx);
+        Step::Finish(TxnOutcome::Committed)
+    }
+
+    /// Lock timeout: external abort — give up the transaction, release
+    /// held locks.
+    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, tag: u64) -> Step {
+        if self.waiting.as_ref().map(|w| w.0) != Some(tag) {
+            return Step::Continue;
+        }
+        core.clear_round();
+        self.release(core, ctx);
+        Step::Finish(TxnOutcome::AbortedExternal)
+    }
+
+    fn release(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) {
+        // Group keys per lock master (ordered: unlock send order must
+        // not depend on hash seeds).
+        let mut per_master: BTreeMap<NodeId, Vec<Key>> = BTreeMap::new();
+        for (k, master) in self.held.drain(..) {
+            per_master.entry(master).or_default().push(k);
+        }
+        for (master, keys) in per_master {
+            let txn = core.txn_id();
+            ctx.send(master, Msg::Unlock { txn, keys });
         }
     }
 }

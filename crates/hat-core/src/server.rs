@@ -12,7 +12,7 @@
 //! maps to which engine hook. Adding a new isolation level requires no
 //! change here — implement the trait and register it in
 //! [`crate::protocol::engine_for`] (or inject it via
-//! [`Server::with_engine`]).
+//! [`crate::DeploymentBuilder::engine_factory`]).
 //!
 //! All accepted writes are buffered in a [`ReplicationLog`] and gossiped
 //! to the positional peer replica in every other cluster on an
@@ -37,9 +37,9 @@
 //! never move request routing.
 
 use crate::cluster::ClusterLayout;
-use crate::config::{ProtocolKind, SystemConfig};
+use crate::config::SystemConfig;
 use crate::messages::Msg;
-use crate::protocol::engine::{engine_for, ProtocolEngine, ServerView};
+use crate::protocol::engine::{ProtocolEngine, ServerView};
 use crate::protocol::replication::ReplicationLog;
 use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration, SimTime, TimerId};
@@ -227,20 +227,8 @@ pub struct Server {
 
 impl Server {
     /// Builds a server for `cluster` backed by `store`, running the
-    /// engine registered for `config.protocol`.
-    pub fn new(
-        id: NodeId,
-        cluster: usize,
-        layout: Arc<ClusterLayout>,
-        config: Arc<SystemConfig>,
-        store: Box<dyn Store + Send>,
-    ) -> Self {
-        let engine = engine_for(config.protocol);
-        Self::with_engine(id, cluster, layout, config, store, engine)
-    }
-
-    /// Builds a server running an explicit [`ProtocolEngine`] — the
-    /// injection point for engines not (yet) in the registry.
+    /// [`ProtocolEngine`] it is handed (the registry's for the
+    /// deployment's protocol kind, or an injected one).
     pub fn with_engine(
         id: NodeId,
         cluster: usize,
@@ -537,7 +525,6 @@ impl Server {
             Msg::GetVersion { txn, op, key, req } => {
                 self.handle_get_version(ctx, from, txn, op, key, req)
             }
-            Msg::Commit { txn, op, key, ts } => self.handle_commit(ctx, from, txn, op, key, ts),
             Msg::CommitBatch { txn, ts, marks } => {
                 self.handle_commit_batch(ctx, from, txn, ts, marks)
             }
@@ -642,27 +629,10 @@ impl Server {
         }
     }
 
-    /// RAMP commit marker: promote prepared → visible, ack like a put.
-    fn handle_commit(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-        ts: Timestamp,
-    ) {
-        self.requests_served += 1;
-        let cost = self.config.service.ramp_commit();
-        let (engine, mut view) = self.engine_view();
-        engine.on_commit_mark(&mut view, ctx, key, ts);
-        let hold = self.service(ctx.now(), cost);
-        ctx.send_after(hold, from, Msg::PutResp { txn, op });
-    }
-
-    /// Group commit: apply every mark in the batch, then ack them all
-    /// with one message. Store work is unchanged (each mark is charged
-    /// its full commit cost); the saving is the per-message round trips.
+    /// RAMP commit markers (promote prepared → visible), group-committed:
+    /// apply every mark in the batch, then ack them all with one
+    /// message. Each mark is charged its full commit cost; the saving
+    /// over one message per mark is the round trips.
     fn handle_commit_batch(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -732,7 +702,7 @@ impl Server {
         let (engine, mut view) = self.engine_view();
         engine.apply_client_write(&mut view, ctx, key, record);
         let hold = self.service(ctx.now(), cost);
-        if self.config.protocol == ProtocolKind::TwoPhaseLocking && !self.peers.is_empty() {
+        if self.engine.acks_after_replication() && !self.peers.is_empty() {
             // Serializable commits are acked only once a replication
             // peer holds the write: a local WAL append can be torn off
             // by a crash, and an acked-then-lost write turns into a
@@ -929,9 +899,10 @@ impl Server {
 
     /// If `key`'s token has been handed off (and routing cut over),
     /// returns the new owner to name in a [`Msg::WrongShard`] refusal.
-    /// `None` means serve locally. 2PL is exempt (see module docs).
+    /// `None` means serve locally. Engines that pin their shards are
+    /// exempt (see module docs).
     fn redirect_for(&self, key: &Key) -> Option<NodeId> {
-        if self.handoffs.is_empty() || self.config.protocol == ProtocolKind::TwoPhaseLocking {
+        if self.handoffs.is_empty() || self.engine.pins_shards() {
             return None;
         }
         let token = self.layout.ring().token_of(key);

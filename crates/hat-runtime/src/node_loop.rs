@@ -52,8 +52,8 @@ pub enum ClientCmd {
     Begin,
     /// Item read.
     Get(Key),
-    /// One-shot multi-key read (RAMP-Small `GET_ALL`; other protocols
-    /// are handled sequentially by the frontend and never send this).
+    /// One-shot multi-key read (RAMP-Small `GET_ALL`; a protocol
+    /// without one answers [`ClientReply::Unbatched`]).
     GetMany(Vec<Key>),
     /// Write (buffered or sent, per protocol).
     Put(Key, Bytes),
@@ -80,6 +80,9 @@ pub enum ClientReply {
     Read(Option<Bytes>),
     /// Batch read results, one per requested key in request order.
     ReadMany(Vec<Option<Bytes>>),
+    /// The protocol has no one-shot batch read: the keys, handed back
+    /// for the frontend to read one at a time.
+    Unbatched(Vec<Key>),
     /// Write applied (or buffered).
     Wrote,
     /// Scan result.
@@ -374,8 +377,10 @@ fn apply_cmd(node: &mut Node, ctx: &mut Ctx<'_, Msg>, cmd: ClientCmd) -> CmdOutc
         }
         ClientCmd::GetMany(keys) => {
             let n = keys.len();
-            client.issue_read_many(ctx, keys);
-            CmdOutcome::Pending(PendingCmd::GetMany(n))
+            match client.issue_read_many(ctx, keys) {
+                Ok(()) => CmdOutcome::Pending(PendingCmd::GetMany(n)),
+                Err(keys) => CmdOutcome::Replied(ClientReply::Unbatched(keys)),
+            }
         }
         ClientCmd::Put(key, value) => {
             client.issue_write(ctx, key, value);

@@ -402,16 +402,12 @@ impl TxnBackend for RuntimeFrontend {
         session: &Session,
         keys: Vec<Key>,
     ) -> Result<Vec<Option<Bytes>>, HatError> {
-        // Only RAMP-Small has a native one-shot batch read; everything
-        // else reads sequentially (the trait default).
-        if self.config.protocol != hat_core::ProtocolKind::RampSmall {
-            return keys
-                .into_iter()
-                .map(|k| self.exec_get(session, k))
-                .collect();
-        }
         match self.roundtrip(session.index() as usize, ClientCmd::GetMany(keys))? {
             ClientReply::ReadMany(vs) => Ok(vs),
+            ClientReply::Unbatched(keys) => keys
+                .into_iter()
+                .map(|k| self.exec_get(session, k))
+                .collect(),
             ClientReply::Failed(e) => Err(e),
             other => panic!("protocol mismatch: expected ReadMany, got {other:?}"),
         }

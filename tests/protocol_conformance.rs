@@ -12,17 +12,23 @@
 //! substrate.
 //!
 //! The suite also proves the engine layer is actually pluggable: a stub
-//! extra engine, defined entirely in this test file, drives the full
-//! stack through `DeploymentBuilder::engine_factory` — no edits to
-//! `server.rs` (or any other crate) required.
+//! extra engine — server half *and* client half — defined entirely in
+//! this test file, drives the full stack through
+//! `DeploymentBuilder::engine_factory` — no edits to `server.rs`, the
+//! client core (or any other crate) required.
 
-use hatdb::core::protocol::ProtocolEngine;
+use hatdb::core::protocol::{ClientProtocol, ProtocolEngine, Step};
 use hatdb::core::{
-    ClusterSpec, DeploymentBuilder, ProtocolKind, SessionLevel, SessionOptions, TxnRecord,
+    ClientCore, ClusterSpec, DeploymentBuilder, Msg, ProtocolKind, SessionLevel, SessionOptions,
+    TxnOutcome, TxnRecord,
 };
 use hatdb::history::{check, IsolationLevel};
+use hatdb::sim::Ctx;
 use hatdb::sim::{Partition, PartitionSchedule, SimDuration, SimTime};
+use hatdb::storage::Key;
 use hatdb::{BuildThreaded, Frontend, RuntimeConfig, Session};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The shared conformance script: several sessions interleave multi-key
 /// read-modify-write transactions and repeat reads over a small hot
@@ -353,13 +359,53 @@ impl ProtocolEngine for StubSixthEngine {
     }
 }
 
+/// The stub's client half: protocol-wise identical to `eventual`
+/// (write through at operation time, nothing left to do at commit), but
+/// defined here and counting its hook calls. If the client core still
+/// branched on `ProtocolKind`, these hooks would never run: the builder
+/// below names `ReadCommitted`, whose registered client half *buffers*.
+#[derive(Debug)]
+struct StubSixthClient {
+    writes: Arc<AtomicUsize>,
+    commits: Arc<AtomicUsize>,
+}
+
+impl ClientProtocol for StubSixthClient {
+    fn write(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        key: Key,
+        value: bytes::Bytes,
+    ) {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        core.write_through(ctx, key, value);
+    }
+
+    fn commit(&mut self, _core: &mut ClientCore, _ctx: &mut Ctx<'_, Msg>) -> Step {
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        Step::Finish(TxnOutcome::Committed)
+    }
+}
+
 #[test]
 fn stub_sixth_engine_plugs_in_without_server_changes() {
-    let mut front = DeploymentBuilder::new(ProtocolKind::Eventual)
+    let writes = Arc::new(AtomicUsize::new(0));
+    let commits = Arc::new(AtomicUsize::new(0));
+    let (w, c) = (Arc::clone(&writes), Arc::clone(&commits));
+    let mut front = DeploymentBuilder::new(ProtocolKind::ReadCommitted)
         .seed(31)
         .clusters(ClusterSpec::single_dc(2, 2))
         .sessions_per_cluster(1)
-        .engine_factory(|| Box::new(StubSixthEngine))
+        .engine_factory(move || {
+            (
+                Box::new(StubSixthEngine),
+                Box::new(StubSixthClient {
+                    writes: Arc::clone(&w),
+                    commits: Arc::clone(&c),
+                }),
+            )
+        })
         .build();
 
     // Every server runs the injected engine.
@@ -381,6 +427,13 @@ fn stub_sixth_engine_plugs_in_without_server_changes() {
     front.quiesce();
     let v = front.txn(&s1, |t| t.get("greeting"));
     assert_eq!(v.as_deref(), Some("from the sixth engine"));
+
+    // Both transactions committed through the injected client half, and
+    // the write went out at operation time: one op-time round, where the
+    // registered Read Committed half would have buffered it.
+    assert_eq!(writes.load(Ordering::Relaxed), 1);
+    assert_eq!(commits.load(Ordering::Relaxed), 2);
+    assert_eq!(front.session_metrics(&s0).msg_rounds, 1);
 
     let records = front.take_records();
     let report = check(records, IsolationLevel::ReadUncommitted);
