@@ -150,12 +150,23 @@ impl DeploymentBuilder {
     }
 
     /// Backs every server with a [`DurableStore`] rooted at
-    /// `dir/server-<id>` instead of a volatile [`MemStore`]: writes are
-    /// WAL-logged before they are acknowledged, and a server rebuilt by
-    /// [`SimFrontend::restart_server`] recovers its memtable from the
-    /// log (including deliberately-torn tails). This is the paper's
-    /// durable configuration, and the substrate crash-restart nemesis
-    /// schedules require.
+    /// `dir/server-<id>` instead of a volatile [`MemStore`], and a
+    /// server rebuilt by [`SimFrontend::restart_server`] recovers its
+    /// memtable from the log (including deliberately-torn tails). This
+    /// is the paper's durable configuration, and the substrate
+    /// crash-restart nemesis schedules require.
+    ///
+    /// Durability is two steps (see [`hat_storage::store`]): a put
+    /// *logs and applies*, the store's barrier *makes durable*, and
+    /// whoever releases a reply runs the barrier first. Under
+    /// [`SyncPolicy::Always`] the invariant is that **a server releases
+    /// no send while it holds an unsynced write** — acknowledgements,
+    /// read replies and replication pushes alike. Every server handler
+    /// ends with the barrier ([`Server::flush`]), so any driver is safe
+    /// by default at one sync per handler call; the threaded runtime
+    /// takes the barrier over and runs it once per batch of handler
+    /// calls (group commit). Under [`SyncPolicy::Never`] the barrier
+    /// does nothing and the OS decides.
     pub fn durable(mut self, dir: impl Into<PathBuf>, policy: SyncPolicy) -> Self {
         self.durable = Some((dir.into(), policy));
         self

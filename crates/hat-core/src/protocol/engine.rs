@@ -449,9 +449,12 @@ pub fn lww_apply(view: &mut ServerView<'_>, key: Key, record: SharedRecord) {
         .exact(&key, record.stamp)
         .map(|prior| prior.value != record.value)
         .unwrap_or(true);
-    view.store
-        .put(key.clone(), record.clone())
-        .expect("in-memory put cannot fail");
+    // A WAL-backed store can fail a put. It has then not applied the
+    // write either, and reports the failure at the durability barrier,
+    // which lets no acknowledgement out — so there is nothing to gossip.
+    if view.store.put(key.clone(), record.clone()).is_err() {
+        return;
+    }
     if changed {
         view.repl.push(key, record);
     }

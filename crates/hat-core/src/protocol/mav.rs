@@ -148,10 +148,12 @@ impl MavState {
         let mut promoted = Vec::with_capacity(keys.len());
         for key in keys {
             if let Some(record) = self.pending.remove(&key, ts) {
-                store
-                    .put(key.clone(), record.clone())
-                    .expect("good-set put cannot fail in memory stores");
-                promoted.push((key, record));
+                // A failed put surfaces at the server's durability
+                // barrier (see `lww_apply`); a version the store refused
+                // was not promoted.
+                if store.put(key.clone(), record.clone()).is_ok() {
+                    promoted.push((key, record));
+                }
             }
         }
         // Keep the counters: late notifies for ts must not re-create

@@ -128,10 +128,11 @@ impl RampCore {
             return; // already committed (retry) or never prepared here
         };
         self.prepared_age.remove(&(key.clone(), ts));
-        view.store
-            .put(key.clone(), rec.clone())
-            .expect("in-memory put cannot fail");
-        view.repl.push(key, rec);
+        // A failed put surfaces at the server's durability barrier (see
+        // `lww_apply`); a version the store refused is not gossiped.
+        if view.store.put(key.clone(), rec.clone()).is_ok() {
+            view.repl.push(key, rec);
+        }
     }
 
     /// Per anti-entropy tick: cooperative termination of orphaned

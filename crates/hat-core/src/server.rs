@@ -91,6 +91,14 @@ pub struct ServerStats {
     /// Requests refused with [`Msg::WrongShard`] because the key's
     /// token had already been handed off.
     pub shard_nacks: u64,
+    /// WAL syncs that reached the disk (0 on a volatile store).
+    pub wal_syncs: u64,
+    /// Puts those syncs covered; mean group-commit size =
+    /// `wal_synced_puts / wal_syncs`.
+    pub wal_synced_puts: u64,
+    /// Durability barriers that failed. Every send held behind one was
+    /// dropped, so to its clients the server looked unreachable.
+    pub wal_flush_failures: u64,
 }
 
 impl ServerStats {
@@ -107,6 +115,9 @@ impl ServerStats {
         self.wal_records_replayed += other.wal_records_replayed;
         self.shard_handoffs += other.shard_handoffs;
         self.shard_nacks += other.shard_nacks;
+        self.wal_syncs += other.wal_syncs;
+        self.wal_synced_puts += other.wal_synced_puts;
+        self.wal_flush_failures += other.wal_flush_failures;
     }
 
     /// Exports every counter into a metrics registry under `hat_server_*`
@@ -160,6 +171,20 @@ impl ServerStats {
             self.shard_handoffs,
         );
         reg.counter_add("hat_server_shard_nacks_total", labels, self.shard_nacks);
+        // Only a WAL-backed server has these: a volatile deployment's
+        // exposition stays byte-identical to what it was without them.
+        for (name, value) in [
+            ("hat_server_wal_syncs_total", self.wal_syncs),
+            ("hat_server_wal_synced_puts_total", self.wal_synced_puts),
+            (
+                "hat_server_wal_flush_failures_total",
+                self.wal_flush_failures,
+            ),
+        ] {
+            if value > 0 {
+                reg.counter_add(name, labels, value);
+            }
+        }
     }
 }
 
@@ -337,6 +362,42 @@ impl Server {
         }
     }
 
+    /// True while the store holds a write the durability barrier has
+    /// not covered: no send may be released until [`Server::flush`] has
+    /// succeeded.
+    pub fn needs_flush(&self) -> bool {
+        self.store.needs_persist()
+    }
+
+    /// The durability barrier ([`Store::persist`]): one disk sync for
+    /// every write logged since the last one, nothing on a clean or
+    /// volatile store. Every handler ends with it unless the driver
+    /// took it over ([`Ctx::deferring_barrier`]) to cover several
+    /// handler calls with one sync. On `Err` the caller must drop the
+    /// sends it was holding back: the writes they reflect may not be
+    /// durable.
+    pub fn flush(&mut self) -> hat_storage::error::Result<()> {
+        if !self.store.needs_persist() {
+            return Ok(());
+        }
+        let result = self.store.persist();
+        match result {
+            Ok(()) => (self.stats.wal_syncs, self.stats.wal_synced_puts) = self.store.sync_stats(),
+            Err(_) => self.stats.wal_flush_failures += 1,
+        }
+        result
+    }
+
+    /// Ends a handler: unless the driver runs the barrier itself, run it
+    /// here — and if it fails, unsend what the handler queued, so the
+    /// server looks unreachable (a client's op deadline then yields
+    /// `Indeterminate`) instead of acknowledging a write it may lose.
+    fn finish_handler(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if !ctx.barrier_deferred() && self.flush().is_err() {
+            ctx.discard_sends();
+        }
+    }
+
     /// Splits the server into its engine and the [`ServerView`] the
     /// engine hooks receive — one place that knows which fields make up
     /// the view.
@@ -393,6 +454,7 @@ impl Server {
             }
             ctx.set_timer(self.config.anti_entropy_interval, TIMER_RECOVERY);
         }
+        self.finish_handler(ctx);
     }
 
     /// Invoked when a timer fires.
@@ -413,6 +475,7 @@ impl Server {
             }
             ctx.set_timer(self.config.anti_entropy_interval, TIMER_RECOVERY);
         }
+        self.finish_handler(ctx);
     }
 
     /// Pushes each peer's unacknowledged replication suffix (one
@@ -504,6 +567,7 @@ impl Server {
                 );
             }
         }
+        self.finish_handler(ctx);
     }
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {

@@ -206,6 +206,8 @@ fn server_stats_exposition_merge_round_trip() {
         replication_records: 17,
         catchup_batches: 1,
         wal_records_replayed: 9,
+        wal_syncs: 2,
+        wal_synced_puts: 8,
         ..Default::default()
     };
     let b = ServerStats {
@@ -217,6 +219,8 @@ fn server_stats_exposition_merge_round_trip() {
         crashes: 1,
         shard_handoffs: 2,
         shard_nacks: 3,
+        wal_syncs: 1,
+        wal_flush_failures: 1,
         ..Default::default()
     };
     let labels = [("cluster", "va")];
@@ -237,9 +241,18 @@ fn server_stats_exposition_merge_round_trip() {
         wal_records_replayed: a.wal_records_replayed + b.wal_records_replayed,
         shard_handoffs: a.shard_handoffs + b.shard_handoffs,
         shard_nacks: a.shard_nacks + b.shard_nacks,
+        wal_syncs: a.wal_syncs + b.wal_syncs,
+        wal_synced_puts: a.wal_synced_puts + b.wal_synced_puts,
+        wal_flush_failures: a.wal_flush_failures + b.wal_flush_failures,
     };
     let mut direct = MetricsRegistry::new();
     sum.export_into(&mut direct, &labels);
     assert_eq!(ra, direct);
     assert_eq!(ra.prometheus(), direct.prometheus());
+    assert!(direct.prometheus().contains("hat_server_wal_syncs_total"));
+    // A server on a volatile store never syncs, and its exposition does
+    // not grow WAL series that would only ever read 0.
+    let mut volatile = MetricsRegistry::new();
+    ServerStats::default().export_into(&mut volatile, &labels);
+    assert!(!volatile.prometheus().contains("hat_server_wal_sync"));
 }

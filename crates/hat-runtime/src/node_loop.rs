@@ -199,11 +199,21 @@ pub fn run_node(
     }
 
     loop {
-        // deliver everything due
+        // Deliver everything due, as one group commit: this loop runs
+        // the node's durability barrier, once per pass, instead of every
+        // handler running its own. Sends queued while the node is clean
+        // leave as they are produced; from the first handler that leaves
+        // it holding an unsynced write they are held — read replies and
+        // replication pushes too, they can expose the write — and
+        // released in order once the barrier has covered the pass. The
+        // batch is whatever queued up while the previous sync was in
+        // flight; a node on a volatile store never holds anything.
         let now = Instant::now();
+        let mut held = Vec::new();
+        let mut holding = false;
         while heap.peek().map(|Reverse(s)| s.at <= now).unwrap_or(false) {
             let Reverse(s) = heap.pop().unwrap();
-            let mut ctx = Ctx::detached(id, now_sim(epoch), &mut rng);
+            let mut ctx = Ctx::detached(id, now_sim(epoch), &mut rng).deferring_barrier();
             match s.due {
                 Due::Deliver { from, msg } => {
                     if trace.is_enabled() {
@@ -222,9 +232,28 @@ pub fn run_node(
                 }
                 Due::Timer(tag) => node.on_timer(&mut ctx, tag),
             }
-            let (sends, timers) = ctx.into_outputs();
+            let (mut sends, timers) = ctx.into_outputs();
+            holding = holding || node.needs_flush();
+            if holding {
+                held.append(&mut sends);
+            }
             dispatch_outputs(
                 id, sends, timers, &router, &mut heap, &mut seq, &trace, epoch,
+            );
+        }
+        // A failed barrier drops what it was holding back: the server
+        // then looks unreachable instead of acknowledging writes it may
+        // lose (`ServerStats::wal_flush_failures` counts these).
+        if holding && node.flush().is_ok() {
+            dispatch_outputs(
+                id,
+                held,
+                Vec::new(),
+                &router,
+                &mut heap,
+                &mut seq,
+                &trace,
+                epoch,
             );
         }
         // interactive port: resolve a finished command, accept new ones
@@ -277,6 +306,11 @@ pub fn run_node(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    // Every pass ends with the barrier, so this normally finds a clean
+    // node; it is the guarantee that whoever receives the node back never
+    // holds an unsynced write. A failure is counted by the node and has
+    // no send left to drop.
+    let _ = node.flush();
     node
 }
 

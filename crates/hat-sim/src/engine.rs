@@ -48,6 +48,7 @@ pub struct Ctx<'a, M> {
     rng: &'a mut StdRng,
     outbox: Vec<(SimDuration, NodeId, M)>,
     timer_requests: Vec<(SimDuration, TimerId)>,
+    barrier_deferred: bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -106,7 +107,33 @@ impl<'a, M> Ctx<'a, M> {
             rng,
             outbox: Vec::new(),
             timer_requests: Vec::new(),
+            barrier_deferred: false,
         }
+    }
+
+    /// Driver-to-actor promise: the driver will run the actor's
+    /// durability barrier itself, after this callback (and possibly
+    /// several more) and before it releases any send they queued. An
+    /// actor that would otherwise end every callback with its barrier
+    /// skips it when [`Ctx::barrier_deferred`] says so; one that sees a
+    /// plain context stays safe on its own. This is how a driver batches
+    /// one disk sync over many callbacks (group commit).
+    pub fn deferring_barrier(mut self) -> Self {
+        self.barrier_deferred = true;
+        self
+    }
+
+    /// True if the driver took over the durability barrier (see
+    /// [`Ctx::deferring_barrier`]).
+    pub fn barrier_deferred(&self) -> bool {
+        self.barrier_deferred
+    }
+
+    /// Drops every send this callback has queued — what an actor does
+    /// when its durability barrier fails: nothing that could reflect an
+    /// unsynced write may leave. Timers stay.
+    pub fn discard_sends(&mut self) {
+        self.outbox.clear();
     }
 
     /// Consumes the context, returning `(sends, timers)`: each send is
@@ -381,6 +408,7 @@ impl<A: Actor> Engine<A> {
             rng: &mut self.rng,
             outbox: Vec::new(),
             timer_requests: Vec::new(),
+            barrier_deferred: false,
         };
         f(&mut self.actors[id as usize], &mut ctx);
         let Ctx {

@@ -5,21 +5,34 @@
 //! throughput was within 20% of eventual"); [`DurableStore`] corresponds
 //! to the default durable configuration where every write is logged before
 //! the server responds.
+//!
+//! ## Durability is two steps
+//!
+//! [`Store::put`] *logs and applies*: the frame is handed to the OS and
+//! the version becomes readable, but nothing has been forced to disk.
+//! [`Store::persist`] — the durability barrier — *makes durable*: one
+//! `sync_data` covering every put since the previous barrier, however
+//! many there were (group commit). Whoever releases a reply calls the
+//! barrier first. The one invariant callers keep: **a node releases no
+//! send while it holds an unsynced write** — acknowledgements, and also
+//! read replies and replication pushes, which can expose the write just
+//! as well. [`Store::needs_persist`] says whether such a write is held.
 
-use crate::error::Result;
+use crate::error::{Result, StorageError};
 use crate::memtable::Memtable;
 use crate::version::{Key, SharedRecord, VersionStamp};
 use crate::wal::{Wal, WalEntry};
 use std::path::{Path, PathBuf};
 
-/// How often the durable store forces the WAL to disk.
+/// What the durable store promises about its WAL reaching the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fsync` after every put — the paper's durable configuration.
+    /// No reply leaves a server before the writes it reflects are
+    /// synced: [`Store::persist`] forces the log — the paper's durable
+    /// configuration.
     Always,
-    /// `fsync` every `n` puts (group commit).
-    EveryN(u32),
-    /// Never `fsync` explicitly (OS decides); fastest, weakest.
+    /// The OS decides when the log reaches the disk: [`Store::persist`]
+    /// does nothing. Fastest, weakest.
     Never,
 }
 
@@ -77,9 +90,32 @@ pub trait Store {
     /// Number of stored versions.
     fn version_count(&self) -> usize;
 
-    /// Forces buffered writes to stable storage (no-op for volatile
-    /// stores).
+    /// Forces buffered writes to stable storage unconditionally,
+    /// whatever the store's policy (no-op for volatile stores).
     fn sync(&mut self) -> Result<()>;
+
+    /// The durability barrier: makes every put since the previous
+    /// barrier durable *if the store promises durability and holds an
+    /// unsynced put* — one disk sync for the whole batch, none
+    /// otherwise. Must be called before any send that could reflect
+    /// those puts is released; an `Err` means they may not be durable
+    /// and no such send may leave. Volatile stores have nothing to do.
+    fn persist(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    /// True while [`Store::persist`] has work to do: a put has been
+    /// logged that the store promises to, but did not yet, make durable.
+    fn needs_persist(&self) -> bool {
+        false
+    }
+
+    /// `(syncs, puts)` — log syncs that reached the disk and the puts
+    /// they covered; `puts / syncs` is the mean group-commit size.
+    /// `(0, 0)` for volatile stores.
+    fn sync_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
 
     /// Every stored version of every key, in key order. Used to reseed
     /// a restarted server's replication buffer from recovered state —
@@ -191,7 +227,16 @@ pub struct DurableStore {
     table: Memtable,
     wal: Wal,
     policy: SyncPolicy,
-    puts_since_sync: u32,
+    /// Puts logged since the last sync.
+    unsynced_puts: u64,
+    /// Puts a sync has covered.
+    synced_puts: u64,
+    /// Set by the first failed append or sync and never cleared: a
+    /// failed append may have left a partial frame that later frames
+    /// would land behind, and a failed sync may have dropped the dirty
+    /// pages a retry would then report as written. The store refuses
+    /// further writes and barriers instead of guessing.
+    failed: bool,
     recovered: u64,
 }
 
@@ -221,7 +266,9 @@ impl DurableStore {
             table,
             wal,
             policy,
-            puts_since_sync: 0,
+            unsynced_puts: 0,
+            synced_puts: 0,
+            failed: false,
             recovered,
         })
     }
@@ -244,16 +291,15 @@ impl DurableStore {
             let mut ckpt = Wal::open(&tmp)?;
             for (key, versions) in self.table.iter() {
                 for record in versions {
-                    ckpt.append(&WalEntry::Put {
-                        key: key.clone(),
-                        record: record.as_ref().clone(),
-                    })?;
+                    ckpt.append_put(key, record)?;
                 }
             }
             ckpt.sync()?;
         }
         std::fs::rename(&tmp, self.dir.join("checkpoint"))?;
         self.wal.reset()?;
+        // Everything the log held is in the synced checkpoint now.
+        self.unsynced_puts = 0;
         Ok(())
     }
 
@@ -267,34 +313,34 @@ impl DurableStore {
         &self.dir
     }
 
-    fn maybe_sync(&mut self) -> Result<()> {
-        match self.policy {
-            SyncPolicy::Always => self.wal.sync(),
-            SyncPolicy::EveryN(n) => {
-                self.puts_since_sync += 1;
-                if self.puts_since_sync >= n {
-                    self.puts_since_sync = 0;
-                    self.wal.sync()
-                } else {
-                    Ok(())
-                }
-            }
-            SyncPolicy::Never => Ok(()),
+    /// Runs one operation on the log, refusing once any has failed
+    /// (see the `failed` field).
+    fn wal_op<T>(&mut self, op: impl FnOnce(&mut Wal) -> Result<T>) -> Result<T> {
+        if self.failed {
+            return Err(StorageError::Io(std::io::Error::other(
+                "an earlier WAL append or sync failed; the store accepts no more writes",
+            )));
         }
+        let result = op(&mut self.wal);
+        self.failed = result.is_err();
+        result
+    }
+
+    fn sync_wal(&mut self) -> Result<()> {
+        self.wal_op(Wal::sync)?;
+        self.synced_puts += std::mem::take(&mut self.unsynced_puts);
+        Ok(())
     }
 }
 
 impl Store for DurableStore {
     fn put(&mut self, key: Key, record: SharedRecord) -> Result<bool> {
         // Log before applying: a version is never visible unless the WAL
-        // can reproduce it. The WAL entry is the one remaining deep copy
-        // on the write path — a serialization boundary, not a hot-path
-        // clone.
-        self.wal.append(&WalEntry::Put {
-            key: key.clone(),
-            record: record.as_ref().clone(),
-        })?;
-        self.maybe_sync()?;
+        // holds its frame. The frame is encoded straight from the
+        // borrowed key and record and reaches the OS here; reaching the
+        // disk is `persist`'s job.
+        self.wal_op(|wal| wal.append_put(&key, &record))?;
+        self.unsynced_puts += 1;
         Ok(self.table.insert(key, record))
     }
     fn latest(&self, key: &[u8]) -> Option<SharedRecord> {
@@ -337,7 +383,22 @@ impl Store for DurableStore {
         self.table.version_count()
     }
     fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
+        self.sync_wal()
+    }
+    fn persist(&mut self) -> Result<()> {
+        if self.needs_persist() {
+            self.sync_wal()?;
+        }
+        Ok(())
+    }
+    fn needs_persist(&self) -> bool {
+        // A failed store holds a put it could not log: the barrier must
+        // report that, whatever the policy, so the put is never
+        // acknowledged.
+        self.failed || (self.policy == SyncPolicy::Always && self.unsynced_puts > 0)
+    }
+    fn sync_stats(&self) -> (u64, u64) {
+        (self.wal.syncs(), self.synced_puts)
     }
     fn all_versions(&self) -> Vec<(Key, SharedRecord)> {
         dump_versions(&self.table)
@@ -400,7 +461,7 @@ mod tests {
             s.put(Key::from("x"), rec(1, "one")).unwrap();
             s.put(Key::from("y"), rec(2, "two")).unwrap();
             s.put(Key::from("x"), rec(3, "three")).unwrap();
-        } // dropped without any explicit close: WAL already synced
+        } // dropped without any explicit close: every frame reached the OS
         let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
         assert_eq!(s.latest(b"x").unwrap().value, Bytes::from("three"));
         assert_eq!(s.latest(b"y").unwrap().value, Bytes::from("two"));
@@ -430,21 +491,31 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A put the log could not take is never covered by a later
+    /// barrier: once an append fails the store refuses puts and
+    /// barriers alike, under either policy, so no caller can
+    /// acknowledge past the hole.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn group_commit_policy_syncs_every_n() {
-        let dir = tmpdir();
-        let mut s = DurableStore::open(&dir, SyncPolicy::EveryN(3)).unwrap();
-        for i in 0..7 {
-            s.put(Key::from(format!("k{i}")), rec(i as u64 + 1, "v"))
-                .unwrap();
+    fn a_failed_append_fails_every_later_barrier() {
+        for policy in [SyncPolicy::Always, SyncPolicy::Never] {
+            let dir = tmpdir();
+            let mut s = DurableStore::open(&dir, policy).unwrap();
+            s.put(Key::from("ok"), rec(1, "v")).unwrap();
+            s.persist().unwrap();
+            // Every write to /dev/full fails with ENOSPC.
+            s.wal = Wal::open("/dev/full").unwrap();
+            assert!(s.put(Key::from("lost"), rec(2, "v")).is_err());
+            assert!(s.latest(b"lost").is_none(), "a failed put is not applied");
+            assert!(s.needs_persist(), "the barrier has a failure to report");
+            assert!(s.persist().is_err());
+            assert!(s.put(Key::from("later"), rec(3, "v")).is_err());
+            assert!(s.sync().is_err());
+            drop(s);
+            let s = DurableStore::open(&dir, policy).unwrap();
+            assert_eq!(s.version_count(), 1, "only the acknowledged put recovers");
+            std::fs::remove_dir_all(dir).unwrap();
         }
-        // no assertion on fsync timing (not observable portably), but the
-        // data must still be readable and recoverable after drop+sync
-        s.sync().unwrap();
-        drop(s);
-        let s = DurableStore::open(&dir, SyncPolicy::EveryN(3)).unwrap();
-        assert_eq!(s.key_count(), 7);
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub type Key = Bytes;
 /// travels the entire read/replication path (memtable chains, replication
 /// log entries, in-flight messages, client caches) as this refcounted
 /// handle. Cloning it bumps a counter instead of deep-copying value bytes
-/// and sibling lists; the only remaining deep copy is the WAL append,
-/// which is a serialization boundary. `Record: From` makes both
+/// and sibling lists; the WAL append encodes straight from the borrowed
+/// record, so nothing on the write path copies it. `Record: From` makes both
 /// `rec.into()` and `Arc::new(rec)` work at construction sites.
 pub type SharedRecord = Arc<Record>;
 

@@ -9,7 +9,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::version::{Key, Record, VersionStamp};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -37,26 +37,36 @@ const TAG_CHECKPOINT: u8 = 2;
 
 /// Encodes an entry payload (without framing).
 pub fn encode_entry(entry: &WalEntry) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
+    encode_into(&mut buf, entry);
+    Bytes::from(buf)
+}
+
+/// Appends `entry`'s payload to `buf` — the one encoder behind
+/// [`encode_entry`], [`Wal::append`] and [`Wal::append_put`].
+fn encode_into(buf: &mut Vec<u8>, entry: &WalEntry) {
     match entry {
-        WalEntry::Put { key, record } => {
-            buf.put_u8(TAG_PUT);
-            put_bytes(&mut buf, key);
-            buf.put_u64_le(record.stamp.seq);
-            buf.put_u32_le(record.stamp.writer);
-            put_bytes(&mut buf, &record.value);
-            buf.put_u32_le(record.siblings.len() as u32);
-            for s in &record.siblings {
-                put_bytes(&mut buf, s);
-            }
-        }
+        WalEntry::Put { key, record } => encode_put(buf, key, record),
         WalEntry::Checkpoint { stamp } => {
-            buf.put_u8(TAG_CHECKPOINT);
-            buf.put_u64_le(stamp.seq);
-            buf.put_u32_le(stamp.writer);
+            buf.push(TAG_CHECKPOINT);
+            buf.extend_from_slice(&stamp.seq.to_le_bytes());
+            buf.extend_from_slice(&stamp.writer.to_le_bytes());
         }
     }
-    buf.freeze()
+}
+
+/// Appends the payload of a `Put` of `record` under `key` to `buf`,
+/// straight from the borrowed parts (no [`WalEntry`] is built).
+fn encode_put(buf: &mut Vec<u8>, key: &[u8], record: &Record) {
+    buf.push(TAG_PUT);
+    put_bytes(buf, key);
+    buf.extend_from_slice(&record.stamp.seq.to_le_bytes());
+    buf.extend_from_slice(&record.stamp.writer.to_le_bytes());
+    put_bytes(buf, &record.value);
+    buf.extend_from_slice(&(record.siblings.len() as u32).to_le_bytes());
+    for s in &record.siblings {
+        put_bytes(buf, s);
+    }
 }
 
 /// Decodes an entry payload produced by [`encode_entry`].
@@ -105,9 +115,9 @@ pub fn decode_entry(mut buf: &[u8]) -> Option<WalEntry> {
     }
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
+    buf.extend_from_slice(b);
 }
 
 fn get_bytes(buf: &mut &[u8]) -> Option<Bytes> {
@@ -148,11 +158,18 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
+/// Bytes of frame header: `[u32 payload_len][u32 crc32(payload)]`.
+const FRAME_HEADER: usize = 8;
+
 /// An open write-ahead log.
 pub struct Wal {
     file: File,
     path: PathBuf,
     appended: u64,
+    /// The frame being written, reused across appends so the write path
+    /// allocates nothing per entry.
+    frame: Vec<u8>,
+    syncs: u64,
 }
 
 impl Wal {
@@ -169,26 +186,56 @@ impl Wal {
             file,
             path,
             appended,
+            frame: Vec::new(),
+            syncs: 0,
         })
     }
 
     /// Appends one entry (buffered in the OS; call [`Wal::sync`] for
     /// durability).
     pub fn append(&mut self, entry: &WalEntry) -> Result<()> {
-        let payload = encode_entry(entry);
-        let mut frame = BytesMut::with_capacity(payload.len() + 8);
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc32(&payload));
-        frame.put_slice(&payload);
-        self.file.write_all(&frame)?;
-        self.appended += frame.len() as u64;
+        self.write_frame(|buf| encode_into(buf, entry))
+    }
+
+    /// Appends a `Put` entry encoded straight from its borrowed parts —
+    /// what [`Wal::append`] writes for a [`WalEntry::Put`] holding clones
+    /// of them, byte for byte, without making the clones.
+    pub fn append_put(&mut self, key: &[u8], record: &Record) -> Result<()> {
+        self.write_frame(|buf| encode_put(buf, key, record))
+    }
+
+    /// Frames whatever `encode` appends to the reused buffer and hands
+    /// it to the OS in one `write_all`.
+    fn write_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        self.frame.clear();
+        self.frame.resize(FRAME_HEADER, 0);
+        encode(&mut self.frame);
+        // Every length inside the payload is bounded by this one, so this
+        // is the only place a record too large for the format is caught.
+        let payload_len = u32::try_from(self.frame.len() - FRAME_HEADER).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "WAL entry exceeds the 4 GiB frame limit",
+            )
+        })?;
+        let crc = crc32(&self.frame[FRAME_HEADER..]);
+        self.frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        self.frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(&self.frame)?;
+        self.appended += self.frame.len() as u64;
         Ok(())
     }
 
     /// Forces appended entries to stable storage.
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
+        self.syncs += 1;
         Ok(())
+    }
+
+    /// How many times [`Wal::sync`] has reached the disk on this handle.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Bytes appended so far (including pre-existing content).
@@ -484,6 +531,35 @@ mod tests {
             assert!(!wal.is_empty());
         }
         assert_eq!(Wal::replay(&path).unwrap(), entries);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The borrowed-parts path writes the frames `append` writes for the
+    /// equivalent `WalEntry::Put`, and `syncs` counts `sync` calls only.
+    #[test]
+    fn append_put_matches_append_byte_for_byte() {
+        let dir = tmpdir();
+        let entries = [put("a", 1, "value", &[]), put("b", 2, "", &["a", "b"])];
+        let (mut by_entry, mut by_parts) = (
+            Wal::open(dir.join("entry")).unwrap(),
+            Wal::open(dir.join("parts")).unwrap(),
+        );
+        for e in &entries {
+            let WalEntry::Put { key, record } = e else {
+                unreachable!()
+            };
+            by_entry.append(e).unwrap();
+            by_parts.append_put(key, record).unwrap();
+        }
+        assert_eq!(by_parts.syncs(), 0);
+        by_parts.sync().unwrap();
+        assert_eq!(by_parts.syncs(), 1);
+        assert_eq!(by_entry.len(), by_parts.len());
+        assert_eq!(
+            std::fs::read(dir.join("entry")).unwrap(),
+            std::fs::read(dir.join("parts")).unwrap()
+        );
+        assert_eq!(Wal::replay(dir.join("parts")).unwrap(), entries);
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -113,7 +113,7 @@ fn repeated_restart_cycles_are_stable() {
     let dir = tmpdir("cycles");
     let mut expect = 0u64;
     for cycle in 0..5u64 {
-        let mut s = DurableStore::open(&dir, SyncPolicy::EveryN(4)).unwrap();
+        let mut s = DurableStore::open(&dir, SyncPolicy::Never).unwrap();
         assert_eq!(s.version_count() as u64, expect, "cycle {cycle}");
         for i in 0..7u64 {
             let seq = cycle * 7 + i + 1;
@@ -154,5 +154,51 @@ fn gc_after_recovery() {
         s.latest_at_or_below(b"x", bound).unwrap().value,
         Bytes::from("v8")
     );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Group commit: N puts then one barrier is exactly one sync, and all N
+/// recover after reopen. A second barrier on the now-clean store syncs
+/// nothing.
+#[test]
+fn one_barrier_syncs_a_batch_of_puts_once() {
+    let dir = tmpdir("barrier");
+    {
+        let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
+        s.persist().unwrap();
+        assert_eq!(s.sync_stats(), (0, 0), "barrier on a clean store");
+        assert!(!s.needs_persist());
+        for i in 1..=16u64 {
+            s.put(Key::from(format!("k{i}")), rec(i, "v").into())
+                .unwrap();
+            assert!(s.needs_persist());
+        }
+        assert_eq!(s.sync_stats(), (0, 0), "put logs, it does not sync");
+        s.persist().unwrap();
+        assert_eq!(s.sync_stats(), (1, 16));
+        assert!(!s.needs_persist());
+        s.persist().unwrap();
+        assert_eq!(s.sync_stats(), (1, 16), "nothing new to make durable");
+    }
+    let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
+    assert_eq!(s.version_count(), 16);
+    assert_eq!(s.recovered_records(), 16);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// `Never` leaves the disk to the OS: the barrier never syncs, the
+/// unconditional `sync` still does.
+#[test]
+fn never_policy_syncs_only_when_forced() {
+    let dir = tmpdir("never");
+    let mut s = DurableStore::open(&dir, SyncPolicy::Never).unwrap();
+    for i in 1..=5u64 {
+        s.put(Key::from("x"), rec(i, "v").into()).unwrap();
+    }
+    assert!(!s.needs_persist());
+    s.persist().unwrap();
+    assert_eq!(s.sync_stats(), (0, 0));
+    s.sync().unwrap();
+    assert_eq!(s.sync_stats(), (1, 5));
     std::fs::remove_dir_all(dir).unwrap();
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Fails if protocol-agnostic code branches on the protocol.
+# Fails if protocol-agnostic code branches on the protocol, or if anything
+# but the WAL reaches for the disk.
 #
 # Every per-level decision lives in crates/hat-core/src/protocol/, behind
 # ProtocolEngine (server half) and ClientProtocol (client half). The
@@ -7,6 +8,10 @@
 # name the ProtocolKind *type* — to carry it to the registry — but never
 # a variant, a classification helper or a comparison on it. Test modules
 # (everything from `#[cfg(test)]` down) are exempt.
+#
+# `sync_data` / `sync_all` are called in crates/hat-storage/src/wal.rs and
+# nowhere else: Store::persist, the durability barrier, stays the only
+# road to the disk, so no write path can grow a sync of its own again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,4 +32,10 @@ for f in "${files[@]}"; do
         status=1
     fi
 done
+if hits=$(grep -rnE '\.sync_(data|all)\(' --include='*.rs' crates src tests examples |
+    grep -v '^crates/hat-storage/src/wal\.rs:'); then
+    echo "disk sync outside crates/hat-storage/src/wal.rs:" >&2
+    echo "$hits" >&2
+    status=1
+fi
 exit $status
