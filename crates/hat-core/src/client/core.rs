@@ -4,6 +4,7 @@
 //! history and tracing — plus the facilities the per-engine
 //! [`crate::protocol::ClientProtocol`] halves drive it through.
 
+use super::deadline::{DeadlineTimer, PROTOCOL_TIMER};
 use super::round::Round;
 use super::{SessionLevel, SessionOptions};
 use crate::cluster::ClusterLayout;
@@ -20,11 +21,6 @@ use hat_trace::{OpKind, TraceEventKind, TraceSink, TxnId};
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Timer tags with this bit set belong to the protocol half (see
-/// [`crate::protocol::ClientProtocol::on_timer`]); the rest are retry
-/// timers.
-pub const PROTOCOL_TIMER: u64 = 1 << 63;
 
 /// Where a commit's buffered writes go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +88,12 @@ pub struct ClientCore {
     /// Performance counters.
     pub metrics: ClientMetrics,
     pub(super) records: Vec<TxnRecord>,
-    pub(super) issue_counter: u64,
+    /// The one live timer serving the current round's retry deadline.
+    pub(super) retry_timer: DeadlineTimer,
+    /// The one live timer serving the protocol half's deadline. Lives
+    /// here, not in the half, so it outlasts the half's per-transaction
+    /// reset and a fire between transactions still retires it.
+    pub(super) protocol_timer: DeadlineTimer,
     /// Structured-event sink. Disabled (no-op) unless the deployment was
     /// built with `SystemConfig::trace`; recording never touches the rng,
     /// so traced runs stay bit-identical to untraced ones.
@@ -144,7 +145,8 @@ impl ClientCore {
             last_scan: Vec::new(),
             metrics: ClientMetrics::default(),
             records: Vec::new(),
-            issue_counter: 0,
+            retry_timer: DeadlineTimer::new(0),
+            protocol_timer: DeadlineTimer::new(PROTOCOL_TIMER),
             trace: TraceSink::disabled(),
             obs: hat_obs::ObsSink::disabled(),
             shard_overrides: BTreeMap::new(),

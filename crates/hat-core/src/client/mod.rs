@@ -15,6 +15,9 @@
 //!   read-your-writes impossibility of §5.1.3 manifests).
 //! * **One request round** (`round.rs`): whatever is in flight, one retry
 //!   path, one shard-redirect path.
+//! * **One live timer per deadline** (`deadline.rs`): the round's retry
+//!   and the protocol half's own deadline each keep at most one backend
+//!   timer armed, however many requests the client sends.
 //!
 //! What differs per level — write buffering vs write-through vs
 //! lock-then-buffer, MAV `required` vectors, RAMP repair rounds and
@@ -27,12 +30,14 @@
 //! begins — the YCSB harness of §6.3).
 
 mod core;
+mod deadline;
 mod round;
 
-pub use self::core::{bottom, sibling_bytes, ClientCore, Placement, PROTOCOL_TIMER};
+pub use self::core::{bottom, sibling_bytes, ClientCore, Placement};
 pub use self::round::Done;
 
 use self::core::{ActiveTxn, Phase};
+use self::deadline::PROTOCOL_TIMER;
 use crate::cluster::ClusterLayout;
 use crate::config::SystemConfig;
 use crate::messages::Msg;
@@ -662,14 +667,17 @@ impl Client {
         self.step_plan(ctx);
     }
 
-    /// Handles a timer: a retry, or one the protocol half armed.
+    /// Handles a timer: a retry, or the protocol half's deadline. The
+    /// live timer is retired before anything else looks at it, so one
+    /// that fires between transactions is gone, not left counted live.
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
         if tag & PROTOCOL_TIMER == 0 {
             self.core.on_retry_timer(ctx, tag);
-        } else if self.core.current.is_some() && self.txn_outcome().is_none() {
-            let step = self
-                .proto
-                .on_timer(&mut self.core, ctx, tag & !PROTOCOL_TIMER);
+        } else if self.core.protocol_timer.fired(tag)
+            && self.core.current.is_some()
+            && self.txn_outcome().is_none()
+        {
+            let step = self.proto.on_timer(&mut self.core, ctx);
             self.apply(ctx, step);
             self.step_plan(ctx);
         }

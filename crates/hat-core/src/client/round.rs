@@ -5,9 +5,10 @@
 //! commit marks or lock validations — is a [`Request`] in the
 //! transaction's current [`Round`]. A request *is* its wire message, so
 //! first send, retransmission and `WrongShard` redirect all go through
-//! one `transmit` function and cannot drift apart. One retry timer per
-//! round; a response retires the request it answers; an empty round
-//! means the client is idle.
+//! one `transmit` function and cannot drift apart. One retry deadline
+//! per round, served by the client's one live retry timer
+//! (`deadline.rs`); a response retires the request it answers; an empty
+//! round means the client is idle.
 
 use super::core::ClientCore;
 use crate::messages::Msg;
@@ -53,8 +54,8 @@ pub(super) struct Round {
     /// Matches gathered so far by a scatter-gather scan.
     pub(super) gathered: Vec<(Key, SharedRecord)>,
     issued: SimTime,
-    /// Tag of the live retry timer (stale timers are ignored).
-    issue_id: u64,
+    /// When the unanswered requests are re-sent.
+    deadline: SimTime,
     /// Retries so far (drives exponential backoff).
     attempts: u32,
 }
@@ -139,12 +140,6 @@ impl ClientCore {
         self.txn_mut().round.clear();
     }
 
-    /// Tag of the current round's retry timer — unique per round, so
-    /// protocol halves derive their own timer tags from it.
-    pub fn issue_id(&self) -> u64 {
-        self.txn().round.issue_id
-    }
-
     /// Allocates the next op id of the transaction.
     pub fn next_op(&mut self) -> u32 {
         let txn = self.txn_mut();
@@ -152,20 +147,21 @@ impl ClientCore {
         txn.op_seq - 1
     }
 
-    /// Opens a new round of requests: arms its retry timer according to
-    /// the configured [`crate::RetryPolicy`] (exponential backoff by
+    /// Opens a new round of requests: sets its retry deadline according
+    /// to the configured [`crate::RetryPolicy`] (exponential backoff by
     /// default — without backoff, a saturated server turns slow commits
     /// into a retry storm) and counts it. `issued` is when the operation
     /// the round serves began — `ctx.now()`, or the previous round's
     /// [`Done::issued`] when this one continues the same operation.
     pub fn open_round(&mut self, ctx: &mut Ctx<'_, Msg>, issued: SimTime) {
-        let issue_id = self.arm_retry(ctx, 0);
+        let deadline = ctx.now() + self.config.retry.backoff(0);
+        self.retry_timer.arm(ctx, deadline);
         self.metrics.msg_rounds += 1;
         let round = &mut self.txn_mut().round;
         debug_assert!(round.is_empty(), "previous round still outstanding");
         round.gathered.clear();
         round.issued = issued;
-        round.issue_id = issue_id;
+        round.deadline = deadline;
         round.attempts = 0;
     }
 
@@ -203,10 +199,13 @@ impl ClientCore {
         self.send(ctx, op, target, pinned, msg);
     }
 
-    fn arm_retry(&mut self, ctx: &mut Ctx<'_, Msg>, attempts: u32) -> u64 {
-        self.issue_counter += 1;
-        ctx.set_timer(self.config.retry.backoff(attempts), self.issue_counter);
-        self.issue_counter
+    /// Makes sure the protocol half's
+    /// [`crate::protocol::ClientProtocol::on_timer`] runs no later than
+    /// `deadline` (2PL's lock-wait timeout). One live timer serves every
+    /// such deadline, so the hook may run early; it then re-arms for the
+    /// deadline it still has.
+    pub fn arm_deadline(&mut self, ctx: &mut Ctx<'_, Msg>, deadline: SimTime) {
+        self.protocol_timer.arm(ctx, deadline);
     }
 
     /// Puts a request on the wire — the only place one becomes a `Msg`.
@@ -243,19 +242,25 @@ impl ClientCore {
         })
     }
 
-    /// The live retry timer fired: re-send everything still unanswered.
-    /// Non-sticky sessions on any-replica routing retry elsewhere;
-    /// sticky sessions, master routing and pinned requests retry the
-    /// same target (and block under partition — §5.2).
-    pub(super) fn on_retry_timer(&mut self, ctx: &mut Ctx<'_, Msg>, issue_id: u64) {
-        let Some(txn) = self.current.as_mut() else {
+    /// A retry timer fired. The live one serves the round in flight: early,
+    /// it re-arms for the time left; at the round's deadline it re-sends
+    /// everything still unanswered. Non-sticky sessions on any-replica
+    /// routing retry elsewhere; sticky sessions, master routing and
+    /// pinned requests retry the same target (and block under partition
+    /// — §5.2).
+    pub(super) fn on_retry_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+        if !self.retry_timer.fired(tag) {
+            return;
+        }
+        let Some(txn) = self.current.as_mut().filter(|t| !t.round.is_empty()) else {
             return;
         };
-        if txn.round.is_empty() || txn.round.issue_id != issue_id {
+        if ctx.now() < txn.round.deadline {
+            self.retry_timer.arm(ctx, txn.round.deadline);
             return;
         }
         txn.round.attempts += 1;
-        let attempts = txn.round.attempts;
+        let deadline = ctx.now() + self.config.retry.backoff(txn.round.attempts);
         let mut reqs = std::mem::take(&mut txn.round.reqs);
         self.metrics.retries += 1;
         self.trace(
@@ -264,7 +269,7 @@ impl ClientCore {
                 txn: self.trace_txn(),
             },
         );
-        let issue_id = self.arm_retry(ctx, attempts);
+        self.retry_timer.arm(ctx, deadline);
         let reroute = self.route == Route::Replica && !self.session.sticky;
         for req in &mut reqs {
             if reroute && !req.pinned {
@@ -275,7 +280,7 @@ impl ClientCore {
             Self::transmit(&mut self.metrics, ctx, req);
         }
         let round = &mut self.txn_mut().round;
-        round.issue_id = issue_id;
+        round.deadline = deadline;
         round.reqs = reqs;
     }
 

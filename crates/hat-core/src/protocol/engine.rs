@@ -423,10 +423,12 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
         Step::Continue
     }
 
-    /// A timer the protocol armed (tagged
-    /// [`crate::client::PROTOCOL_TIMER`]` | tag`) fired.
-    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, tag: u64) -> Step {
-        let _ = (core, ctx, tag);
+    /// The timer serving the deadlines this half armed with
+    /// [`ClientCore::arm_deadline`] fired. It may be early — one timer
+    /// serves every deadline — so compare yours with `ctx.now()`, and
+    /// re-arm for one still ahead.
+    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        let _ = (core, ctx);
         Step::Continue
     }
 

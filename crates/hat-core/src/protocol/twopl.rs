@@ -16,13 +16,13 @@
 //! key's master; at commit it re-validates its read-only locks, flushes
 //! the buffered writes to the masters, and only then unlocks.
 
-use crate::client::{ClientCore, Done, Placement, PROTOCOL_TIMER};
+use crate::client::{ClientCore, Done, Placement};
 use crate::messages::Msg;
 use crate::protocol::engine::{ClientProtocol, ProtocolEngine, Route, ServerView, Step};
 use crate::timestamp::Timestamp;
 use crate::txn::TxnOutcome;
 use bytes::Bytes;
-use hat_sim::{Ctx, NodeId};
+use hat_sim::{Ctx, NodeId, SimTime};
 use hat_storage::Key;
 use hat_trace::TraceEventKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -317,10 +317,10 @@ impl ProtocolEngine for TwoPlEngine {
 pub struct TwoPlClient {
     /// Locks held, with the master holding each (for unlock).
     held: Vec<(Key, NodeId)>,
-    /// The lock request in flight: its timeout-timer tag, and the value
-    /// to buffer once an exclusive lock is granted (`None`: a shared
-    /// lock, followed by the read itself).
-    waiting: Option<(u64, Option<Bytes>)>,
+    /// The lock request in flight: when it times out, and the value to
+    /// buffer once an exclusive lock is granted (`None`: a shared lock,
+    /// followed by the read itself).
+    waiting: Option<(SimTime, Option<Bytes>)>,
 }
 
 impl TwoPlClient {
@@ -346,12 +346,12 @@ impl TwoPlClient {
             key,
             exclusive,
         });
-        // Lock timeout (deadlock breaker / unavailability bound). Keyed
-        // to the first issue, not to retries: the lock request keeps
-        // being re-sent on the retry backoff while this one timer runs.
-        let tag = core.issue_id();
-        ctx.set_timer(core.config().lock_timeout, tag | PROTOCOL_TIMER);
-        self.waiting = Some((tag, write));
+        // Lock timeout (deadlock breaker / unavailability bound). Counted
+        // from the first issue, not from retries: the lock request keeps
+        // being re-sent on the retry backoff until this deadline.
+        let deadline = ctx.now() + core.config().lock_timeout;
+        core.arm_deadline(ctx, deadline);
+        self.waiting = Some((deadline, write));
     }
 
     /// Flushes the write buffer as stamped `Put`s to each key's lock
@@ -481,14 +481,20 @@ impl ClientProtocol for TwoPlClient {
     }
 
     /// Lock timeout: external abort — give up the transaction, release
-    /// held locks.
-    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, tag: u64) -> Step {
-        if self.waiting.as_ref().map(|w| w.0) != Some(tag) {
-            return Step::Continue;
+    /// held locks. Early for the lock wait in flight: wait out the rest.
+    fn on_timer(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
+        match self.waiting {
+            Some((deadline, _)) if ctx.now() < deadline => {
+                core.arm_deadline(ctx, deadline);
+                Step::Continue
+            }
+            Some(_) => {
+                core.clear_round();
+                self.release(core, ctx);
+                Step::Finish(TxnOutcome::AbortedExternal)
+            }
+            None => Step::Continue,
         }
-        core.clear_round();
-        self.release(core, ctx);
-        Step::Finish(TxnOutcome::AbortedExternal)
     }
 
     fn release(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) {

@@ -8,7 +8,9 @@
 //! answered with a causally stale version. Both paths now share one
 //! floor computation; this test drives the client state machine directly,
 //! drops the first `GetResp`, fires the retry timer, and asserts the
-//! resent `Get` still carries the session floor.
+//! resent `Get` still carries the session floor. Timer tags are whatever
+//! the client armed: the harness fires what `Ctx::into_outputs` returned,
+//! so the test pins retry behaviour, not tag numbering.
 
 use hat_core::{
     Client, ClusterLayout, Msg, ProtocolKind, SessionLevel, SessionOptions, SystemConfig, Timestamp,
@@ -41,18 +43,50 @@ fn single_replica_client(level: SessionLevel) -> Client {
     )
 }
 
-/// Runs `f` against the client with a detached context and returns the
-/// messages it sent.
-fn step(
-    client: &mut Client,
-    rng: &mut StdRng,
+/// A client driven by hand, with its one live retry timer.
+struct Harness {
+    client: Client,
+    rng: StdRng,
     now: SimTime,
-    f: impl FnOnce(&mut Client, &mut Ctx<'_, Msg>),
-) -> Vec<(NodeId, Msg)> {
-    let mut ctx = Ctx::detached(CLIENT, now, rng);
-    f(client, &mut ctx);
-    let (sends, _timers) = ctx.into_outputs();
-    sends.into_iter().map(|(_, to, msg)| (to, msg)).collect()
+    /// Fire time and tag of the newest timer the client armed — always
+    /// its live one, since it arms only ahead of the timer it has.
+    live: Option<(SimTime, u64)>,
+}
+
+impl Harness {
+    fn new(client: Client, seed: u64) -> Self {
+        Harness {
+            client,
+            rng: StdRng::seed_from_u64(seed),
+            now: SimTime::ZERO,
+            live: None,
+        }
+    }
+
+    /// Runs `f` against the client with a detached context at `now` and
+    /// returns the messages it sent.
+    fn step(&mut self, f: impl FnOnce(&mut Client, &mut Ctx<'_, Msg>)) -> Vec<(NodeId, Msg)> {
+        let mut ctx = Ctx::detached(CLIENT, self.now, &mut self.rng);
+        f(&mut self.client, &mut ctx);
+        let (sends, timers) = ctx.into_outputs();
+        if let Some(&(delay, tag)) = timers.last() {
+            self.live = Some((self.now + delay, tag));
+        }
+        sends.into_iter().map(|(_, to, msg)| (to, msg)).collect()
+    }
+
+    /// Fires the client's live timer — again after each early fire that
+    /// re-armed it — until the client re-sends something.
+    fn retry(&mut self) -> Vec<(NodeId, Msg)> {
+        loop {
+            let (at, tag) = self.live.take().expect("a retry timer is live");
+            self.now = at;
+            let sends = self.step(|c, ctx| c.on_timer(ctx, tag));
+            if !sends.is_empty() {
+                return sends;
+            }
+        }
+    }
 }
 
 fn get_required(sends: &[(NodeId, Msg)]) -> Timestamp {
@@ -64,26 +98,22 @@ fn get_required(sends: &[(NodeId, Msg)]) -> Timestamp {
 
 #[test]
 fn retried_get_keeps_the_causal_session_floor() {
-    let mut client = single_replica_client(SessionLevel::Causal);
-    let mut rng = StdRng::seed_from_u64(1);
-    let t = SimTime::ZERO;
+    let mut h = Harness::new(single_replica_client(SessionLevel::Causal), 1);
 
     // Txn 1: write k and commit, establishing the causal floor for k.
-    let txn1 = client.begin(t);
-    let sends = step(&mut client, &mut rng, t, |c, ctx| {
-        c.issue_write(ctx, "k".into(), bytes::Bytes::from_static(b"v1"))
-    });
+    let txn1 = h.client.begin(h.now);
+    let sends = h.step(|c, ctx| c.issue_write(ctx, "k".into(), bytes::Bytes::from_static(b"v1")));
     assert!(sends.is_empty(), "MAV buffers writes until commit");
-    let commit_sends = step(&mut client, &mut rng, t, |c, ctx| c.start_commit(ctx));
-    let put_op = match commit_sends.as_slice() {
+    let commit_sends = h.step(|c, ctx| c.start_commit(ctx));
+    let (put_op, floor) = match commit_sends.as_slice() {
         [(to, Msg::Put { op, record, .. })] => {
             assert_eq!(*to, SERVER);
             assert!(record.stamp > txn1, "write stamp Lamport-dominates");
-            *op
+            (*op, record.stamp)
         }
         other => panic!("expected one commit Put, saw {other:?}"),
     };
-    step(&mut client, &mut rng, t, |c, ctx| {
+    h.step(|c, ctx| {
         c.on_message(
             ctx,
             SERVER,
@@ -93,18 +123,12 @@ fn retried_get_keeps_the_causal_session_floor() {
             },
         )
     });
-    assert!(!client.busy(), "txn 1 committed");
-    let floor = match commit_sends.as_slice() {
-        [(_, Msg::Put { record, .. })] => record.stamp,
-        _ => unreachable!(),
-    };
+    assert!(!h.client.busy(), "txn 1 committed");
 
     // Txn 2: read k. The initial Get must carry the session floor.
-    client.clear_finished();
-    client.begin(t + SimDuration::from_millis(1));
-    let sends = step(&mut client, &mut rng, t, |c, ctx| {
-        c.issue_read(ctx, "k".into())
-    });
+    h.client.clear_finished();
+    h.client.begin(h.now + SimDuration::from_millis(1));
+    let sends = h.step(|c, ctx| c.issue_read(ctx, "k".into()));
     assert_eq!(
         get_required(&sends),
         floor,
@@ -112,14 +136,9 @@ fn retried_get_keeps_the_causal_session_floor() {
     );
 
     // Drop the first GetResp (never deliver it) and fire the retry
-    // timer. Issue ids are allocated sequentially: commit used 1, this
-    // read used 2.
-    let resent = step(
-        &mut client,
-        &mut rng,
-        t + SimDuration::from_secs(1),
-        |c, ctx| c.on_timer(ctx, 2),
-    );
+    // timer.
+    let resent = h.retry();
+    assert_eq!(h.now, SimTime::from_secs(1));
     assert_eq!(
         get_required(&resent),
         floor,
@@ -132,19 +151,10 @@ fn retried_get_keeps_the_causal_session_floor() {
 /// per-transaction `required` vector is empty for a fresh read).
 #[test]
 fn retried_get_without_causal_session_has_no_floor() {
-    let mut client = single_replica_client(SessionLevel::None);
-    let mut rng = StdRng::seed_from_u64(2);
-    let t = SimTime::ZERO;
-    client.begin(t);
-    let sends = step(&mut client, &mut rng, t, |c, ctx| {
-        c.issue_read(ctx, "k".into())
-    });
+    let mut h = Harness::new(single_replica_client(SessionLevel::None), 2);
+    h.client.begin(h.now);
+    let sends = h.step(|c, ctx| c.issue_read(ctx, "k".into()));
     assert_eq!(get_required(&sends), Timestamp::INITIAL);
-    let resent = step(
-        &mut client,
-        &mut rng,
-        t + SimDuration::from_secs(1),
-        |c, ctx| c.on_timer(ctx, 1),
-    );
+    let resent = h.retry();
     assert_eq!(get_required(&resent), Timestamp::INITIAL);
 }

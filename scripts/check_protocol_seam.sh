@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Fails if protocol-agnostic code branches on the protocol, or if anything
-# but the WAL reaches for the disk.
+# Fails if protocol-agnostic code branches on the protocol, if anything
+# but the WAL reaches for the disk, or if a client arms a timer outside
+# its deadline helper.
 #
 # Every per-level decision lives in crates/hat-core/src/protocol/, behind
 # ProtocolEngine (server half) and ClientProtocol (client half). The
@@ -12,6 +13,12 @@
 # `sync_data` / `sync_all` are called in crates/hat-storage/src/wal.rs and
 # nowhere else: Store::persist, the durability barrier, stays the only
 # road to the disk, so no write path can grow a sync of its own again.
+#
+# On the client side, `set_timer(` is called in
+# crates/hat-core/src/client/deadline.rs and nowhere else in client/ or
+# protocol/: the client core and every ClientProtocol half arm deadlines
+# through the one-live-timer helper, so one timer per request (and a
+# backend heap full of timers nothing cancels) cannot creep back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +35,14 @@ status=0
 for f in "${files[@]}"; do
     if hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "$pattern"); then
         echo "$f branches on the protocol:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done
+for f in crates/hat-core/src/client/*.rs crates/hat-core/src/protocol/*.rs; do
+    [ "$f" = crates/hat-core/src/client/deadline.rs ] && continue
+    if hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'set_timer('); then
+        echo "$f arms a timer outside client/deadline.rs:" >&2
         echo "$hits" >&2
         status=1
     fi
