@@ -42,8 +42,7 @@ use hat_sim::SimDuration;
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke" || a == "--quick");
     // `--json` emits one JSON object per (mix, engine) line instead of
-    // the table (the shape of the `latency` rows archived in
-    // `BENCH_*.json`).
+    // the table.
     let json = std::env::args().any(|a| a == "--json");
     let mixes: &[(&str, f64)] = &[
         ("read-heavy 90/10", 0.9),

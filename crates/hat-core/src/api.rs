@@ -643,8 +643,9 @@ impl SimFrontend {
         self.engine.crash(node);
     }
 
-    /// Leaves `bytes` of a torn partial frame at the tail of a crashed
-    /// server's WAL — the write that was in flight when the crash hit.
+    /// Leaves `bytes` of a torn partial frame at the logical end of a
+    /// crashed server's WAL — the write that was in flight when the crash
+    /// hit.
     /// Recovery detects and discards it. Synced (acknowledged) records
     /// are never touched: destroying those would be disk corruption, a
     /// fault outside what crash recovery promises to mask. Only valid on
@@ -680,14 +681,15 @@ impl SimFrontend {
             .layout
             .cluster_of(node)
             .expect("restart_server: node has no cluster");
-        // Cumulative replay count across incarnations: the fresh server's
-        // stats start from this crash's recovery, add prior lifetimes.
-        let prior_replayed = self
+        // Cumulative recovery counts across incarnations: the fresh
+        // server's stats start from this crash's recovery, add prior
+        // lifetimes.
+        let prior = self
             .engine
             .actor(node)
             .as_server()
-            .map(|s| s.stats.wal_records_replayed)
-            .unwrap_or(0);
+            .map(|s| s.stats)
+            .unwrap_or_default();
         let store = make_store(&self.durable, node, self.config.version_chain_limit);
         let mut server = Server::with_engine(
             node,
@@ -697,7 +699,8 @@ impl SimFrontend {
             store,
             make_engine(&self.engine_factory, &self.config).0,
         );
-        server.stats.wal_records_replayed += prior_replayed;
+        server.stats.wal_records_replayed += prior.wal_records_replayed;
+        server.stats.wal_torn_bytes_cut += prior.wal_torn_bytes_cut;
         server.mark_restarted();
         server.set_trace_sink(self.trace.clone());
         self.trace

@@ -85,6 +85,11 @@ pub struct ServerStats {
     /// recovery, accumulated across restarts. Nonzero proves a restarted
     /// server is serving log-recovered state rather than an empty store.
     pub wal_records_replayed: u64,
+    /// Bytes of torn WAL tail recovery cut, accumulated across restarts
+    /// like `wal_records_replayed`. Nonzero proves a torn-tail fault
+    /// damaged the log where replay looks. Not exported to the metrics
+    /// registry.
+    pub wal_torn_bytes_cut: u64,
     /// Shard handoffs this server has completed as the *sending* side
     /// (the receiver acknowledged the full stream and routing cut over).
     pub shard_handoffs: u64,
@@ -113,6 +118,7 @@ impl ServerStats {
         self.msgs_dropped_by_partition += other.msgs_dropped_by_partition;
         self.crashes += other.crashes;
         self.wal_records_replayed += other.wal_records_replayed;
+        self.wal_torn_bytes_cut += other.wal_torn_bytes_cut;
         self.shard_handoffs += other.shard_handoffs;
         self.shard_nacks += other.shard_nacks;
         self.wal_syncs += other.wal_syncs;
@@ -272,6 +278,7 @@ impl Server {
         // is a no-op.
         let stats = ServerStats {
             wal_records_replayed: store.recovered_records(),
+            wal_torn_bytes_cut: store.torn_bytes_cut(),
             ..ServerStats::default()
         };
         if stats.wal_records_replayed > 0 {

@@ -239,6 +239,7 @@ fn server_stats_exposition_merge_round_trip() {
         msgs_dropped_by_partition: a.msgs_dropped_by_partition + b.msgs_dropped_by_partition,
         crashes: a.crashes + b.crashes,
         wal_records_replayed: a.wal_records_replayed + b.wal_records_replayed,
+        wal_torn_bytes_cut: a.wal_torn_bytes_cut + b.wal_torn_bytes_cut,
         shard_handoffs: a.shard_handoffs + b.shard_handoffs,
         shard_nacks: a.shard_nacks + b.shard_nacks,
         wal_syncs: a.wal_syncs + b.wal_syncs,

@@ -70,6 +70,9 @@ pub struct NemesisReport {
     /// WAL records replayed by restarted servers (must be > 0 whenever
     /// `crashes > 0`: restarts provably serve log-recovered state).
     pub wal_records_replayed: u64,
+    /// Bytes of torn WAL tail recovery cut (> 0 whenever a torn-tail
+    /// crash hit a log: the fault reached where replay looks).
+    pub wal_torn_bytes_cut: u64,
     /// Every replica group agreed on per-key newest versions post-heal.
     pub converged: bool,
     /// Commit-latency tail percentiles aggregated across sessions.
@@ -297,6 +300,7 @@ fn run_in(
         msgs_dropped_by_partition: stats.msgs_dropped_by_partition,
         crashes: stats.crashes,
         wal_records_replayed: stats.wal_records_replayed,
+        wal_torn_bytes_cut: stats.wal_torn_bytes_cut,
         converged: converged(&front),
         commit_latency: front.aggregate_metrics().commit_percentiles(),
         series,

@@ -6,6 +6,8 @@
 //! * the restarted server replays a non-empty WAL
 //!   (`wal_records_replayed != 0` — restarts provably serve
 //!   log-recovered state, not a blank store);
+//! * recovery cut exactly the torn frame (`wal_torn_bytes_cut` — the
+//!   fault landed at the log's end, not past its pre-written zeros);
 //! * the commit-acknowledged write survives the torn tail and is
 //!   readable after restart (acked means synced: tearing only ever
 //!   removes the frame that was in flight, never durable records);
@@ -91,6 +93,10 @@ fn mid_commit_crash_with_torn_tail_recovers_under_every_engine() {
             stats.wal_records_replayed > 0,
             "[{protocol:?} seed={SEED:#x}] restart must serve WAL-recovered state, \
              not a blank store"
+        );
+        assert_eq!(
+            stats.wal_torn_bytes_cut, TORN_BYTES,
+            "[{protocol:?} seed={SEED:#x}] recovery must cut exactly the torn frame"
         );
 
         // MAV acknowledges a client write while it is still in the

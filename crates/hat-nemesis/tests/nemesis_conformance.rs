@@ -136,6 +136,15 @@ fn fault_ledgers_record_real_damage() {
         crashes.seed,
         crashes.crashes
     );
+    // The torn tail lands where replay looks, not past the log's
+    // pre-written zeros: recovery had something to cut.
+    assert!(
+        crashes.wal_torn_bytes_cut > 0,
+        "[schedule={} seed={:#x}] {} torn-tail crashes but recovery cut nothing",
+        crashes.schedule,
+        crashes.seed,
+        crashes.crashes
+    );
 }
 
 /// Partitions cost the strong engines availability (the paper's central

@@ -13,7 +13,9 @@
 //!   last-writer-wins visibility, snapshot (`≤ stamp`) reads, prefix scans
 //!   for predicate reads, and version garbage collection.
 //! * [`wal`] — a checksummed, length-prefixed append-only write-ahead log
-//!   with crash recovery (torn tails are detected and discarded).
+//!   with a pre-zeroed tail, so a sync flushes data rather than a new
+//!   file size, and one-pass crash recovery (torn tails are detected and
+//!   cut).
 //! * [`store`] — the [`store::Store`] trait plus [`store::MemStore`]
 //!   (volatile) and [`store::DurableStore`] (WAL-backed) implementations.
 //!

@@ -129,6 +129,12 @@ pub trait Store {
         0
     }
 
+    /// Bytes of a torn log tail recovery cut when this store was opened
+    /// (0 for volatile stores).
+    fn torn_bytes_cut(&self) -> u64 {
+        0
+    }
+
     /// Bytes currently in the write-ahead log backing this store (0 for
     /// volatile stores). Observers diff this across writes to attribute
     /// WAL append traffic without the store knowing about tracing.
@@ -238,6 +244,7 @@ pub struct DurableStore {
     /// further writes and barriers instead of guessing.
     failed: bool,
     recovered: u64,
+    torn_bytes: u64,
 }
 
 impl DurableStore {
@@ -248,19 +255,17 @@ impl DurableStore {
         std::fs::create_dir_all(&dir)?;
         let mut table = Memtable::new();
         let mut recovered = 0u64;
-        // A crash mid-append leaves a torn final frame; cut it before
-        // appending again, or new frames would land after the damage and
-        // be unreachable to the next replay.
-        Wal::truncate_torn_tail(dir.join("wal"))?;
-        for source in [dir.join("checkpoint"), dir.join("wal")] {
-            for entry in Wal::replay(&source)? {
-                if let WalEntry::Put { key, record } = entry {
-                    table.insert(key, record);
-                    recovered += 1;
-                }
+        let checkpoint = Wal::replay(dir.join("checkpoint"))?;
+        // One read and one scan of the log, which also cuts a torn tail:
+        // new frames land right behind the last whole one, where the next
+        // replay reaches them.
+        let (wal, log, torn_bytes) = Wal::recover(dir.join("wal"))?;
+        for entry in checkpoint.into_iter().chain(log) {
+            if let WalEntry::Put { key, record } = entry {
+                table.insert(key, record);
+                recovered += 1;
             }
         }
-        let wal = Wal::open(dir.join("wal"))?;
         Ok(DurableStore {
             dir,
             table,
@@ -270,6 +275,7 @@ impl DurableStore {
             synced_puts: 0,
             failed: false,
             recovered,
+            torn_bytes,
         })
     }
 
@@ -303,7 +309,8 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Bytes currently in the active WAL.
+    /// Bytes of frames in the active WAL: its logical length, not the
+    /// file's, which runs on in pre-written zeros.
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
     }
@@ -405,6 +412,9 @@ impl Store for DurableStore {
     }
     fn recovered_records(&self) -> u64 {
         self.recovered
+    }
+    fn torn_bytes_cut(&self) -> u64 {
+        self.torn_bytes
     }
     fn wal_bytes(&self) -> u64 {
         self.wal.len()
@@ -559,6 +569,7 @@ mod tests {
         Wal::chop_tail(DurableStore::wal_path(&dir), 3).unwrap();
         let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
         assert_eq!(s.recovered_records(), 1);
+        assert!(s.torn_bytes_cut() > 0, "the rest of the torn frame is cut");
         assert_eq!(s.latest(b"a").unwrap().value, Bytes::from("keep"));
         assert!(s.latest(b"b").is_none(), "torn record must not recover");
         std::fs::remove_dir_all(dir).unwrap();

@@ -1,17 +1,58 @@
-//! Append-only, checksummed write-ahead log.
+//! Append-only, checksummed write-ahead log with a pre-zeroed tail.
 //!
 //! Record framing: `[u32 payload_len][u32 crc32(payload)][payload]`, all
-//! little-endian. On recovery the log is replayed front to back; a record
-//! that fails its length or checksum *at the tail* is treated as a torn
-//! write (the crash happened mid-append) and discarded, while a bad record
-//! *followed by valid data* is reported as corruption — the same policy
-//! LevelDB's log reader applies.
+//! little-endian. No real frame has an empty payload (the tag byte alone
+//! is one byte), so **an all-zero 8-byte header ends the log**.
+//!
+//! ## The pre-zeroed tail
+//!
+//! A log has a logical end, where the next frame goes, and behind it the
+//! file runs on in zeros. Frames are positioned writes at the logical
+//! end, over those zeros. [`Wal::sync`] keeps them topped up: once fewer
+//! than half a chunk (1 MiB) of zeros lie ahead of the logical end, it
+//! writes zeros out to one chunk past it. The sync after that commits
+//! the file's new size once; every other sync overwrites blocks the file
+//! already has and flushes data only, where an append would make every
+//! `sync_data` commit a new file size through the file system's journal
+//! as well. (PostgreSQL's pre-zeroed WAL segments and RocksDB's recycled
+//! logs do the same.) Appends never write zeros, so a log filled without
+//! syncing costs nothing extra.
+//!
+//! ## Recovery and the crash image
+//!
+//! Recovery walks the frames from the start and keeps each whole one. It
+//! stops at a zero header, at the end of the file, or at a damaged frame
+//! (too short for its length, or failing its checksum), and cuts
+//! everything past the last whole frame.
+//!
+//! Why that keeps every synced frame and takes no crash for corruption:
+//! once a sync returns with the logical end at `S`, bytes `[0, S)` are on
+//! disk. Everything the file holds past `S` was written after it: zeros
+//! from a top-up, and frames appended since, over those zeros. A crash
+//! can lose any of these later writes, a sector at a time, and a lost
+//! sector reads as the zeros beneath it or lies past the end of the
+//! file. So a crash image is the synced prefix, then whole frames
+//! appended after it, then the end of the file, a zero header, or a
+//! damaged frame with a lost sector (a run of zeros) inside it. Recovery
+//! keeps the prefix and those whole frames: a prefix of what was appended
+//! that holds every synced frame.
+//!
+//! A damaged frame *followed by valid data* is corruption instead
+//! ([`StorageError::Corrupt`]), as in LevelDB's log reader. A flipped
+//! bit in a length field hides where the next frame starts, so recovery
+//! looks for a whole frame at every byte offset past the damaged frame's
+//! header, up to the first sector's worth (512) of zero bytes in a row:
+//! a torn frame meets that run at its lost sector, while a bit flip
+//! inside the synced prefix meets the next intact frame first. Only a
+//! damaged frame whose own payload holds a sector of zeros before the
+//! next frame reads as a torn tail.
 
 use crate::error::{Result, StorageError};
 use crate::version::{Key, Record, VersionStamp};
 use bytes::{Buf, Bytes};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// One logical WAL entry.
@@ -133,39 +174,83 @@ fn get_bytes(buf: &mut &[u8]) -> Option<Bytes> {
     Some(out)
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected).
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `[0]` is the
+/// classic bytewise table, and `[k][b]` is the CRC step of byte `b`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        t[0][i] = c;
+        i += 1;
     }
-    crc ^ 0xFFFF_FFFF
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 /// Bytes of frame header: `[u32 payload_len][u32 crc32(payload)]`.
 const FRAME_HEADER: usize = 8;
 
+/// Zeros [`Wal::sync`] keeps written ahead of the log's end: it tops
+/// them up to a whole chunk once fewer than half a chunk remain.
+const ZERO_CHUNK: u64 = 1 << 20;
+
+/// The smallest unit a crash loses: a run of this many zero bytes after
+/// a damaged frame is where the log was cut (see the module doc).
+const SECTOR: usize = 512;
+
 /// An open write-ahead log.
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// The logical end: where the next frame goes.
     appended: u64,
+    /// How far the file is known to reach; bytes from `appended` up to
+    /// here are zeros.
+    allocated: u64,
     /// The frame being written, reused across appends so the write path
     /// allocates nothing per entry.
     frame: Vec<u8>,
@@ -173,22 +258,49 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log at `path` for appending.
+    /// Opens (creating if absent) the log at `path` for appending after
+    /// its valid prefix: [`Wal::recover`] without the entries.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        Self::recover(path).map(|(wal, _, _)| wal)
+    }
+
+    /// Opens (creating if absent) the log at `path`, reading and checking
+    /// it once. Returns the log, the entries of its valid prefix, and the
+    /// bytes of damage found right past that prefix (a torn frame, up to
+    /// its last non-zero byte before a sector of zeros; the pre-written
+    /// zeros are not damage). Everything past the prefix is cut before
+    /// this returns, so no frame can land behind damage. Damage followed
+    /// by valid frames is [`StorageError::Corrupt`]. A path that is not a
+    /// regular file (a device) is opened as an empty log and never read.
+    pub fn recover(path: impl AsRef<Path>) -> Result<(Wal, Vec<WalEntry>, u64)> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
+            .truncate(false)
             .read(true)
-            .append(true)
+            .write(true)
             .open(&path)?;
-        let appended = file.seek(SeekFrom::End(0))?;
-        Ok(Wal {
+        let data = read_log(&file)?;
+        let (entries, end) = scan(&data)?;
+        let damage = &data[end..][..zeros_start(&data[end..])];
+        let torn = damage
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |last| last as u64 + 1);
+        let end = end as u64;
+        if data.len() as u64 > end {
+            file.set_len(end)?;
+            file.sync_data()?;
+        }
+        let wal = Wal {
             file,
             path,
-            appended,
+            appended: end,
+            allocated: end,
             frame: Vec::new(),
             syncs: 0,
-        })
+        };
+        Ok((wal, entries, torn))
     }
 
     /// Appends one entry (buffered in the OS; call [`Wal::sync`] for
@@ -205,7 +317,7 @@ impl Wal {
     }
 
     /// Frames whatever `encode` appends to the reused buffer and hands
-    /// it to the OS in one `write_all`.
+    /// it to the OS in one positioned write at the logical end.
     fn write_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
         self.frame.clear();
         self.frame.resize(FRAME_HEADER, 0);
@@ -221,15 +333,25 @@ impl Wal {
         let crc = crc32(&self.frame[FRAME_HEADER..]);
         self.frame[..4].copy_from_slice(&payload_len.to_le_bytes());
         self.frame[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&self.frame)?;
+        self.file.write_all_at(&self.frame, self.appended)?;
         self.appended += self.frame.len() as u64;
+        self.allocated = self.allocated.max(self.appended);
         Ok(())
     }
 
-    /// Forces appended entries to stable storage.
+    /// Forces appended entries to stable storage, then tops up the zeros
+    /// ahead of the log (see the module doc). A failed top-up does not
+    /// fail the sync: the frames it would have covered are plain appends.
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
         self.syncs += 1;
+        if self.allocated - self.appended < ZERO_CHUNK / 2 {
+            let end = self.appended + ZERO_CHUNK;
+            let zeros = vec![0u8; (end - self.allocated) as usize];
+            if self.file.write_all_at(&zeros, self.allocated).is_ok() {
+                self.allocated = end;
+            }
+        }
         Ok(())
     }
 
@@ -238,12 +360,13 @@ impl Wal {
         self.syncs
     }
 
-    /// Bytes appended so far (including pre-existing content).
+    /// Bytes of frames in the log, including pre-existing ones: its
+    /// logical length. The file is longer by its pre-written zeros.
     pub fn len(&self) -> u64 {
         self.appended
     }
 
-    /// True if the log contains no bytes.
+    /// True if the log contains no frames.
     pub fn is_empty(&self) -> bool {
         self.appended == 0
     }
@@ -252,8 +375,8 @@ impl Wal {
     /// written elsewhere).
     pub fn reset(&mut self) -> Result<()> {
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::End(0))?;
         self.appended = 0;
+        self.allocated = 0;
         self.file.sync_data()?;
         Ok(())
     }
@@ -265,37 +388,33 @@ impl Wal {
 
     /// Chops `bytes` off the end of the log at `path` — the torn-write
     /// fault: a crash mid-append leaves a partial final frame, which
-    /// [`Wal::replay`] must discard while keeping the valid prefix.
-    /// Chopping more bytes than the file holds empties it. No-op on a
-    /// missing file.
+    /// [`Wal::replay`] must discard while keeping the valid prefix. The
+    /// chop is taken from the log's logical end, and the pre-written
+    /// zeros behind it go too. Chopping more bytes than the log holds
+    /// empties it. No-op on a missing file.
     pub fn chop_tail(path: impl AsRef<Path>, bytes: u64) -> Result<()> {
-        let file = match OpenOptions::new().write(true).open(path.as_ref()) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
+        let Some((file, end)) = open_at_end(path.as_ref())? else {
+            return Ok(());
         };
-        let len = file.metadata()?.len();
-        file.set_len(len.saturating_sub(bytes))?;
+        file.set_len(end.saturating_sub(bytes))?;
         file.sync_data()?;
         Ok(())
     }
 
-    /// Appends `junk` bytes of a partial frame to the log at `path` —
-    /// the torn-write fault: a crash mid-append leaves a final frame
-    /// whose header promises more bytes than reached the disk.
-    /// [`Wal::replay`] discards it and [`Wal::truncate_torn_tail`]
-    /// removes it. Synced (acknowledged) records are never affected —
-    /// that is what distinguishes a torn tail from disk corruption,
-    /// which no recovery protocol can be expected to mask. No-op when
-    /// `junk` is 0 or the file does not exist.
+    /// Writes `junk` bytes of a partial frame at the logical end of the
+    /// log at `path`, over its pre-written zeros — the torn-write fault:
+    /// a crash mid-append leaves a final frame whose header promises more
+    /// bytes than reached the disk. [`Wal::replay`] discards it and
+    /// [`Wal::recover`] cuts it. Synced (acknowledged) records are never
+    /// affected — that is what distinguishes a torn tail from disk
+    /// corruption, which no recovery protocol can be expected to mask.
+    /// No-op when `junk` is 0 or the file does not exist.
     pub fn tear_tail(path: impl AsRef<Path>, junk: u64) -> Result<()> {
         if junk == 0 {
             return Ok(());
         }
-        let mut file = match OpenOptions::new().append(true).open(path.as_ref()) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
+        let Some((file, end)) = open_at_end(path.as_ref())? else {
+            return Ok(());
         };
         let mut frame = Vec::with_capacity(junk as usize);
         if junk >= 8 {
@@ -304,123 +423,108 @@ impl Wal {
             // read at replay, independent of the junk's content.
             frame.extend_from_slice(&(body + 64).to_le_bytes());
             frame.extend_from_slice(&0u32.to_le_bytes());
-            frame.resize(junk as usize, 0xAA);
-        } else {
-            frame.resize(junk as usize, 0xAA);
         }
-        file.write_all(&frame)?;
+        frame.resize(junk as usize, 0xAA);
+        file.write_all_at(&frame, end)?;
         file.sync_data()?;
         Ok(())
     }
 
-    /// Truncates the log at `path` to its valid frame prefix, removing a
-    /// torn tail left by a crash mid-append. Returns the bytes removed.
-    /// Recovery must run this before appending to a replayed log —
-    /// otherwise new frames would land *after* the torn one and be
-    /// unreachable to a future replay.
-    pub fn truncate_torn_tail(path: impl AsRef<Path>) -> Result<u64> {
-        let mut data = Vec::new();
-        match File::open(path.as_ref()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e.into()),
-        }
-        let (_, valid) = scan(&data)?;
-        let trimmed = data.len() as u64 - valid;
-        if trimmed > 0 {
-            let file = OpenOptions::new().write(true).open(path.as_ref())?;
-            file.set_len(valid)?;
-            file.sync_data()?;
-        }
-        Ok(trimmed)
-    }
-
-    /// Replays the log at `path`, returning decoded entries.
+    /// Replays the log at `path`, returning decoded entries, without
+    /// changing the file.
     ///
     /// A framing/checksum failure at the tail is treated as a torn write:
     /// replay stops and the valid prefix is returned. A failure *before*
     /// valid trailing data returns [`StorageError::Corrupt`].
     pub fn replay(path: impl AsRef<Path>) -> Result<Vec<WalEntry>> {
-        let mut data = Vec::new();
         match File::open(path.as_ref()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
+            Ok(file) => Ok(scan(&read_log(&file)?)?.0),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(e.into()),
         }
-        let (entries, _) = scan(&data)?;
-        Ok(entries)
     }
+}
+
+/// Everything in `file` if it is a regular file; nothing otherwise (a
+/// device such as `/dev/full` reads as endless zeros).
+fn read_log(mut file: &File) -> Result<Vec<u8>> {
+    let mut data = Vec::new();
+    if file.metadata()?.is_file() {
+        file.read_to_end(&mut data)?;
+    }
+    Ok(data)
+}
+
+/// The existing log at `path`, open for writing, and the end of its valid
+/// prefix; `None` if there is no such file.
+fn open_at_end(path: &Path) -> Result<Option<(File, u64)>> {
+    let file = match OpenOptions::new().read(true).write(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let (_, end) = scan(&read_log(&file)?)?;
+    Ok(Some((file, end as u64)))
 }
 
 /// Walks the frame sequence in `data`, returning the decoded entries and
-/// the byte length of the valid prefix (a torn tail ends it early).
-fn scan(data: &[u8]) -> Result<(Vec<WalEntry>, u64)> {
+/// the end of the valid prefix: where a zero header, a torn frame or the
+/// end of `data` stops the walk.
+fn scan(data: &[u8]) -> Result<(Vec<WalEntry>, usize)> {
     let mut entries = Vec::new();
-    {
-        let mut offset = 0usize;
-        let mut tail_error: Option<u64> = None;
-        while offset < data.len() {
-            let start = offset;
-            if data.len() - offset < 8 {
-                tail_error = Some(start as u64);
-                break;
+    let mut at = 0;
+    while let Some(header) = data.get(at..at + FRAME_HEADER) {
+        if header == [0; FRAME_HEADER] {
+            break;
+        }
+        let Some(payload) = whole_frame(&data[at..]) else {
+            if frame_follows(&data[at + 1..]) {
+                return Err(StorageError::Corrupt {
+                    offset: at as u64,
+                    reason: "damaged frame before valid trailing records".into(),
+                });
             }
-            let len = u32::from_le_bytes(data[offset..offset + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(data[offset + 4..offset + 8].try_into().unwrap());
-            offset += 8;
-            if data.len() - offset < len {
-                tail_error = Some(start as u64);
-                break;
-            }
-            let payload = &data[offset..offset + len];
-            offset += len;
-            if crc32(payload) != crc {
-                // Bad checksum: torn tail if nothing valid follows,
-                // corruption otherwise. We conservatively check whether the
-                // remaining bytes parse as at least one valid record.
-                if has_valid_record(&data[offset..]) {
-                    return Err(StorageError::Corrupt {
-                        offset: start as u64,
-                        reason: "checksum mismatch before valid trailing records".into(),
-                    });
-                }
-                tail_error = Some(start as u64);
-                break;
-            }
-            match decode_entry(payload) {
-                Some(e) => entries.push(e),
-                None => {
-                    return Err(StorageError::Corrupt {
-                        offset: start as u64,
-                        reason: "undecodable payload with valid checksum".into(),
-                    })
-                }
+            break;
+        };
+        match decode_entry(payload) {
+            Some(e) => entries.push(e),
+            None => {
+                return Err(StorageError::Corrupt {
+                    offset: at as u64,
+                    reason: "undecodable payload with valid checksum".into(),
+                })
             }
         }
-        // Torn tails are expected after crashes: the valid prefix ends
-        // where the first damaged frame starts.
-        let valid = tail_error.unwrap_or(data.len() as u64);
-        Ok((entries, valid))
+        at += FRAME_HEADER + payload.len();
     }
+    Ok((entries, at))
 }
 
-fn has_valid_record(mut data: &[u8]) -> bool {
-    while data.len() >= 8 {
-        let len = u32::from_le_bytes(data[..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        if data.len() - 8 < len {
-            return false;
+/// The payload of the frame at the start of `data`, if the frame is
+/// whole: all its bytes are there and its checksum matches.
+fn whole_frame(data: &[u8]) -> Option<&[u8]> {
+    let ([l0, l1, l2, l3, c0, c1, c2, c3], rest) = data.split_first_chunk::<FRAME_HEADER>()?;
+    let payload = rest.get(..u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize)?;
+    (crc32(payload) == u32::from_le_bytes([*c0, *c1, *c2, *c3])).then_some(payload)
+}
+
+/// True if a whole frame with a payload starts at some byte offset of
+/// `data` before its first sector of zeros.
+fn frame_follows(data: &[u8]) -> bool {
+    (0..zeros_start(data)).any(|at| whole_frame(&data[at..]).is_some_and(|p| !p.is_empty()))
+}
+
+/// Where the first run of [`SECTOR`] zero bytes in `data` starts (its
+/// length if there is none): the end of any damage it begins with.
+fn zeros_start(data: &[u8]) -> usize {
+    let mut run = 0;
+    for (i, &b) in data.iter().enumerate() {
+        run = if b == 0 { run + 1 } else { 0 };
+        if run == SECTOR {
+            return i + 1 - SECTOR;
         }
-        if crc32(&data[8..8 + len]) == crc {
-            return true;
-        }
-        data = &data[8 + len..];
     }
-    false
+    data.len()
 }
 
 #[cfg(test)]
@@ -451,6 +555,13 @@ mod tests {
         }
     }
 
+    /// The frames of `wal`'s log, without the zeros the file runs on in.
+    fn logical_bytes(wal: &Wal) -> Vec<u8> {
+        let mut data = std::fs::read(wal.path()).unwrap();
+        data.truncate(wal.len() as usize);
+        data
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         for entry in [
@@ -475,21 +586,76 @@ mod tests {
             wal.append(&put("b", 2, "v2", &[])).unwrap();
             wal.sync().unwrap();
         }
+        // The first tear lands on the pre-written zeros, the second at
+        // the end of a file recovery has cut back to the log.
         for junk in [3u64, 48] {
             Wal::tear_tail(&path, junk).unwrap();
             // Replay discards the torn frame, keeps every synced record.
             assert_eq!(Wal::replay(&path).unwrap().len(), 2, "junk={junk}");
             // Recovery cuts the damage so future appends stay reachable.
-            let trimmed = Wal::truncate_torn_tail(&path).unwrap();
-            assert_eq!(trimmed, junk);
+            let (_, entries, torn) = Wal::recover(&path).unwrap();
+            assert_eq!((entries.len(), torn), (2, junk));
         }
-        assert_eq!(Wal::truncate_torn_tail(&path).unwrap(), 0, "clean log");
+        assert_eq!(Wal::recover(&path).unwrap().2, 0, "clean log");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&put("c", 3, "v3", &[])).unwrap();
         wal.sync().unwrap();
         drop(wal);
         assert_eq!(Wal::replay(&path).unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn log opened directly, with no recovery step first, still
+    /// takes new frames where a replay will reach them.
+    #[test]
+    fn open_appends_over_a_torn_tail_not_behind_it() {
+        let dir = tmpdir();
+        let path = dir.join("wal");
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&put("a", 1, "v1", &[])).unwrap();
+            wal.sync().unwrap();
+        }
+        Wal::tear_tail(&path, 48).unwrap();
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&put("b", 2, "v2", &[])).unwrap();
+            wal.sync().unwrap();
+        }
+        assert_eq!(
+            Wal::replay(&path).unwrap(),
+            vec![put("a", 1, "v1", &[]), put("b", 2, "v2", &[])]
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A sync leaves zeros written ahead of the log; they are not part of
+    /// it, and recovery cuts them.
+    #[test]
+    fn sync_writes_zeros_ahead_and_recovery_cuts_them() {
+        let dir = tmpdir();
+        let path = dir.join("wal");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&put("a", 1, "v1", &[])).unwrap();
+        let logical = wal.len();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), logical);
+        wal.sync().unwrap();
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!(data.len() as u64, logical + ZERO_CHUNK);
+        assert!(data[logical as usize..].iter().all(|&b| b == 0));
+        // A second sync has headroom to spare and writes nothing more.
+        wal.append(&put("b", 2, "v2", &[])).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            logical + ZERO_CHUNK
+        );
+        let len = wal.len();
+        drop(wal);
+        let (wal, entries, torn) = Wal::recover(&path).unwrap();
+        assert_eq!((entries.len(), torn, wal.len()), (2, 0, len));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -507,6 +673,32 @@ mod tests {
         // Standard test vector: crc32("123456789") = 0xCBF43926
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Slicing-by-8 gives the bytewise table's CRC for every length and
+    /// alignment, remainder bytes included.
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        fn bytewise(data: &[u8]) -> u32 {
+            !data.iter().fold(!0u32, |crc, &b| {
+                CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+            })
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..2048)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in (0..80).chain([511, 1024, 2040]) {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), bytewise(data), "start={start} len={len}");
+            }
+        }
     }
 
     #[test]
@@ -555,10 +747,7 @@ mod tests {
         by_parts.sync().unwrap();
         assert_eq!(by_parts.syncs(), 1);
         assert_eq!(by_entry.len(), by_parts.len());
-        assert_eq!(
-            std::fs::read(dir.join("entry")).unwrap(),
-            std::fs::read(dir.join("parts")).unwrap()
-        );
+        assert_eq!(logical_bytes(&by_entry), logical_bytes(&by_parts));
         assert_eq!(Wal::replay(dir.join("parts")).unwrap(), entries);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -574,14 +763,14 @@ mod tests {
     fn torn_tail_is_discarded() {
         let dir = tmpdir();
         let path = dir.join("wal");
-        {
+        let data = {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(&put("a", 1, "1", &[])).unwrap();
             wal.append(&put("b", 2, "2", &[])).unwrap();
             wal.sync().unwrap();
-        }
-        // simulate a crash mid-append: chop bytes off the tail
-        let data = std::fs::read(&path).unwrap();
+            logical_bytes(&wal)
+        };
+        // simulate a crash mid-append: chop bytes off the log's tail
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
         let replayed = Wal::replay(&path).unwrap();
         assert_eq!(replayed.len(), 1);

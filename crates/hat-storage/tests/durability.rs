@@ -186,6 +186,38 @@ fn one_barrier_syncs_a_batch_of_puts_once() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// A synced store's file runs on in pre-written zeros. A torn frame
+/// written at the log's end, over those zeros, is what recovery counts
+/// and cuts; the zeros are not damage, and later puts recover.
+#[test]
+fn torn_frame_over_the_zero_tail_is_counted_and_cut() {
+    let dir = tmpdir("zero-tail");
+    let logical = {
+        let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
+        for i in 1..=3u64 {
+            s.put(Key::from(format!("k{i}")), rec(i, "v").into())
+                .unwrap();
+        }
+        s.persist().unwrap();
+        s.wal_len()
+    };
+    let wal_path = DurableStore::wal_path(&dir);
+    let file_len = || std::fs::metadata(&wal_path).unwrap().len();
+    assert!(file_len() > logical + 48);
+    Wal::tear_tail(&wal_path, 48).unwrap();
+    let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
+    assert_eq!((s.torn_bytes_cut(), s.recovered_records()), (48, 3));
+    assert_eq!((s.wal_len(), file_len()), (logical, logical));
+    s.put(Key::from("k4"), rec(4, "v").into()).unwrap();
+    s.persist().unwrap();
+    let logical = s.wal_len();
+    drop(s);
+    assert!(file_len() > logical, "zeros ahead of the log again");
+    let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
+    assert_eq!((s.torn_bytes_cut(), s.version_count()), (0, 4));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
 /// `Never` leaves the disk to the OS: the barrier never syncs, the
 /// unconditional `sync` still does.
 #[test]

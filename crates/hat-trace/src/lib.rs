@@ -671,12 +671,24 @@ pub fn format_txn_window(events: &[TraceEvent], txn: TxnId, radius_us: u64) -> S
 mod tests {
     use super::*;
 
+    /// The event counter is process-wide and the test harness runs tests
+    /// on parallel threads: every test that records or reads it holds
+    /// this lock, so the counting tests see only their own events.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn txn(c: u32, s: u64) -> TxnId {
         TxnId::new(c, s)
     }
 
     #[test]
     fn disabled_sink_is_inert_and_uncounted() {
+        let _serial = serial();
         let before = events_recorded_total();
         let sink = TraceSink::disabled();
         for i in 0..100 {
@@ -690,6 +702,7 @@ mod tests {
 
     #[test]
     fn enabled_sink_orders_and_counts() {
+        let _serial = serial();
         let before = events_recorded_total();
         let sink = TraceSink::enabled();
         let clone = sink.clone();
@@ -708,6 +721,7 @@ mod tests {
 
     #[test]
     fn span_reconstruction_pairs_ops_and_outcomes() {
+        let _serial = serial();
         let sink = TraceSink::enabled();
         let t = txn(7, 3);
         sink.record(10, 7, TraceEventKind::TxnBegin { txn: t });
@@ -755,6 +769,7 @@ mod tests {
 
     #[test]
     fn abort_outcomes_distinguished() {
+        let _serial = serial();
         let sink = TraceSink::enabled();
         sink.record(1, 1, TraceEventKind::TxnBegin { txn: txn(1, 0) });
         sink.record(
@@ -785,6 +800,7 @@ mod tests {
 
     #[test]
     fn chrome_json_shape() {
+        let _serial = serial();
         let sink = TraceSink::enabled();
         let t = txn(2, 0);
         sink.record(100, 2, TraceEventKind::TxnBegin { txn: t });
@@ -825,6 +841,7 @@ mod tests {
 
     #[test]
     fn window_flags_faults() {
+        let _serial = serial();
         let sink = TraceSink::enabled();
         let t = txn(3, 0);
         sink.record(10, 3, TraceEventKind::TxnBegin { txn: t });
@@ -854,6 +871,7 @@ mod tests {
 
     #[test]
     fn canonical_projection_strips_timing() {
+        let _serial = serial();
         let a = TraceSink::enabled();
         let b = TraceSink::enabled();
         // Same lifecycle, wildly different timestamps and extra noise.
@@ -877,6 +895,7 @@ mod tests {
 
     #[test]
     fn take_events_drains() {
+        let _serial = serial();
         let sink = TraceSink::enabled();
         sink.record(1, 0, TraceEventKind::Crash);
         assert_eq!(sink.take_events().len(), 1);
