@@ -8,12 +8,12 @@
 //! implement [`Frontend`], so workloads are written once.
 //!
 //! Under the simulator, transactions run synchronously from the caller's
-//! point of view: each operation injects work into the client actor and
-//! steps the simulation until the response arrives (or the operation
-//! deadline passes — which is how unavailability surfaces, as
+//! point of view: each operation is started on the client actor as a
+//! [`ClientCmd`] and the simulation steps until the client is idle (or the
+//! operation deadline passes — which is how unavailability surfaces, as
 //! [`HatError::Unavailable`]).
 
-use crate::client::{Client, SessionOptions, TxnSource};
+use crate::client::{Client, ClientCmd, ClientReply, SessionOptions, TxnSource};
 use crate::cluster::{ClusterLayout, ClusterSpec};
 use crate::config::{ProtocolKind, RetryPolicy, SystemConfig};
 use crate::error::HatError;
@@ -24,7 +24,6 @@ use crate::node::Node;
 use crate::protocol::{engine_for, EnginePair};
 use crate::server::Server;
 use crate::txn::TxnRecord;
-use bytes::Bytes;
 use hat_obs::ObsSink;
 use hat_sim::{
     Engine, EngineConfig, LatencyModel, NodeId, PartitionSchedule, SimDuration, SimTime, Topology,
@@ -744,36 +743,11 @@ impl SimFrontend {
         }
     }
 
-    fn abandon_client(&mut self, client: NodeId) {
-        // Needs a full Ctx: abandoning releases any held 2PL locks.
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            if let Some(c) = node.as_client_mut() {
-                c.abandon(ctx);
-            }
-        });
-    }
-
-    /// Post-`wait_idle` check shared by the operation executors: if the
-    /// transaction finished mid-operation (2PL lock timeout → external
-    /// abort), the operation must report that instead of succeeding.
-    fn check_interrupted(&self, client: NodeId) -> Result<(), HatError> {
-        match self
-            .engine
-            .actor(client)
-            .as_client()
-            .unwrap()
-            .op_interrupted()
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Steps the engine until `client` has no outstanding network round,
     /// or the operation deadline passes. On deadline the error names the
-    /// key being operated on (when the caller knows one), so a sticky
-    /// client whose home cluster has crashed every replica surfaces
-    /// *which* item was unreachable instead of a bare timeout.
+    /// key being operated on (when there is one), so a sticky client
+    /// whose home cluster has crashed every replica surfaces *which* item
+    /// was unreachable instead of a bare timeout.
     fn wait_idle(&mut self, client: NodeId, key: Option<&Key>) -> Result<(), HatError> {
         let deadline = self.engine.now() + self.config.op_deadline;
         loop {
@@ -804,109 +778,31 @@ impl SimFrontend {
 }
 
 impl TxnBackend for SimFrontend {
-    fn begin(&mut self, session: &Session) -> Result<(), HatError> {
-        self.engine.with_actor_ctx(session.node(), |node, ctx| {
-            let c = node.as_client_mut().expect("not a client");
-            c.clear_finished();
-            c.begin(ctx.now());
-        });
-        Ok(())
-    }
-
-    fn exec_get(&mut self, session: &Session, key: Key) -> Result<Option<Bytes>, HatError> {
+    /// Starts `cmd`, steps virtual time until the client is idle, and
+    /// builds the reply. On the operation deadline a stalled commit is
+    /// abandoned (releasing what it holds at servers); a stalled
+    /// operation is left for the transaction driver to abandon.
+    fn exec(&mut self, session: &Session, cmd: ClientCmd) -> Result<ClientReply, HatError> {
         let client = session.node();
-        let attributed = key.clone();
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().issue_read(ctx, key)
+        let key = cmd.key().cloned();
+        let commit = matches!(cmd, ClientCmd::Commit);
+        let started = self.engine.with_actor_ctx(client, |node, ctx| {
+            node.as_client_mut()
+                .expect("not a client")
+                .start_cmd(ctx, cmd)
         });
-        self.wait_idle(client, Some(&attributed))?;
-        self.check_interrupted(client)?;
-        Ok(self
-            .engine
-            .actor(client)
-            .as_client()
-            .unwrap()
-            .last_read_value())
-    }
-
-    fn exec_get_many(
-        &mut self,
-        session: &Session,
-        keys: Vec<Key>,
-    ) -> Result<Vec<Option<Bytes>>, HatError> {
-        let n = keys.len();
-        let client = session.node();
-        let attributed = keys.first().cloned();
-        let batched = self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().issue_read_many(ctx, keys)
-        });
-        // No native one-shot batch read under this protocol: read
-        // sequentially.
-        if let Err(keys) = batched {
-            return keys
-                .into_iter()
-                .map(|k| self.exec_get(session, k))
-                .collect();
+        if let Some(reply) = started {
+            return Ok(reply);
         }
-        self.wait_idle(client, attributed.as_ref())?;
-        self.check_interrupted(client)?;
-        Ok(self
-            .engine
-            .actor(client)
-            .as_client()
-            .unwrap()
-            .last_read_values(n))
-    }
-
-    fn exec_put(&mut self, session: &Session, key: Key, value: Bytes) -> Result<(), HatError> {
-        let client = session.node();
-        let attributed = key.clone();
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().issue_write(ctx, key, value)
-        });
-        self.wait_idle(client, Some(&attributed))?;
-        self.check_interrupted(client)
-    }
-
-    fn exec_scan(&mut self, session: &Session, prefix: Key) -> Result<Vec<(Key, Bytes)>, HatError> {
-        let client = session.node();
-        let attributed = prefix.clone();
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().issue_scan(ctx, prefix)
-        });
-        self.wait_idle(client, Some(&attributed))?;
-        self.check_interrupted(client)?;
-        Ok(self
-            .engine
-            .actor(client)
-            .as_client()
-            .unwrap()
-            .last_scan()
-            .to_vec())
-    }
-
-    fn exec_abort(&mut self, session: &Session) {
-        self.engine.with_actor_ctx(session.node(), |node, ctx| {
-            node.as_client_mut().unwrap().abort(ctx)
-        });
-    }
-
-    fn commit(&mut self, session: &Session) -> Result<(), HatError> {
-        let client = session.node();
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().start_commit(ctx)
-        });
-        if let Err(e) = self.wait_idle(client, None) {
-            self.abandon_client(client);
+        if let Err(e) = self.wait_idle(client, key.as_ref()) {
+            if commit {
+                self.abandon(session);
+            }
             return Err(e);
         }
-        self.engine.with_actor_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().commit_result(ctx)
-        })
-    }
-
-    fn abandon(&mut self, session: &Session) {
-        self.abandon_client(session.node());
+        Ok(self.engine.with_actor_ctx(client, |node, ctx| {
+            node.as_client_mut().expect("not a client").finish_cmd(ctx)
+        }))
     }
 }
 
@@ -926,7 +822,7 @@ impl Frontend for SimFrontend {
             .as_client_mut()
             .expect("session slot is a client")
             .set_session_options(opts);
-        Session::new(idx as u32, node, opts)
+        Session::from_parts(idx as u32, node, opts)
     }
 
     fn run_for(&mut self, d: SimDuration) {

@@ -83,7 +83,8 @@ pub struct ClientCore {
     /// Cross-transaction `required` floor for Causal sessions.
     pub(super) causal_required: BTreeMap<Key, Timestamp>,
     pub(super) current: Option<ActiveTxn>,
-    /// Key/value pairs of the most recent scan response (facade access).
+    /// Key/value pairs of the most recent scan response, until its reply
+    /// takes them.
     pub(super) last_scan: Vec<(Key, Bytes)>,
     /// Performance counters.
     pub metrics: ClientMetrics,
@@ -194,70 +195,6 @@ impl ClientCore {
             Phase::Done(o) => Some(o),
             _ => None,
         }
-    }
-
-    /// The result of the last completed read/scan, as recorded ops.
-    pub fn last_op(&self) -> Option<&OpRecord> {
-        self.current.as_ref().and_then(|t| t.ops_done.last())
-    }
-
-    /// The last completed item read as the frontend-facing value
-    /// (`None` for the initial `⊥` version or if the last op was not a
-    /// read). Shared by every backend so the read mapping cannot
-    /// diverge between them.
-    pub fn last_read_value(&self) -> Option<Bytes> {
-        match self.last_op() {
-            Some(OpRecord::Read {
-                observed, value, ..
-            }) if !observed.is_initial() => Some(value.clone()),
-            _ => None,
-        }
-    }
-
-    /// If the transaction finished *during* an operation — a 2PL lock
-    /// timeout externally aborts mid-op, for instance — the operation
-    /// itself must fail, per the typed-API contract that aborts surface
-    /// at the failing operation. `None` while the transaction is still
-    /// executing (or after it committed).
-    pub fn op_interrupted(&self) -> Option<crate::error::HatError> {
-        use crate::error::HatError;
-        match self.txn_outcome() {
-            Some(TxnOutcome::AbortedExternal) => Some(HatError::ExternalAbort {
-                reason: "system abort mid-operation".into(),
-            }),
-            Some(TxnOutcome::AbortedInternal) => Some(HatError::InternalAbort {
-                reason: "transaction aborted".into(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Key/value pairs of the most recent scan response.
-    pub fn last_scan(&self) -> &[(Key, Bytes)] {
-        &self.last_scan
-    }
-
-    /// The last `n` completed item reads as frontend-facing values, in
-    /// execution order (`None` for `⊥`). Backends use this to collect a
-    /// batch read's results; shared so the mapping cannot diverge
-    /// between them.
-    pub fn last_read_values(&self, n: usize) -> Vec<Option<Bytes>> {
-        let Some(t) = self.current.as_ref() else {
-            return Vec::new();
-        };
-        let reads: Vec<Option<Bytes>> = t
-            .ops_done
-            .iter()
-            .rev()
-            .filter_map(|op| match op {
-                OpRecord::Read {
-                    observed, value, ..
-                } => Some((!observed.is_initial()).then(|| value.clone())),
-                _ => None,
-            })
-            .take(n)
-            .collect();
-        reads.into_iter().rev().collect()
     }
 
     // ---------------------------------------------------------------
@@ -474,10 +411,11 @@ impl ClientCore {
         if writes.is_empty() {
             return Step::Finish(TxnOutcome::Committed);
         }
-        let siblings: Vec<Key> = if siblings {
+        // One list for the whole write set, shared by all its records.
+        let siblings: Arc<[Key]> = if siblings {
             writes.iter().map(|(k, _)| k.clone()).collect()
         } else {
-            Vec::new()
+            Arc::default()
         };
         let stamp = self.write_stamp();
         self.open_round(ctx, ctx.now());
@@ -486,7 +424,8 @@ impl ClientCore {
             // The one allocation this write will ever get: the retry
             // buffer, the wire message, the server's store and its
             // replication log all share it.
-            let record: SharedRecord = Record::with_siblings(stamp, value, siblings.clone()).into();
+            let record: SharedRecord =
+                Record::with_siblings(stamp, value, Arc::clone(&siblings)).into();
             self.metrics.metadata_bytes += sibling_bytes(&record);
             let target = match cluster {
                 Some(c) => self.route_in_cluster(&key, c),

@@ -25,17 +25,22 @@
 //! [`ClientProtocol`] half, next to its server half in
 //! [`crate::protocol`]. This module has no idea which one it is running.
 //!
-//! A client is either driven externally (a [`crate::Frontend`] backend) or by
-//! a [`TxnSource`] in a closed loop (one transaction completes, the next
-//! begins — the YCSB harness of §6.3).
+//! A client is either driven externally or by a [`TxnSource`] in a closed
+//! loop (one transaction completes, the next begins — the YCSB harness of
+//! §6.3). Driven externally, it runs [`ClientCmd`]s (`cmd.rs`): every
+//! [`crate::Frontend`] backend issues each interactive operation through
+//! that one path.
 
+mod cmd;
 mod core;
 mod deadline;
 mod round;
 
+pub use self::cmd::{ClientCmd, ClientReply};
 pub use self::core::{bottom, sibling_bytes, ClientCore, Placement};
 pub use self::round::Done;
 
+use self::cmd::Awaiting;
 use self::core::{ActiveTxn, Phase};
 use self::deadline::PROTOCOL_TIMER;
 use crate::cluster::ClusterLayout;
@@ -100,6 +105,8 @@ pub struct Client {
     core: ClientCore,
     proto: Box<dyn ClientProtocol>,
     driver: Option<Box<dyn TxnSource>>,
+    /// The round the interactive command in flight waits on.
+    awaiting: Option<Awaiting>,
 }
 
 impl std::ops::Deref for Client {
@@ -147,6 +154,7 @@ impl Client {
             core: ClientCore::new(id, client_idx, home, layout, config, session, route),
             proto,
             driver: None,
+            awaiting: None,
         }
     }
 
@@ -183,29 +191,9 @@ impl Client {
         self.core.session = opts;
     }
 
-    /// Maps the finished transaction's outcome to the frontend-facing
-    /// commit result. A missing outcome (the commit never resolved)
-    /// abandons the transaction and reports unavailability. Shared by
-    /// every backend so outcome reporting cannot diverge between them.
-    pub fn commit_result(&mut self, ctx: &mut Ctx<'_, Msg>) -> Result<(), crate::error::HatError> {
-        use crate::error::HatError;
-        match self.txn_outcome() {
-            Some(TxnOutcome::Committed) => Ok(()),
-            Some(TxnOutcome::AbortedExternal) => Err(HatError::ExternalAbort {
-                reason: "system abort during commit".into(),
-            }),
-            Some(TxnOutcome::AbortedInternal) => Err(HatError::InternalAbort {
-                reason: "transaction aborted".into(),
-            }),
-            Some(TxnOutcome::Indeterminate) | None => {
-                self.abandon(ctx);
-                Err(HatError::Unavailable { key: None })
-            }
-        }
-    }
-
     // ---------------------------------------------------------------
-    // Transaction lifecycle (called by the facade or the driver loop)
+    // Transaction lifecycle (called by the command path or the driver
+    // loop)
     // ---------------------------------------------------------------
 
     /// Begins a transaction.
@@ -244,7 +232,7 @@ impl Client {
 
     /// Issues an item read. May complete immediately (buffered write /
     /// cache hit), in which case no network round happens.
-    pub fn issue_read(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key) {
+    fn issue_read(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key) {
         let core = &mut self.core;
         assert!(!core.busy(), "one op at a time");
         core.op_span(ctx.now(), OpKind::Get, false);
@@ -265,14 +253,10 @@ impl Client {
     /// read atomicity exactly when the read set is fetched as one batch
     /// (sequential reads can only repair forward). Every other protocol
     /// hands the keys back as `Err`, and the caller reads them one at a
-    /// time with [`Client::issue_read`].
+    /// time.
     ///
     /// An empty batch completes immediately with no reads recorded.
-    pub fn issue_read_many(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        keys: Vec<Key>,
-    ) -> Result<(), Vec<Key>> {
+    fn issue_read_many(&mut self, ctx: &mut Ctx<'_, Msg>, keys: Vec<Key>) -> Result<(), Vec<Key>> {
         if keys.is_empty() {
             return Ok(());
         }
@@ -285,7 +269,7 @@ impl Client {
     /// Issues a predicate read over `prefix`, scatter-gathered over all
     /// servers of the chosen cluster (the keyspace is hash-partitioned,
     /// so any server holds only part of the prefix).
-    pub fn issue_scan(&mut self, ctx: &mut Ctx<'_, Msg>, prefix: Key) {
+    fn issue_scan(&mut self, ctx: &mut Ctx<'_, Msg>, prefix: Key) {
         let core = &mut self.core;
         assert!(!core.busy(), "one op at a time");
         core.op_span(ctx.now(), OpKind::Scan, false);
@@ -300,7 +284,7 @@ impl Client {
 
     /// Issues a write. Buffering protocols complete immediately;
     /// eventual/master send the write now; 2PL acquires the lock first.
-    pub fn issue_write(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key, value: Bytes) {
+    fn issue_write(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key, value: Bytes) {
         assert!(!self.core.busy(), "one op at a time");
         self.core.op_span(ctx.now(), OpKind::Put, false);
         self.proto.write(&mut self.core, ctx, key, value);
@@ -308,7 +292,7 @@ impl Client {
 
     /// Starts commit. Buffering protocols flush the write buffer; 2PL
     /// flushes then unlocks; others finish immediately.
-    pub fn start_commit(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    fn start_commit(&mut self, ctx: &mut Ctx<'_, Msg>) {
         assert!(!self.core.busy(), "outstanding op at commit");
         self.core.op_span(ctx.now(), OpKind::Commit, false);
         self.core.txn_mut().phase = Phase::Committing;
@@ -324,8 +308,8 @@ impl Client {
         self.finish_txn(ctx, TxnOutcome::AbortedInternal);
     }
 
-    /// Clears a finished transaction (facade calls this after reading the
-    /// outcome).
+    /// Clears a finished transaction whose outcome has been reported
+    /// (`ClientCmd::Begin` does this before beginning the next).
     pub fn clear_finished(&mut self) {
         if self.txn_outcome().is_some() {
             self.core.current = None;

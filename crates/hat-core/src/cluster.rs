@@ -12,7 +12,6 @@
 use crate::shard::ShardRing;
 use hat_sim::{NodeId, Region, Site};
 use hat_storage::Key;
-use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit hash — the deterministic key partitioner.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -26,7 +25,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Declarative deployment: one entry per cluster, giving its site and
 /// server count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// `(site, servers)` per cluster.
     pub clusters: Vec<(Site, usize)>,

@@ -2,13 +2,12 @@
 //! model.
 
 use hat_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Which concurrency-control / replication protocol the deployment runs.
 ///
 /// The first three are the HAT configurations of §6.3; the last two are
 /// the unavailable baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// Last-writer-wins Read Uncommitted with all-to-all anti-entropy —
     /// the paper's `eventual`.
@@ -98,7 +97,7 @@ impl ProtocolKind {
 /// all-read vs all-write gap), MAV writes ≈ 1.5× plain writes plus a
 /// per-metadata-byte cost (Figure 4) plus a per-sibling-replica
 /// notification cost (the five-cluster fan-in effect of Figure 3C).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceModel {
     /// Service time of a read, µs.
     pub read_us: f64,
@@ -204,7 +203,7 @@ impl ServiceModel {
 /// the next attempt. Without the exponential component a saturated
 /// server turns slow commits into a retry storm; the cap keeps sticky
 /// clients probing often enough to notice a healed partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay before the first retry.
     pub base: SimDuration,
@@ -245,7 +244,7 @@ impl RetryPolicy {
 }
 
 /// Full deployment configuration shared by servers and clients.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Protocol the deployment runs.
     pub protocol: ProtocolKind,
@@ -294,7 +293,7 @@ pub struct SystemConfig {
 }
 
 /// Live-telemetry configuration (see `hat-obs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
     /// Master switch; when false the deployment carries no-op sinks.
     pub enabled: bool,

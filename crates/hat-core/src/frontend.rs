@@ -38,7 +38,7 @@
 //! old facade's silent no-ops after failure. The closure's own `Err`
 //! return aborts the transaction.
 
-use crate::client::SessionOptions;
+use crate::client::{ClientCmd, ClientReply, SessionOptions};
 use crate::error::HatError;
 use crate::metrics::ClientMetrics;
 use crate::txn::TxnRecord;
@@ -58,14 +58,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a handle; crate-internal — sessions are minted by
-    /// frontends.
-    pub(crate) fn new(idx: u32, node: NodeId, opts: SessionOptions) -> Self {
-        Session { idx, node, opts }
-    }
-
-    /// Builds a handle from raw parts, for external [`Frontend`]
-    /// implementations (e.g. the threaded runtime).
+    /// Builds a handle from raw parts; sessions are minted by
+    /// [`Frontend`] implementations.
     pub fn from_parts(idx: u32, node: NodeId, opts: SessionOptions) -> Self {
         Session { idx, node, opts }
     }
@@ -98,45 +92,113 @@ impl Session {
     }
 }
 
-/// The low-level per-operation SPI a backend implements so the shared
-/// transaction driver ([`drive_txn`]) can run closures against it. Kept
-/// object-safe: [`TxnCtx`] holds it as `&mut dyn TxnBackend`.
+/// The per-operation SPI a backend implements so the shared transaction
+/// driver ([`drive_txn`]) can run closures against it. Kept object-safe:
+/// [`TxnCtx`] holds it as `&mut dyn TxnBackend`.
 ///
-/// Implementations: the simulator steps virtual time until the client
-/// actor's network round resolves; the threaded runtime sends a command
-/// into the client's event loop and blocks on the reply channel.
+/// A backend implements one method, [`TxnBackend::exec`]: run a
+/// [`ClientCmd`] on the session's client through the one command path
+/// (`Client::start_cmd`, then `Client::finish_cmd` once the client is
+/// idle), supplying only the transport and the operation deadline. The
+/// simulator steps virtual time until the client's network round
+/// resolves; the threaded runtime sends the command into the client's
+/// event loop and blocks on the reply channel. The typed operations are
+/// default methods that map replies to results, so they are written
+/// once for every backend.
 pub trait TxnBackend {
+    /// Runs `cmd` on `session`'s client and returns its reply. `Err`
+    /// means the backend could not get an answer: the operation deadline
+    /// passed, or the client is unreachable.
+    fn exec(&mut self, session: &Session, cmd: ClientCmd) -> Result<ClientReply, HatError>;
+
     /// Starts a transaction on `session` (clears any finished one).
-    fn begin(&mut self, session: &Session) -> Result<(), HatError>;
+    fn begin(&mut self, session: &Session) -> Result<(), HatError> {
+        ack(self, session, ClientCmd::Begin)
+    }
     /// Executes an item read. `Ok(None)` is the initial `⊥` version.
-    fn exec_get(&mut self, session: &Session, key: Key) -> Result<Option<Bytes>, HatError>;
+    fn exec_get(&mut self, session: &Session, key: Key) -> Result<Option<Bytes>, HatError> {
+        match run(self, session, ClientCmd::Get(key))? {
+            ClientReply::Read(value) => Ok(value),
+            other => mismatch("Read", other),
+        }
+    }
     /// Executes a one-shot multi-key read, returning one value per key
-    /// in request order. The default runs the keys sequentially;
-    /// backends override it for protocols with a native batch read
+    /// in request order: natively under a protocol with a batch read
     /// (RAMP-Small's `GET_ALL`, whose atomicity guarantee holds exactly
-    /// when the read set is fetched as one batch).
-    #[allow(clippy::type_complexity)]
+    /// when the read set is fetched as one batch), otherwise one key at
+    /// a time.
     fn exec_get_many(
         &mut self,
         session: &Session,
         keys: Vec<Key>,
     ) -> Result<Vec<Option<Bytes>>, HatError> {
-        keys.into_iter()
-            .map(|k| self.exec_get(session, k))
-            .collect()
+        match run(self, session, ClientCmd::GetMany(keys))? {
+            ClientReply::ReadMany(values) => Ok(values),
+            ClientReply::Unbatched(keys) => keys
+                .into_iter()
+                .map(|k| self.exec_get(session, k))
+                .collect(),
+            other => mismatch("ReadMany", other),
+        }
     }
     /// Executes (or buffers, per protocol) a write.
-    fn exec_put(&mut self, session: &Session, key: Key, value: Bytes) -> Result<(), HatError>;
+    fn exec_put(&mut self, session: &Session, key: Key, value: Bytes) -> Result<(), HatError> {
+        match run(self, session, ClientCmd::Put(key, value))? {
+            ClientReply::Wrote => Ok(()),
+            other => mismatch("Wrote", other),
+        }
+    }
     /// Executes a predicate read over `prefix`.
-    #[allow(clippy::type_complexity)]
-    fn exec_scan(&mut self, session: &Session, prefix: Key) -> Result<Vec<(Key, Bytes)>, HatError>;
+    fn exec_scan(&mut self, session: &Session, prefix: Key) -> Result<Vec<(Key, Bytes)>, HatError> {
+        match run(self, session, ClientCmd::Scan(prefix))? {
+            ClientReply::Scanned(matches) => Ok(matches),
+            other => mismatch("Scanned", other),
+        }
+    }
     /// Internally aborts the open transaction.
-    fn exec_abort(&mut self, session: &Session);
+    fn exec_abort(&mut self, session: &Session) {
+        let _ = ack(self, session, ClientCmd::AbortTxn);
+    }
     /// Commits the open transaction and reports the outcome.
-    fn commit(&mut self, session: &Session) -> Result<(), HatError>;
+    fn commit(&mut self, session: &Session) -> Result<(), HatError> {
+        match run(self, session, ClientCmd::Commit)? {
+            ClientReply::Committed => Ok(()),
+            other => mismatch("Committed", other),
+        }
+    }
     /// Abandons the open transaction after an operation failure
     /// (counts as an external abort; straggler responses are ignored).
-    fn abandon(&mut self, session: &Session);
+    fn abandon(&mut self, session: &Session) {
+        let _ = ack(self, session, ClientCmd::Abandon);
+    }
+}
+
+/// Runs `cmd` and returns its reply, with a failed operation as `Err`.
+fn run<B: TxnBackend + ?Sized>(
+    backend: &mut B,
+    session: &Session,
+    cmd: ClientCmd,
+) -> Result<ClientReply, HatError> {
+    match backend.exec(session, cmd)? {
+        ClientReply::Failed(e) => Err(e),
+        reply => Ok(reply),
+    }
+}
+
+/// Runs a bookkeeping `cmd`, which answers [`ClientReply::Ack`].
+fn ack<B: TxnBackend + ?Sized>(
+    backend: &mut B,
+    session: &Session,
+    cmd: ClientCmd,
+) -> Result<(), HatError> {
+    match run(backend, session, cmd)? {
+        ClientReply::Ack => Ok(()),
+        other => mismatch("Ack", other),
+    }
+}
+
+fn mismatch(expected: &str, got: ClientReply) -> ! {
+    panic!("protocol mismatch: expected {expected}, got {got:?}")
 }
 
 /// The backend-agnostic deployment surface. Everything interactive goes

@@ -68,7 +68,7 @@ pub mod timestamp;
 pub mod txn;
 
 pub use api::{DeploymentBuilder, SimFrontend};
-pub use client::{Client, ClientCore, SessionLevel, SessionOptions};
+pub use client::{Client, ClientCmd, ClientCore, ClientReply, SessionLevel, SessionOptions};
 pub use cluster::{ClusterLayout, ClusterSpec};
 pub use config::{ProtocolKind, RetryPolicy, ServiceModel, SystemConfig};
 pub use error::HatError;

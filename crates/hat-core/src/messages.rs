@@ -4,10 +4,9 @@
 use crate::timestamp::Timestamp;
 use hat_sim::NodeId;
 use hat_storage::{Key, SharedRecord};
-use serde::{Deserialize, Serialize};
 
 /// Which version a RAMP second-round fetch asks for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VersionReq {
     /// Exactly this stamp (RAMP-Fast repair: the sibling version named
     /// in another record's metadata). The server may hold the reply
@@ -24,7 +23,7 @@ pub enum VersionReq {
 
 /// Messages of the HAT deployment. One enum covers all protocols; servers
 /// ignore variants their protocol never receives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     // ---- client → server ----
     /// Read `key`. `required` is the MAV lower bound (Appendix B's

@@ -43,6 +43,7 @@ use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration};
 use hat_storage::{Key, Memtable, Record, SharedRecord, Store};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Outcome of receiving a write at a MAV replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +197,7 @@ impl MavState {
     /// Writes still pending, with their sibling lists — the server
     /// re-notifies these periodically so notifications lost to a
     /// partition are eventually replayed (liveness of promotion).
-    pub fn pending_writes(&self) -> Vec<(Timestamp, Key, Vec<Key>)> {
+    pub fn pending_writes(&self) -> Vec<(Timestamp, Key, Arc<[Key]>)> {
         let mut out = Vec::new();
         for (&ts, keys) in &self.pending_by_ts {
             for key in keys {
@@ -427,7 +428,7 @@ impl ClientProtocol for MavClient {
     }
 
     fn fold_read(&mut self, _core: &mut ClientCore, _key: &Key, record: &Record) {
-        for sib in &record.siblings {
+        for sib in record.siblings.iter() {
             let e = self.required.entry(sib.clone()).or_insert(record.stamp);
             *e = (*e).max(record.stamp);
         }
@@ -448,7 +449,9 @@ mod tests {
         Record::with_siblings(
             ts,
             Bytes::from(val.to_owned()),
-            sibs.iter().map(|s| Key::from(s.to_string())).collect(),
+            sibs.iter()
+                .map(|s| Key::from(s.to_string()))
+                .collect::<Vec<_>>(),
         )
     }
 

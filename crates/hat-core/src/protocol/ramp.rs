@@ -585,7 +585,7 @@ impl ClientProtocol for RampFastClient {
     /// themselves against them.
     fn fold_read(&mut self, core: &mut ClientCore, _key: &Key, record: &Record) {
         core.metrics.metadata_bytes += sibling_bytes(record);
-        for sib in &record.siblings {
+        for sib in record.siblings.iter() {
             let e = self.floor.entry(sib.clone()).or_insert(record.stamp);
             *e = (*e).max(record.stamp);
         }
@@ -805,7 +805,9 @@ mod tests {
         Record::with_siblings(
             ts,
             Bytes::from(val.to_owned()),
-            sibs.iter().map(|s| Key::from(s.to_string())).collect(),
+            sibs.iter()
+                .map(|s| Key::from(s.to_string()))
+                .collect::<Vec<_>>(),
         )
     }
 

@@ -7,11 +7,10 @@
 //! as an option at all." The dataset is reproduced verbatim (as of
 //! January 2013, from the paper's reference \[8\]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Isolation levels appearing in Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationLevel {
     /// RC — read committed.
     ReadCommitted,
@@ -51,7 +50,7 @@ impl fmt::Display for IsolationLevel {
 }
 
 /// One surveyed database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SurveyEntry {
     /// Product name and version as printed in Table 2.
     pub database: &'static str,

@@ -8,12 +8,11 @@
 //! directly as the antichains of the HA + sticky sub-order (sets of
 //! mutually incomparable achievable models).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Availability classification of a model (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Availability {
     /// Achievable with (non-sticky) high availability.
     HighlyAvailable,
@@ -24,7 +23,7 @@ pub enum Availability {
 }
 
 /// Why a model is unavailable (the †/‡/⊕ footnotes of Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Unavailability {
     /// Requires preventing Lost Update (†).
     pub prevents_lost_update: bool,
@@ -35,7 +34,7 @@ pub struct Unavailability {
 }
 
 /// The consistency / isolation models of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // the variants are the paper's own acronyms
 pub enum Model {
     ReadUncommitted,

@@ -9,10 +9,9 @@
 use crate::timestamp::Timestamp;
 use bytes::Bytes;
 use hat_storage::Key;
-use serde::{Deserialize, Serialize};
 
 /// One operation in a transaction plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Read a single item.
     Read(Key),
@@ -53,7 +52,7 @@ impl Op {
 }
 
 /// A transaction plan: ordered operations to execute.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TxnSpec {
     /// Operations in program order.
     pub ops: Vec<Op>,
@@ -94,7 +93,7 @@ impl TxnSpec {
 }
 
 /// How a transaction ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
     /// All effects installed.
     Committed,
@@ -110,7 +109,7 @@ pub enum TxnOutcome {
 }
 
 /// What one executed operation observed or installed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpRecord {
     /// A read of `key` that observed the version written at
     /// `observed` (the initial `⊥` version when `observed.seq == 0`).
@@ -139,7 +138,7 @@ pub enum OpRecord {
 }
 
 /// The execution record of one transaction — a history fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnRecord {
     /// The transaction's timestamp (unique id; also the stamp of all its
     /// writes).

@@ -13,7 +13,8 @@
 //! so the test pins retry behaviour, not tag numbering.
 
 use hat_core::{
-    Client, ClusterLayout, Msg, ProtocolKind, SessionLevel, SessionOptions, SystemConfig, Timestamp,
+    Client, ClientCmd, ClusterLayout, Msg, ProtocolKind, SessionLevel, SessionOptions,
+    SystemConfig, Timestamp,
 };
 use hat_sim::{Ctx, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -65,7 +66,10 @@ impl Harness {
 
     /// Runs `f` against the client with a detached context at `now` and
     /// returns the messages it sent.
-    fn step(&mut self, f: impl FnOnce(&mut Client, &mut Ctx<'_, Msg>)) -> Vec<(NodeId, Msg)> {
+    fn step<R>(
+        &mut self,
+        f: impl FnOnce(&mut Client, &mut Ctx<'_, Msg>) -> R,
+    ) -> Vec<(NodeId, Msg)> {
         let mut ctx = Ctx::detached(CLIENT, self.now, &mut self.rng);
         f(&mut self.client, &mut ctx);
         let (sends, timers) = ctx.into_outputs();
@@ -102,9 +106,10 @@ fn retried_get_keeps_the_causal_session_floor() {
 
     // Txn 1: write k and commit, establishing the causal floor for k.
     let txn1 = h.client.begin(h.now);
-    let sends = h.step(|c, ctx| c.issue_write(ctx, "k".into(), bytes::Bytes::from_static(b"v1")));
+    let v1 = bytes::Bytes::from_static(b"v1");
+    let sends = h.step(|c, ctx| c.start_cmd(ctx, ClientCmd::Put("k".into(), v1)));
     assert!(sends.is_empty(), "MAV buffers writes until commit");
-    let commit_sends = h.step(|c, ctx| c.start_commit(ctx));
+    let commit_sends = h.step(|c, ctx| c.start_cmd(ctx, ClientCmd::Commit));
     let (put_op, floor) = match commit_sends.as_slice() {
         [(to, Msg::Put { op, record, .. })] => {
             assert_eq!(*to, SERVER);
@@ -128,7 +133,7 @@ fn retried_get_keeps_the_causal_session_floor() {
     // Txn 2: read k. The initial Get must carry the session floor.
     h.client.clear_finished();
     h.client.begin(h.now + SimDuration::from_millis(1));
-    let sends = h.step(|c, ctx| c.issue_read(ctx, "k".into()));
+    let sends = h.step(|c, ctx| c.start_cmd(ctx, ClientCmd::Get("k".into())));
     assert_eq!(
         get_required(&sends),
         floor,
@@ -153,7 +158,7 @@ fn retried_get_keeps_the_causal_session_floor() {
 fn retried_get_without_causal_session_has_no_floor() {
     let mut h = Harness::new(single_replica_client(SessionLevel::None), 2);
     h.client.begin(h.now);
-    let sends = h.step(|c, ctx| c.issue_read(ctx, "k".into()));
+    let sends = h.step(|c, ctx| c.start_cmd(ctx, ClientCmd::Get("k".into())));
     assert_eq!(get_required(&sends), Timestamp::INITIAL);
     let resent = h.retry();
     assert_eq!(get_required(&resent), Timestamp::INITIAL);

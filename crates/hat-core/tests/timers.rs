@@ -5,7 +5,7 @@
 
 use hat_core::client::TxnSource;
 use hat_core::{
-    ClusterSpec, DeploymentBuilder, Frontend, HatError, Msg, Node, Op, ProtocolKind,
+    ClientCmd, ClusterSpec, DeploymentBuilder, Frontend, HatError, Msg, Node, Op, ProtocolKind,
     SessionOptions, TxnBackend, TxnSpec,
 };
 use hat_sim::{Actor, Ctx, NetHop, NodeId, SimDuration, SimTime, TimerId};
@@ -144,7 +144,7 @@ fn unanswered_round_retries_on_its_own_backoff_schedule() {
     engine.with_actor_ctx(client, |node, ctx| {
         let c = node.as_client_mut().unwrap();
         c.begin(ctx.now());
-        c.issue_read(ctx, "a".into());
+        c.start_cmd(ctx, ClientCmd::Get("a".into()));
     });
     while busy(engine) {
         engine.step();
@@ -155,7 +155,8 @@ fn unanswered_round_retries_on_its_own_backoff_schedule() {
     engine.crash(server);
     let opened = engine.now();
     engine.with_actor_ctx(client, |node, ctx| {
-        node.as_client_mut().unwrap().issue_read(ctx, "b".into())
+        let c = node.as_client_mut().unwrap();
+        c.start_cmd(ctx, ClientCmd::Get("b".into()))
     });
     engine.run_for(SimDuration::from_secs(20));
 

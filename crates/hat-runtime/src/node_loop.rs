@@ -1,11 +1,16 @@
 //! Per-node event loop: a thread owning one [`Node`].
 //!
-//! Client nodes can optionally carry an *interactive port*: a command
-//! channel over which a `RuntimeFrontend` injects transaction operations
-//! (begin / get / put / scan / commit …) into the running thread, and a
-//! reply channel carrying results back. This is what makes the threaded
-//! runtime drivable through the same [`hat_core::Frontend`] surface as
-//! the simulator instead of only replaying canned `TxnSource` plans.
+//! Client nodes can optionally carry an *interactive port*: the
+//! transport of the one command path both backends share. A
+//! `RuntimeFrontend` sends [`ClientCmd`]s (begin / get / put / scan /
+//! commit …) into the running thread and gets [`ClientReply`]s back, so
+//! the threaded runtime is drivable through the same
+//! [`hat_core::Frontend`] surface as the simulator instead of only
+//! replaying canned `TxnSource` plans. What a command does is the
+//! client's own code — `Client::start_cmd`, then `Client::finish_cmd`
+//! once the client is idle — exactly as under the simulator; the loop
+//! adds only the transport and a wall-clock deadline, at which it
+//! abandons the transaction and replies `Failed(Unavailable)`.
 //!
 //! One pass of the loop delivers everything due (messages and timers
 //! from one heap), runs the durability barrier, serves the interactive
@@ -21,19 +26,14 @@
 //! and servers arm one periodic timer per task.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use hat_core::{
-    ClientMetrics, HatError, Msg, Node, SessionOptions, TraceEventKind, TraceSink, TxnRecord,
-};
+use hat_core::{ClientCmd, ClientReply, HatError, Msg, Node, TraceEventKind, TraceSink};
 use hat_sim::{Actor, Ctx, NodeId, SimTime, TimerId};
-use hat_storage::Key;
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use bytes::Bytes;
 
 /// Everything a node thread can receive on its inbox. Interactive
 /// commands share the inbox with network traffic so their arrival wakes
@@ -55,61 +55,6 @@ pub enum Envelope {
     Cmd(u64, ClientCmd),
 }
 
-/// An interactive operation injected into a client thread.
-#[derive(Debug)]
-pub enum ClientCmd {
-    /// Replaces the client's session options (frontends send this when
-    /// a session is opened over the client).
-    SetSession(SessionOptions),
-    /// Begins a transaction (clearing any finished one).
-    Begin,
-    /// Item read.
-    Get(Key),
-    /// One-shot multi-key read (RAMP-Small `GET_ALL`; a protocol
-    /// without one answers [`ClientReply::Unbatched`]).
-    GetMany(Vec<Key>),
-    /// Write (buffered or sent, per protocol).
-    Put(Key, Bytes),
-    /// Predicate read.
-    Scan(Key),
-    /// Internal abort of the open transaction.
-    AbortTxn,
-    /// Commit the open transaction.
-    Commit,
-    /// Abandon the open transaction (after an operation failure).
-    Abandon,
-    /// Drain recorded transaction histories.
-    TakeRecords,
-    /// Snapshot the client's metrics.
-    Metrics,
-}
-
-/// Reply to a [`ClientCmd`].
-#[derive(Debug)]
-pub enum ClientReply {
-    /// Command applied (begin / set-session / abort / abandon).
-    Ack,
-    /// Read result; `None` is the initial `⊥` version.
-    Read(Option<Bytes>),
-    /// Batch read results, one per requested key in request order.
-    ReadMany(Vec<Option<Bytes>>),
-    /// The protocol has no one-shot batch read: the keys, handed back
-    /// for the frontend to read one at a time.
-    Unbatched(Vec<Key>),
-    /// Write applied (or buffered).
-    Wrote,
-    /// Scan result.
-    Scanned(Vec<(Key, Bytes)>),
-    /// Commit succeeded.
-    Committed,
-    /// The operation or commit failed.
-    Failed(HatError),
-    /// Drained histories.
-    Records(Vec<TxnRecord>),
-    /// Metrics snapshot.
-    Metrics(Box<ClientMetrics>),
-}
-
 /// The interactive port handed to client threads. Commands arrive via
 /// the node's inbox ([`Envelope::Cmd`]); replies carry the command's
 /// correlation sequence number, so if the frontend times out on a
@@ -121,16 +66,6 @@ pub struct InteractivePort {
     /// Wall-clock deadline for one operation/commit before the node
     /// abandons it and reports unavailability.
     pub op_deadline: Duration,
-}
-
-/// What the in-flight interactive command is waiting for.
-#[derive(Debug, Clone, Copy)]
-enum PendingCmd {
-    Get,
-    GetMany(usize),
-    Put,
-    Scan,
-    Commit,
 }
 
 #[derive(Debug)]
@@ -195,9 +130,10 @@ pub fn run_node(
 ) -> Node {
     let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut pending_cmd: Option<(u64, PendingCmd, Instant)> = None;
-    let mut cmd_queue: std::collections::VecDeque<(u64, ClientCmd)> =
-        std::collections::VecDeque::new();
+    // The command in flight (its sequence and deadline), and those queued
+    // behind it.
+    let mut in_flight: Option<(u64, Instant)> = None;
+    let mut cmd_queue: VecDeque<(u64, ClientCmd)> = VecDeque::new();
 
     let now_sim = |epoch: Instant| SimTime(epoch.elapsed().as_micros() as u64);
 
@@ -269,13 +205,13 @@ pub fn run_node(
                 epoch,
             );
         }
-        // interactive port: resolve a finished command, accept new ones
+        // interactive port: answer a finished command, start queued ones
         if let Some(port) = &interactive {
             service_interactive(
                 &mut node,
                 id,
                 port,
-                &mut pending_cmd,
+                &mut in_flight,
                 &mut cmd_queue,
                 &router,
                 &mut heap,
@@ -362,160 +298,55 @@ fn spin_recv(rx: &Receiver<Envelope>, heap: &BinaryHeap<Reverse<Scheduled>>) -> 
     None
 }
 
-/// Resolves the in-flight interactive command if its network round
-/// finished (or timed out), then accepts new commands while idle.
+/// Serves the interactive port: answers the command in flight once its
+/// client is idle, or abandons it at its deadline, then starts queued
+/// commands one at a time (the frontend issues one operation and blocks
+/// on its reply).
 #[allow(clippy::too_many_arguments)]
 fn service_interactive(
     node: &mut Node,
     id: NodeId,
     port: &InteractivePort,
-    pending_cmd: &mut Option<(u64, PendingCmd, Instant)>,
-    cmd_queue: &mut std::collections::VecDeque<(u64, ClientCmd)>,
-    router: &Arc<Router>,
+    in_flight: &mut Option<(u64, Instant)>,
+    cmd_queue: &mut VecDeque<(u64, ClientCmd)>,
+    router: &Router,
     heap: &mut BinaryHeap<Reverse<Scheduled>>,
     seq: &mut u64,
     rng: &mut StdRng,
     epoch: Instant,
     trace: &TraceSink,
 ) {
-    let busy = |node: &Node| node.as_client().map(|c| c.busy()).unwrap_or(false);
-
-    if let Some((cmd_seq, kind, deadline)) = *pending_cmd {
-        if !busy(node) {
-            *pending_cmd = None;
-            let mut ctx = Ctx::detached(id, SimTime(epoch.elapsed().as_micros() as u64), rng);
-            let reply = resolve_cmd(node, &mut ctx, kind);
-            let (sends, timers) = ctx.into_outputs();
-            dispatch_outputs(id, sends, timers, router, heap, seq, trace, epoch);
-            let _ = port.reply_tx.send((cmd_seq, reply));
-        } else if Instant::now() >= deadline {
-            *pending_cmd = None;
-            // Abandon with a full Ctx: dropping the transaction must
-            // release any held 2PL locks (unlock messages go out here).
-            let mut ctx = Ctx::detached(id, SimTime(epoch.elapsed().as_micros() as u64), rng);
-            if let Some(c) = node.as_client_mut() {
-                c.abandon(&mut ctx);
-            }
-            let (sends, timers) = ctx.into_outputs();
-            dispatch_outputs(id, sends, timers, router, heap, seq, trace, epoch);
-            let _ = port.reply_tx.send((
-                cmd_seq,
-                ClientReply::Failed(HatError::Unavailable { key: None }),
-            ));
-        }
-    }
-    // Accept commands only while nothing is in flight: the frontend
-    // issues one operation at a time and blocks on the reply.
-    while pending_cmd.is_none() {
-        let Some((cmd_seq, cmd)) = cmd_queue.pop_front() else {
-            break;
-        };
+    let client = node.as_client_mut().expect("interactive port on a client");
+    while in_flight.is_some() || !cmd_queue.is_empty() {
         let mut ctx = Ctx::detached(id, SimTime(epoch.elapsed().as_micros() as u64), rng);
-        let outcome = apply_cmd(node, &mut ctx, cmd);
-        let reply = match outcome {
-            CmdOutcome::Replied(reply) => Some(reply),
-            CmdOutcome::Pending(kind) => {
-                if busy(node) {
-                    *pending_cmd = Some((cmd_seq, kind, Instant::now() + port.op_deadline));
-                    None
-                } else {
-                    // completed synchronously (cache hit, buffered
-                    // write, instant commit)
-                    Some(resolve_cmd(node, &mut ctx, kind))
+        let reply = match *in_flight {
+            Some((cmd_seq, _)) if !client.busy() => {
+                *in_flight = None;
+                Some((cmd_seq, client.finish_cmd(&mut ctx)))
+            }
+            Some((_, deadline)) if Instant::now() < deadline => break,
+            Some((cmd_seq, _)) => {
+                *in_flight = None;
+                // Abandoning releases any held 2PL locks (unlock messages
+                // go out here).
+                client.abandon(&mut ctx);
+                let unavailable = HatError::Unavailable { key: None };
+                Some((cmd_seq, ClientReply::Failed(unavailable)))
+            }
+            None => {
+                let (cmd_seq, cmd) = cmd_queue.pop_front().expect("the loop checked");
+                let reply = client.start_cmd(&mut ctx, cmd);
+                if reply.is_none() {
+                    *in_flight = Some((cmd_seq, Instant::now() + port.op_deadline));
                 }
+                reply.map(|reply| (cmd_seq, reply))
             }
         };
         let (sends, timers) = ctx.into_outputs();
         dispatch_outputs(id, sends, timers, router, heap, seq, trace, epoch);
         if let Some(reply) = reply {
-            let _ = port.reply_tx.send((cmd_seq, reply));
+            let _ = port.reply_tx.send(reply);
         }
-    }
-}
-
-/// What applying a command produced: an immediate reply, or a network
-/// round to wait on.
-enum CmdOutcome {
-    Replied(ClientReply),
-    Pending(PendingCmd),
-}
-
-/// Applies one command against the client actor.
-fn apply_cmd(node: &mut Node, ctx: &mut Ctx<'_, Msg>, cmd: ClientCmd) -> CmdOutcome {
-    let client = node.as_client_mut().expect("interactive port on a client");
-    match cmd {
-        ClientCmd::SetSession(opts) => {
-            client.set_session_options(opts);
-            CmdOutcome::Replied(ClientReply::Ack)
-        }
-        ClientCmd::Begin => {
-            client.clear_finished();
-            client.begin(ctx.now());
-            CmdOutcome::Replied(ClientReply::Ack)
-        }
-        ClientCmd::Get(key) => {
-            client.issue_read(ctx, key);
-            CmdOutcome::Pending(PendingCmd::Get)
-        }
-        ClientCmd::GetMany(keys) => {
-            let n = keys.len();
-            match client.issue_read_many(ctx, keys) {
-                Ok(()) => CmdOutcome::Pending(PendingCmd::GetMany(n)),
-                Err(keys) => CmdOutcome::Replied(ClientReply::Unbatched(keys)),
-            }
-        }
-        ClientCmd::Put(key, value) => {
-            client.issue_write(ctx, key, value);
-            CmdOutcome::Pending(PendingCmd::Put)
-        }
-        ClientCmd::Scan(prefix) => {
-            client.issue_scan(ctx, prefix);
-            CmdOutcome::Pending(PendingCmd::Scan)
-        }
-        ClientCmd::AbortTxn => {
-            client.abort(ctx);
-            CmdOutcome::Replied(ClientReply::Ack)
-        }
-        ClientCmd::Commit => {
-            client.start_commit(ctx);
-            CmdOutcome::Pending(PendingCmd::Commit)
-        }
-        ClientCmd::Abandon => {
-            client.abandon(ctx);
-            CmdOutcome::Replied(ClientReply::Ack)
-        }
-        ClientCmd::TakeRecords => CmdOutcome::Replied(ClientReply::Records(client.take_records())),
-        ClientCmd::Metrics => {
-            CmdOutcome::Replied(ClientReply::Metrics(Box::new(client.metrics.clone())))
-        }
-    }
-}
-
-/// Builds the reply for a command whose network round has resolved.
-/// The value/outcome mapping lives on [`hat_core::Client`]
-/// (`last_read_value` / `op_interrupted` / `commit_result`), shared
-/// with the simulator backend so the two cannot diverge.
-fn resolve_cmd(node: &mut Node, ctx: &mut Ctx<'_, Msg>, kind: PendingCmd) -> ClientReply {
-    let client = node.as_client_mut().expect("interactive port on a client");
-    match kind {
-        PendingCmd::Get | PendingCmd::GetMany(_) | PendingCmd::Put | PendingCmd::Scan => {
-            // A transaction finished mid-operation (2PL lock timeout →
-            // external abort) fails the operation itself.
-            if let Some(e) = client.op_interrupted() {
-                return ClientReply::Failed(e);
-            }
-            match kind {
-                PendingCmd::Get => ClientReply::Read(client.last_read_value()),
-                PendingCmd::GetMany(n) => ClientReply::ReadMany(client.last_read_values(n)),
-                PendingCmd::Put => ClientReply::Wrote,
-                PendingCmd::Scan => ClientReply::Scanned(client.last_scan().to_vec()),
-                PendingCmd::Commit => unreachable!(),
-            }
-        }
-        PendingCmd::Commit => match client.commit_result(ctx) {
-            Ok(()) => ClientReply::Committed,
-            Err(e) => ClientReply::Failed(e),
-        },
     }
 }
 

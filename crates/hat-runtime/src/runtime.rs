@@ -1,23 +1,20 @@
 //! The threaded runtime: spawn, run, collect — and the interactive
 //! [`RuntimeFrontend`] implementing [`hat_core::Frontend`].
 
-use crate::node_loop::{run_node, ClientCmd, ClientReply, Envelope, InteractivePort, Router};
+use crate::node_loop::{run_node, Envelope, InteractivePort, Router};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hat_core::{
-    ClientMetrics, ClusterLayout, DeploymentBuilder, Frontend, HatError, Node, Session,
-    SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
+    ClientCmd, ClientMetrics, ClientReply, ClusterLayout, DeploymentBuilder, Frontend, HatError,
+    Node, Session, SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
 };
 use hat_obs::ObsSink;
 use hat_sim::{LatencyModel, NodeId, SimDuration, Topology};
-use hat_storage::Key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use bytes::Bytes;
 
 /// Threaded runtime configuration.
 #[derive(Debug, Clone)]
@@ -318,7 +315,11 @@ impl RuntimeFrontend {
     /// wedged client thread as [`HatError::Unavailable`] instead of
     /// panicking.
     pub fn try_session_metrics(&self, session: &Session) -> Result<ClientMetrics, HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::Metrics)? {
+        self.metrics_of(session.index() as usize)
+    }
+
+    fn metrics_of(&self, idx: usize) -> Result<ClientMetrics, HatError> {
+        match self.roundtrip(idx, ClientCmd::Metrics)? {
             ClientReply::Metrics(m) => Ok(*m),
             other => panic!("protocol mismatch: expected Metrics, got {other:?}"),
         }
@@ -360,14 +361,6 @@ impl RuntimeFrontend {
             .expect("runtime running")
             .begin_handoff(token, to_position);
     }
-
-    fn expect_ack(&self, idx: usize, cmd: ClientCmd) -> Result<(), HatError> {
-        match self.roundtrip(idx, cmd)? {
-            ClientReply::Ack => Ok(()),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected Ack, got {other:?}"),
-        }
-    }
 }
 
 impl Drop for RuntimeFrontend {
@@ -385,64 +378,8 @@ impl Drop for RuntimeFrontend {
 }
 
 impl TxnBackend for RuntimeFrontend {
-    fn begin(&mut self, session: &Session) -> Result<(), HatError> {
-        self.expect_ack(session.index() as usize, ClientCmd::Begin)
-    }
-
-    fn exec_get(&mut self, session: &Session, key: Key) -> Result<Option<Bytes>, HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::Get(key))? {
-            ClientReply::Read(v) => Ok(v),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected Read, got {other:?}"),
-        }
-    }
-
-    fn exec_get_many(
-        &mut self,
-        session: &Session,
-        keys: Vec<Key>,
-    ) -> Result<Vec<Option<Bytes>>, HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::GetMany(keys))? {
-            ClientReply::ReadMany(vs) => Ok(vs),
-            ClientReply::Unbatched(keys) => keys
-                .into_iter()
-                .map(|k| self.exec_get(session, k))
-                .collect(),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected ReadMany, got {other:?}"),
-        }
-    }
-
-    fn exec_put(&mut self, session: &Session, key: Key, value: Bytes) -> Result<(), HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::Put(key, value))? {
-            ClientReply::Wrote => Ok(()),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected Wrote, got {other:?}"),
-        }
-    }
-
-    fn exec_scan(&mut self, session: &Session, prefix: Key) -> Result<Vec<(Key, Bytes)>, HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::Scan(prefix))? {
-            ClientReply::Scanned(v) => Ok(v),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected Scanned, got {other:?}"),
-        }
-    }
-
-    fn exec_abort(&mut self, session: &Session) {
-        let _ = self.expect_ack(session.index() as usize, ClientCmd::AbortTxn);
-    }
-
-    fn commit(&mut self, session: &Session) -> Result<(), HatError> {
-        match self.roundtrip(session.index() as usize, ClientCmd::Commit)? {
-            ClientReply::Committed => Ok(()),
-            ClientReply::Failed(e) => Err(e),
-            other => panic!("protocol mismatch: expected Committed, got {other:?}"),
-        }
-    }
-
-    fn abandon(&mut self, session: &Session) {
-        let _ = self.expect_ack(session.index() as usize, ClientCmd::Abandon);
+    fn exec(&mut self, session: &Session, cmd: ClientCmd) -> Result<ClientReply, HatError> {
+        self.roundtrip(session.index() as usize, cmd)
     }
 }
 
@@ -456,9 +393,11 @@ impl Frontend for RuntimeFrontend {
         );
         let idx = self.opened;
         self.opened += 1;
-        self.expect_ack(idx, ClientCmd::SetSession(opts))
-            .expect("session open");
-        Session::from_parts(idx as u32, self.layout.clients[idx], opts)
+        let session = Session::from_parts(idx as u32, self.layout.clients[idx], opts);
+        match self.exec(&session, ClientCmd::SetSession(opts)) {
+            Ok(ClientReply::Ack) => session,
+            other => panic!("session open: {other:?}"),
+        }
     }
 
     fn run_for(&mut self, d: SimDuration) {
@@ -487,12 +426,8 @@ impl Frontend for RuntimeFrontend {
         // counters are still recovered at `shutdown()`, which joins the
         // thread instead of asking it).
         let mut total = ClientMetrics::default();
-        for idx in 0..self.ports.len() {
-            match self.roundtrip(idx, ClientCmd::Metrics) {
-                Ok(ClientReply::Metrics(m)) => total.merge(&m),
-                Ok(other) => panic!("protocol mismatch: expected Metrics, got {other:?}"),
-                Err(_) => continue,
-            }
+        for m in (0..self.ports.len()).filter_map(|idx| self.metrics_of(idx).ok()) {
+            total.merge(&m);
         }
         total
     }

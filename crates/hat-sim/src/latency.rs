@@ -13,10 +13,9 @@
 use crate::time::SimDuration;
 use crate::topology::Site;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The EC2 regions used in the paper's measurement study (Table 1c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// us-west-1 (CA)
     California,
@@ -136,7 +135,7 @@ pub enum LinkClass {
 }
 
 /// A calibrated latency model: log-normal RTTs per link class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// Loopback RTT in ms.
     pub local_rtt_ms: f64,

@@ -9,7 +9,6 @@
 
 use crate::time::SimTime;
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A single partition event: during `[start, end)` no message may cross
@@ -18,7 +17,7 @@ use std::collections::BTreeSet;
 ///
 /// Nodes listed on neither side are unaffected by this partition. `end`
 /// may be [`SimTime`]`(u64::MAX)` to model an indefinite partition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partition {
     /// First instant at which the partition is active.
     pub start: SimTime,
@@ -93,7 +92,7 @@ impl Partition {
 }
 
 /// A set of partitions active over a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionSchedule {
     partitions: Vec<Partition>,
 }

@@ -8,8 +8,6 @@
 //! unchanged, so existing `hat_sim::stats::Histogram` users are
 //! unaffected.
 
-use serde::{Deserialize, Serialize};
-
 pub use hat_obs::{Histogram, LatencyPercentiles};
 
 /// Returns the `q`-quantile (`0.0..=1.0`) of `sorted` using the
@@ -25,7 +23,7 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Five-number-style summary of a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: u64,

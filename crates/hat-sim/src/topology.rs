@@ -7,14 +7,13 @@
 //! classify every link.
 
 use crate::latency::Region;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a simulated node (server or client).
 pub type NodeId = u32;
 
 /// Physical placement of a node: a region plus an availability zone index
 /// within that region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Site {
     /// Geographic region (EC2 region in the paper's terms).
     pub region: Region,

@@ -610,7 +610,7 @@ mod tests {
         }
         let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
         let r = s.latest(b"x").unwrap();
-        assert_eq!(r.siblings, vec![Key::from("x"), Key::from("y")]);
+        assert_eq!(*r.siblings, [Key::from("x"), Key::from("y")]);
         assert_eq!(r.stamp, VersionStamp::new(1, 2));
         std::fs::remove_dir_all(dir).unwrap();
     }

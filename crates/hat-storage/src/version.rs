@@ -10,7 +10,6 @@
 //! and all replicas agree on the order.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,9 +34,7 @@ pub type SharedRecord = Arc<Record>;
 /// client's transaction counter); `writer` is the client id. Two stamps
 /// from different writers with equal `seq` are ordered by writer id — an
 /// arbitrary but *consistent* order, which is all last-writer-wins needs.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VersionStamp {
     /// Logical sequence number (major component).
     pub seq: u64,
@@ -71,15 +68,16 @@ impl fmt::Display for VersionStamp {
 ///
 /// `siblings` is the MAV algorithm's `tx_keys` list (Appendix B): the set
 /// of keys written by the same transaction. Protocols that do not need it
-/// leave it empty; the storage layer treats it as opaque.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// leave it empty; the storage layer treats it as opaque. One list is
+/// shared by every record of its transaction.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Version stamp (transaction timestamp).
     pub stamp: VersionStamp,
     /// Value bytes.
     pub value: Bytes,
     /// Keys written by the same transaction (MAV metadata), possibly empty.
-    pub siblings: Vec<Key>,
+    pub siblings: Arc<[Key]>,
 }
 
 impl Record {
@@ -88,16 +86,20 @@ impl Record {
         Record {
             stamp,
             value: value.into(),
-            siblings: Vec::new(),
+            siblings: Arc::default(),
         }
     }
 
     /// Builds a record carrying the transaction's sibling key list.
-    pub fn with_siblings(stamp: VersionStamp, value: impl Into<Bytes>, siblings: Vec<Key>) -> Self {
+    pub fn with_siblings(
+        stamp: VersionStamp,
+        value: impl Into<Bytes>,
+        siblings: impl Into<Arc<[Key]>>,
+    ) -> Self {
         Record {
             stamp,
             value: value.into(),
-            siblings,
+            siblings: siblings.into(),
         }
     }
 

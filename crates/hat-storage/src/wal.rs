@@ -105,7 +105,7 @@ fn encode_put(buf: &mut Vec<u8>, key: &[u8], record: &Record) {
     buf.extend_from_slice(&record.stamp.writer.to_le_bytes());
     put_bytes(buf, &record.value);
     buf.extend_from_slice(&(record.siblings.len() as u32).to_le_bytes());
-    for s in &record.siblings {
+    for s in record.siblings.iter() {
         put_bytes(buf, s);
     }
 }
@@ -138,7 +138,7 @@ pub fn decode_entry(mut buf: &[u8]) -> Option<WalEntry> {
                 record: Record {
                     stamp: VersionStamp::new(seq, writer),
                     value,
-                    siblings,
+                    siblings: siblings.into(),
                 },
             })
         }
@@ -550,7 +550,9 @@ mod tests {
             record: Record::with_siblings(
                 VersionStamp::new(seq, 1),
                 Bytes::from(val.to_owned()),
-                sibs.iter().map(|s| Key::from(s.to_string())).collect(),
+                sibs.iter()
+                    .map(|s| Key::from(s.to_string()))
+                    .collect::<Vec<_>>(),
             ),
         }
     }

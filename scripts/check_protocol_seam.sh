@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fails if protocol-agnostic code branches on the protocol, if anything
-# but the WAL reaches for the disk, or if a client arms a timer outside
-# its deadline helper.
+# but the WAL reaches for the disk, if a client arms a timer outside its
+# deadline helper, or if an interactive operation is issued outside the
+# client's command path.
 #
 # Every per-level decision lives in crates/hat-core/src/protocol/, behind
 # ProtocolEngine (server half) and ClientProtocol (client half). The
@@ -19,6 +20,12 @@
 # protocol/: the client core and every ClientProtocol half arm deadlines
 # through the one-live-timer helper, so one timer per request (and a
 # backend heap full of timers nothing cancels) cannot creep back.
+#
+# An interactive operation is issued (`issue_read(`, `issue_read_many(`,
+# `issue_write(`, `issue_scan(`, `start_commit(`) in
+# crates/hat-core/src/client/ and nowhere else: both backends run every
+# operation as a ClientCmd through Client::start_cmd / finish_cmd, so no
+# backend can grow a per-operation path of its own again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +57,12 @@ done
 if hits=$(grep -rnE '\.sync_(data|all)\(' --include='*.rs' crates src tests examples |
     grep -v '^crates/hat-storage/src/wal\.rs:'); then
     echo "disk sync outside crates/hat-storage/src/wal.rs:" >&2
+    echo "$hits" >&2
+    status=1
+fi
+if hits=$(grep -rnE '\b(issue_read|issue_read_many|issue_write|issue_scan|start_commit)\(' \
+    --include='*.rs' crates src tests examples | grep -v '^crates/hat-core/src/client/'); then
+    echo "interactive operation issued outside crates/hat-core/src/client/:" >&2
     echo "$hits" >&2
     status=1
 fi

@@ -5,7 +5,8 @@
 //! isolation level it advertises.
 
 use hatdb::core::{
-    ClusterSpec, DeploymentBuilder, ProtocolKind, SessionLevel, SessionOptions, TxnRecord,
+    ClientCmd, ClusterSpec, DeploymentBuilder, ProtocolKind, SessionLevel, SessionOptions,
+    TxnRecord,
 };
 use hatdb::history::{check, IsolationLevel, Phenomenon};
 use hatdb::sim::SimDuration;
@@ -389,18 +390,12 @@ fn eventual_violates_rc_given_intermediate_reads() {
         let writer = front.client(0);
         // writer writes x twice in one txn (an intermediate version
         // exists server-side between the two puts)
-        front.engine_mut().with_actor_ctx(writer, |node, ctx| {
-            let c = node.as_client_mut().unwrap();
-            c.clear_finished();
-            c.begin(ctx.now());
-        });
         // first write goes out...
         front.engine_mut().with_actor_ctx(writer, |node, ctx| {
-            node.as_client_mut().unwrap().issue_write(
-                ctx,
-                "x".into(),
-                bytes::Bytes::from("intermediate"),
-            )
+            let c = node.as_client_mut().unwrap();
+            c.start_cmd(ctx, ClientCmd::Begin);
+            let put = ClientCmd::Put("x".into(), bytes::Bytes::from("intermediate"));
+            c.start_cmd(ctx, put);
         });
         // ... reader races while the writer's txn is still open (wait
         // past an anti-entropy tick so the other cluster has the dirty
