@@ -14,8 +14,11 @@
 //! * RAMP-F reads are one round unless a fracture is detected, so its
 //!   rounds/txn sit close to RC's; its metadata cost scales with the
 //!   write-set (like MAV's) but it sends no Notify traffic at all.
-//! * RAMP-S always pays two read rounds (worst rounds/txn on read-heavy
-//!   mixes) in exchange for constant-size metadata (lowest bytes/txn).
+//! * RAMP-S always pays two read rounds, but for a whole transaction's
+//!   reads at once (the driver issues them as one `GET_ALL`), so its
+//!   rounds/txn are the lowest on read-heavy mixes; its second-round
+//!   requests carry every stamp the first round learnt, so its
+//!   bytes/txn grow with the read set.
 //! * MAV keeps client rounds low but pays |write-set| × |clusters|
 //!   sibling notifications server-side on every write — the fan-in this
 //!   experiment exists to avoid; its write amplification also shows up

@@ -15,7 +15,7 @@
 
 use crate::client::{Client, ClientCmd, ClientReply, SessionOptions, TxnSource};
 use crate::cluster::{ClusterLayout, ClusterSpec};
-use crate::config::{ProtocolKind, RetryPolicy, SystemConfig};
+use crate::config::{ProtocolKind, SystemConfig};
 use crate::error::HatError;
 use crate::frontend::{Frontend, Session, TxnBackend};
 use crate::messages::Msg;
@@ -42,7 +42,6 @@ pub struct DeploymentBuilder {
     sessions_per_cluster: usize,
     default_session: SessionOptions,
     config: SystemConfig,
-    retry: Option<RetryPolicy>,
     latency: LatencyModel,
     partitions: PartitionSchedule,
     drivers: Vec<Box<dyn TxnSource>>,
@@ -61,7 +60,6 @@ impl DeploymentBuilder {
             sessions_per_cluster: 1,
             default_session: SessionOptions::default(),
             config: SystemConfig::new(protocol),
-            retry: None,
             latency: LatencyModel::default(),
             partitions: PartitionSchedule::none(),
             drivers: Vec::new(),
@@ -98,19 +96,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Overrides the system configuration (service model, intervals).
-    /// The protocol field is forced to the builder's protocol.
+    /// Overrides the system configuration (service model, retry policy,
+    /// deadlines, recording and telemetry switches). The protocol field is
+    /// forced to the builder's protocol.
     pub fn config(mut self, mut config: SystemConfig) -> Self {
         config.protocol = self.protocol;
         self.config = config;
-        self
-    }
-
-    /// Overrides the client retry/backoff policy. Applied at build
-    /// time over the final configuration, so it composes with
-    /// [`DeploymentBuilder::config`] in either order.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 
@@ -332,11 +323,7 @@ impl DeploymentBuilder {
             client_home.push(home);
         }
         let layout = Arc::new(ClusterLayout::new(servers, clients.clone(), client_home));
-        let mut config = self.config;
-        if let Some(retry) = self.retry {
-            config.retry = retry;
-        }
-        let config = Arc::new(config);
+        let config = Arc::new(self.config);
 
         let mut drivers: Vec<Option<Box<dyn TxnSource>>> =
             self.drivers.into_iter().map(Some).collect();
@@ -348,7 +335,7 @@ impl DeploymentBuilder {
             TraceSink::disabled()
         };
         let obs = if config.obs.enabled {
-            ObsSink::enabled(config.obs.options(config.protocol))
+            ObsSink::enabled(config.protocol.checker_policy())
         } else {
             ObsSink::disabled()
         };
@@ -356,7 +343,7 @@ impl DeploymentBuilder {
         let mut actors: Vec<Node> = Vec::with_capacity(topology.len());
         for cluster in 0..n_clusters {
             for &id in &layout.servers[cluster] {
-                let store = make_store(&self.durable, id, config.version_chain_limit);
+                let store = make_store(&self.durable, id);
                 let mut server = Server::with_engine(
                     id,
                     cluster,
@@ -419,20 +406,21 @@ fn make_engine(factory: &Option<EngineFactory>, config: &SystemConfig) -> Engine
 /// Default engine seed when the builder is not given one.
 const DEFAULT_SEED: u64 = 0x4A7_5EED;
 
+/// Per-key bound on a volatile server's version chains. Multi-version
+/// readers (RAMP's by-stamp fetches, snapshot reads) only reach back a
+/// bounded distance, so replicas keep at most this many versions per key.
+const VERSION_CHAIN_LIMIT: usize = 64;
+
 /// Builds the store for server `id`: WAL-backed when the deployment is
 /// durable, otherwise a plain memtable. Each server logs into its own
 /// subdirectory so crash-restart can recover one replica independently.
-fn make_store(
-    durable: &Option<(PathBuf, SyncPolicy)>,
-    id: NodeId,
-    version_cap: usize,
-) -> Box<dyn Store + Send> {
+fn make_store(durable: &Option<(PathBuf, SyncPolicy)>, id: NodeId) -> Box<dyn Store + Send> {
     match durable {
         Some((dir, policy)) => Box::new(
             DurableStore::open(server_store_dir(dir, id), *policy)
                 .expect("open durable server store"),
         ),
-        None => Box::new(MemStore::with_version_cap(version_cap)),
+        None => Box::new(MemStore::with_version_cap(VERSION_CHAIN_LIMIT)),
     }
 }
 
@@ -459,11 +447,6 @@ impl SimFrontend {
     /// clients in partition schedules and layout probes.
     pub fn client(&self, idx: usize) -> NodeId {
         self.layout.clients[idx]
-    }
-
-    /// Number of provisioned client/session slots.
-    pub fn num_clients(&self) -> usize {
-        self.layout.clients.len()
     }
 
     /// The cluster layout.
@@ -689,7 +672,7 @@ impl SimFrontend {
             .as_server()
             .map(|s| s.stats)
             .unwrap_or_default();
-        let store = make_store(&self.durable, node, self.config.version_chain_limit);
+        let store = make_store(&self.durable, node);
         let mut server = Server::with_engine(
             node,
             cluster,

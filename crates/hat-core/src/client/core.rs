@@ -60,6 +60,11 @@ pub(super) struct ActiveTxn {
     pub(super) phase: Phase,
     /// Remaining plan when driver-driven: `(spec, next_op_index)`.
     pub(super) plan: Option<(TxnSpec, usize)>,
+    /// The plan's reads fetched as one batch at its start: the batch's
+    /// issue time and each key's version, served as the plan reaches each
+    /// read. Empty while the batch is in flight; `None` when the plan
+    /// reads one key at a time.
+    pub(super) prefetched: Option<(SimTime, BTreeMap<Key, SharedRecord>)>,
     pub(super) op_seq: u32,
     /// What is in flight.
     pub(super) round: Round,

@@ -223,6 +223,7 @@ impl Client {
             txn_cache: BTreeMap::new(),
             phase: Phase::Executing,
             plan: None,
+            prefetched: None,
             op_seq: 0,
             round: Default::default(),
         });
@@ -230,8 +231,9 @@ impl Client {
         id
     }
 
-    /// Issues an item read. May complete immediately (buffered write /
-    /// cache hit), in which case no network round happens.
+    /// Issues an item read. May complete immediately (buffered write,
+    /// cache hit, or a key its plan fetched in one batch), in which case
+    /// no network round happens.
     fn issue_read(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key) {
         let core = &mut self.core;
         assert!(!core.busy(), "one op at a time");
@@ -243,6 +245,13 @@ impl Client {
                 value: hit.value.clone(),
             });
             core.op_span(ctx.now(), OpKind::Get, true);
+            return;
+        }
+        let batched = core.txn().prefetched.as_ref();
+        let batched = batched.and_then(|(issued, found)| Some((*issued, found.get(&key)?.clone())));
+        if let Some((issued, record)) = batched {
+            core.op_span(ctx.now(), OpKind::Get, true);
+            self.record_read(ctx, OpKind::Get, key, record, issued);
             return;
         }
         self.proto.read(core, ctx, key);
@@ -387,6 +396,14 @@ impl Client {
                 issued,
             } => {
                 self.core.op_span(ctx.now(), OpKind::GetMany, true);
+                if let Some(prefetched) = &mut self.core.txn_mut().prefetched {
+                    let versions = keys.into_iter().map(|key| {
+                        let record = found.get(&key).cloned().unwrap_or_else(bottom);
+                        (key, record)
+                    });
+                    *prefetched = (issued, versions.collect());
+                    return;
+                }
                 for key in keys {
                     let record = found.get(&key).cloned().unwrap_or_else(bottom);
                     self.record_read(ctx, OpKind::GetMany, key, record, issued);
@@ -568,8 +585,26 @@ impl Client {
             return;
         };
         self.begin(ctx.now());
+        let reads = batch_reads(&spec);
         self.core.txn_mut().plan = Some((spec, 0));
+        self.prefetch(ctx, reads);
         self.step_plan(ctx);
+    }
+
+    /// Fetches a plan's reads as one batch (the RAMP paper's `GET_ALL`)
+    /// before its first operation, if the protocol has a native batch:
+    /// RAMP-Small's stamp-only metadata gives a read set Read Atomic only
+    /// when it is fetched together, since reads issued one at a time can
+    /// repair forward but never backward. A protocol without one runs
+    /// the plan one read at a time.
+    fn prefetch(&mut self, ctx: &mut Ctx<'_, Msg>, keys: Vec<Key>) {
+        if keys.is_empty() {
+            return;
+        }
+        self.core.txn_mut().prefetched = Some((ctx.now(), BTreeMap::new()));
+        if self.issue_read_many(ctx, keys).is_err() {
+            self.core.txn_mut().prefetched = None;
+        }
     }
 
     /// Executes plan operations until one goes async or the plan ends.
@@ -666,6 +701,23 @@ impl Client {
             self.step_plan(ctx);
         }
     }
+}
+
+/// The keys a plan reads before writing them, each once, in plan order:
+/// what its batch fetches. A read of a key the plan wrote earlier is
+/// served from the write buffer. Predicate reads are not batched:
+/// `hat_history`'s fractured-read check covers item reads only.
+fn batch_reads(spec: &TxnSpec) -> Vec<Key> {
+    let mut reads: Vec<Key> = Vec::new();
+    let mut written: Vec<&Key> = Vec::new();
+    for op in &spec.ops {
+        match op {
+            Op::Read(k) if !written.contains(&k) && !reads.contains(k) => reads.push(k.clone()),
+            Op::Write(k, _) => written.push(k),
+            _ => {}
+        }
+    }
+    reads
 }
 
 /// Feeds a committed transaction to the live-telemetry sink: its reads

@@ -131,11 +131,6 @@ impl ClusterLayout {
         self.servers.len()
     }
 
-    /// Total number of servers.
-    pub fn num_servers(&self) -> usize {
-        self.servers.iter().map(|c| c.len()).sum()
-    }
-
     /// Servers (= shards) per cluster.
     pub fn shards_per_cluster(&self) -> usize {
         self.servers[0].len()

@@ -97,31 +97,36 @@ impl ProtocolKind {
 /// all-read vs all-write gap), MAV writes ≈ 1.5× plain writes plus a
 /// per-metadata-byte cost (Figure 4) plus a per-sibling-replica
 /// notification cost (the five-cluster fan-in effect of Figure 3C).
+///
+/// The costs are calibration, not workload inputs: a deployment runs
+/// either the calibrated model ([`ServiceModel::default`]) or the free
+/// one ([`ServiceModel::zero`]), and the server and engines read each
+/// cost through a method.
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
     /// Service time of a read, µs.
-    pub read_us: f64,
+    read_us: f64,
     /// Service time of a write (WAL + storage), µs.
-    pub write_us: f64,
+    write_us: f64,
     /// MAV write amplification factor ("two writes for every client-side
     /// write": WAL/pending put then good promotion).
-    pub mav_write_factor: f64,
+    mav_write_factor: f64,
     /// Cost per byte of MAV sibling metadata, µs/byte.
-    pub meta_byte_us: f64,
+    meta_byte_us: f64,
     /// Cost of processing one MAV sibling notification, µs.
-    pub notify_us: f64,
+    notify_us: f64,
     /// Cost of applying one anti-entropy record, µs.
-    pub replicate_record_us: f64,
+    replicate_record_us: f64,
     /// Cost of a lock-table operation (grant/enqueue/release), µs.
-    pub lock_us: f64,
+    lock_us: f64,
     /// Cost of a predicate scan per matched record, µs.
-    pub scan_record_us: f64,
+    scan_record_us: f64,
     /// Cost of a RAMP-Small first-round timestamp read (no value moved,
     /// constant-size reply), µs.
-    pub ts_read_us: f64,
+    ts_read_us: f64,
     /// Cost of applying a RAMP commit marker (promote prepared →
     /// visible), µs.
-    pub ramp_commit_us: f64,
+    ramp_commit_us: f64,
 }
 
 impl Default for ServiceModel {
@@ -182,9 +187,10 @@ impl ServiceModel {
         SimDuration::from_micros(self.ts_read_us as u64)
     }
 
-    /// RAMP commit-marker service duration.
-    pub fn ramp_commit(&self) -> SimDuration {
-        SimDuration::from_micros(self.ramp_commit_us as u64)
+    /// Service duration of a batch of `marks` RAMP commit markers, each
+    /// charged its full commit cost.
+    pub fn ramp_commits(&self, marks: usize) -> SimDuration {
+        SimDuration::from_micros((self.ramp_commit_us * marks as f64) as u64)
     }
 
     /// Service duration of a RAMP prepare carrying `meta_bytes` of
@@ -193,6 +199,29 @@ impl ServiceModel {
     /// phase is a cheap commit marker, charged separately).
     pub fn ramp_prepare(&self, meta_bytes: usize) -> SimDuration {
         SimDuration::from_micros((self.write_us + self.meta_byte_us * meta_bytes as f64) as u64)
+    }
+
+    /// Service duration of a predicate scan that matched `matches`
+    /// records: one read plus a per-record cost.
+    pub fn scan(&self, matches: usize) -> SimDuration {
+        SimDuration::from_micros((self.read_us + self.scan_record_us * matches as f64) as u64)
+    }
+
+    /// Service duration of applying `records` replicated records (gossip,
+    /// recovery dumps, handoff chunks).
+    pub fn replicate(&self, records: usize) -> SimDuration {
+        SimDuration::from_micros((self.replicate_record_us * records as f64) as u64)
+    }
+
+    /// Service duration of a MAV notification message carrying `acks`
+    /// sibling acknowledgements (at least one is charged).
+    pub fn notify(&self, acks: usize) -> SimDuration {
+        SimDuration::from_micros(self.notify_us as u64 * acks.max(1) as u64)
+    }
+
+    /// Service duration of one lock-table operation.
+    pub fn lock(&self) -> SimDuration {
+        SimDuration::from_micros(self.lock_us as u64)
     }
 }
 
@@ -224,15 +253,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A fixed-interval policy (no exponential growth).
-    pub fn fixed(interval: SimDuration) -> Self {
-        RetryPolicy {
-            base: interval,
-            multiplier: 1,
-            max_exponent: 0,
-        }
-    }
-
     /// The delay scheduled after `attempts` failed tries.
     pub fn backoff(&self, attempts: u32) -> SimDuration {
         let factor = self
@@ -250,8 +270,6 @@ pub struct SystemConfig {
     pub protocol: ProtocolKind,
     /// Server service-time model.
     pub service: ServiceModel,
-    /// Anti-entropy gossip period between sibling replicas.
-    pub anti_entropy_interval: SimDuration,
     /// Client retry/backoff policy for outstanding requests.
     pub retry: RetryPolicy,
     /// Per-operation deadline after which the facade reports
@@ -260,23 +278,9 @@ pub struct SystemConfig {
     /// 2PL: how long a lock request may wait before the system aborts the
     /// transaction (external abort; also the deadlock breaker).
     pub lock_timeout: SimDuration,
-    /// Upper bound on one WAN round trip (the largest Table 1c mean is
-    /// São Paulo–Singapore at ~363ms). Used to derive the quiesce
-    /// duration.
-    pub wan_rtt_bound: SimDuration,
     /// Whether clients record full [`crate::TxnRecord`] histories (turn
     /// off for throughput runs).
     pub record_history: bool,
-    /// Per-key bound on server version chains. Multi-version readers
-    /// (RAMP's `get_at`, snapshot reads) only reach back a bounded
-    /// distance, so replicas keep at most this many versions per key.
-    pub version_chain_limit: usize,
-    /// Anti-entropy lag (in log entries) above which a peer is caught up
-    /// with one delta-compressed batch (latest version per key, closed
-    /// over transaction stamps) instead of per-record replay. The default
-    /// matches `MAX_BATCH`, so compaction kicks in exactly when replay
-    /// would need more than one full batch.
-    pub delta_catchup_threshold: u64,
     /// Structured tracing. When `false` (the default) every node carries
     /// a no-op [`hat_trace::TraceSink`] — recording is a branch on a
     /// `None`, no allocation, no lock. When `true` the deployment builder
@@ -292,45 +296,12 @@ pub struct SystemConfig {
     pub obs: ObsConfig,
 }
 
-/// Live-telemetry configuration (see `hat-obs`).
-#[derive(Debug, Clone, PartialEq)]
+/// Live-telemetry configuration (see `hat-obs`). The sampling cadence,
+/// probe rate and checker window are hat-obs constants.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// Master switch; when false the deployment carries no-op sinks.
     pub enabled: bool,
-    /// Time-series sampling cadence.
-    pub sample_interval: SimDuration,
-    /// Register every Nth commit as a t-visibility probe (0 = none).
-    pub probe_every: u64,
-    /// Max in-flight visibility probes.
-    pub probe_cap: usize,
-    /// Streaming-checker sliding window (recent writers kept).
-    pub checker_window: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            sample_interval: SimDuration::from_millis(10),
-            probe_every: 4,
-            probe_cap: 64,
-            checker_window: 256,
-        }
-    }
-}
-
-impl ObsConfig {
-    /// The hat-obs options this configuration expands to for an engine
-    /// running `protocol` (the checker policy is per-engine).
-    pub fn options(&self, protocol: ProtocolKind) -> hat_obs::ObsOptions {
-        hat_obs::ObsOptions {
-            sample_interval_us: self.sample_interval.as_micros(),
-            probe_every: self.probe_every,
-            probe_cap: self.probe_cap,
-            checker_window: self.checker_window,
-            policy: protocol.checker_policy(),
-        }
-    }
 }
 
 impl SystemConfig {
@@ -339,14 +310,10 @@ impl SystemConfig {
         SystemConfig {
             protocol,
             service: ServiceModel::default(),
-            anti_entropy_interval: SimDuration::from_millis(10),
             retry: RetryPolicy::default(),
             op_deadline: SimDuration::from_secs(30),
             lock_timeout: SimDuration::from_secs(10),
-            wan_rtt_bound: SimDuration::from_millis(400),
             record_history: true,
-            version_chain_limit: 64,
-            delta_catchup_threshold: crate::protocol::replication::MAX_BATCH as u64,
             trace: false,
             obs: ObsConfig::default(),
         }
@@ -355,8 +322,7 @@ impl SystemConfig {
     /// How long a deployment must run, mutation-free, for replication to
     /// quiesce: enough anti-entropy rounds *and* WAN round trips for
     /// every write (and, under MAV, every sibling notification) to reach
-    /// every replica. Derived rather than hardcoded so deployments with
-    /// faster gossip or shorter links quiesce proportionally faster.
+    /// every replica.
     pub fn quiesce_duration(&self) -> SimDuration {
         self.quiesce_duration_scaled(1.0)
     }
@@ -366,11 +332,17 @@ impl SystemConfig {
     /// timers (the anti-entropy term) in real time, like the threaded
     /// runtime's `latency_scale`.
     pub fn quiesce_duration_scaled(&self, wan_scale: f64) -> SimDuration {
-        let wan =
-            SimDuration::from_micros((self.wan_rtt_bound.as_micros() as f64 * wan_scale) as u64);
-        (self.anti_entropy_interval + wan).saturating_mul(QUIESCE_ROUNDS)
+        let wan = SimDuration::from_micros((WAN_RTT_BOUND.as_micros() as f64 * wan_scale) as u64);
+        (ANTI_ENTROPY_INTERVAL + wan).saturating_mul(QUIESCE_ROUNDS)
     }
 }
+
+/// Anti-entropy gossip period between sibling replicas.
+pub(crate) const ANTI_ENTROPY_INTERVAL: SimDuration = SimDuration::from_millis(10);
+
+/// Upper bound on one WAN round trip (the largest Table 1c mean is São
+/// Paulo–Singapore at ~363ms). Used to derive the quiesce duration.
+const WAN_RTT_BOUND: SimDuration = SimDuration::from_millis(400);
 
 /// Rounds of (anti-entropy interval + WAN RTT) covered by a quiesce:
 /// gossip propagation is clique-wide, but MAV promotion needs a write to
@@ -422,17 +394,19 @@ mod tests {
         assert_eq!(p.backoff(1), SimDuration::from_millis(2000));
         assert_eq!(p.backoff(4), SimDuration::from_millis(16000));
         assert_eq!(p.backoff(9), p.backoff(4), "capped at max_exponent");
-        let f = RetryPolicy::fixed(SimDuration::from_millis(50));
-        assert_eq!(f.backoff(7), SimDuration::from_millis(50));
     }
 
     #[test]
     fn quiesce_duration_tracks_config() {
-        let mut c = SystemConfig::new(ProtocolKind::Mav);
-        let slow = c.quiesce_duration();
-        c.anti_entropy_interval = SimDuration::from_millis(1);
-        c.wan_rtt_bound = SimDuration::from_millis(10);
-        assert!(c.quiesce_duration() < slow, "faster links quiesce faster");
+        let c = SystemConfig::new(ProtocolKind::Mav);
+        assert_eq!(
+            c.quiesce_duration(),
+            SimDuration::from_millis(5 * (10 + 400))
+        );
+        assert!(
+            c.quiesce_duration_scaled(0.1) < c.quiesce_duration(),
+            "shorter links quiesce faster"
+        );
     }
 
     #[test]

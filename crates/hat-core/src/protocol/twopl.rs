@@ -248,13 +248,6 @@ pub struct TwoPlEngine {
     locks: LockTable,
 }
 
-impl TwoPlEngine {
-    /// Read access to the lock table (tests, invariant checks).
-    pub fn lock_table(&self) -> &LockTable {
-        &self.locks
-    }
-}
-
 impl ProtocolEngine for TwoPlEngine {
     fn name(&self) -> &'static str {
         "2PL"

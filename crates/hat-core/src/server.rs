@@ -37,10 +37,10 @@
 //! never move request routing.
 
 use crate::cluster::ClusterLayout;
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, ANTI_ENTROPY_INTERVAL};
 use crate::messages::Msg;
 use crate::protocol::engine::{ProtocolEngine, ServerView};
-use crate::protocol::replication::ReplicationLog;
+use crate::protocol::replication::{ReplicationLog, MAX_BATCH};
 use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration, SimTime, TimerId};
 use hat_storage::{Key, SharedRecord, Store};
@@ -449,17 +449,17 @@ impl Server {
         // property of the deployment, and startup must not perturb the
         // rng sequence the rest of the run consumes — adding a server
         // would otherwise reshuffle every seeded schedule.
-        let interval = self.config.anti_entropy_interval.as_micros().max(1);
+        let interval = ANTI_ENTROPY_INTERVAL.as_micros();
         let jitter = (self.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % interval;
         ctx.set_timer(
-            self.config.anti_entropy_interval + SimDuration::from_micros(jitter),
+            ANTI_ENTROPY_INTERVAL + SimDuration::from_micros(jitter),
             TIMER_ANTI_ENTROPY,
         );
         if !self.recovering.is_empty() {
             for &peer in &self.recovering {
                 ctx.send(peer, Msg::RecoverReq);
             }
-            ctx.set_timer(self.config.anti_entropy_interval, TIMER_RECOVERY);
+            ctx.set_timer(ANTI_ENTROPY_INTERVAL, TIMER_RECOVERY);
         }
         self.finish_handler(ctx);
     }
@@ -473,14 +473,14 @@ impl Server {
             let (engine, mut view) = self.engine_view();
             engine.on_anti_entropy_tick(&mut view, ctx);
             self.pump_handoffs(ctx);
-            ctx.set_timer(self.config.anti_entropy_interval, TIMER_ANTI_ENTROPY);
+            ctx.set_timer(ANTI_ENTROPY_INTERVAL, TIMER_ANTI_ENTROPY);
         } else if timer == TIMER_RECOVERY && !self.recovering.is_empty() {
             // A bootstrap request (or its response) may have been lost to
             // a concurrent partition; keep asking until each peer answers.
             for &peer in &self.recovering.clone() {
                 ctx.send(peer, Msg::RecoverReq);
             }
-            ctx.set_timer(self.config.anti_entropy_interval, TIMER_RECOVERY);
+            ctx.set_timer(ANTI_ENTROPY_INTERVAL, TIMER_RECOVERY);
         }
         self.finish_handler(ctx);
     }
@@ -491,11 +491,11 @@ impl Server {
     /// does not wait out a full tick.
     fn push_replication(&mut self, ctx: &mut Ctx<'_, Msg>) {
         for (i, &peer) in self.peers.clone().iter().enumerate() {
-            // A peer lagging more than the threshold (e.g. freshly
+            // A peer lagging more than one full batch (e.g. freshly
             // healed from a long partition) gets one compacted
             // catch-up batch instead of `lag / MAX_BATCH` rounds of
             // per-record replay.
-            if self.repl.lag(i) > self.config.delta_catchup_threshold {
+            if self.repl.lag(i) > MAX_BATCH as u64 {
                 let (upto, writes) = self.repl.catchup_for(i);
                 if !writes.is_empty() {
                     self.stats.catchup_batches += 1;
@@ -715,9 +715,7 @@ impl Server {
         self.requests_served += 1;
         self.stats.commit_batches += 1;
         self.stats.commit_batch_size += marks.len() as u64;
-        let cost = SimDuration::from_micros(
-            (self.config.service.ramp_commit_us * marks.len() as f64) as u64,
-        );
+        let cost = self.config.service.ramp_commits(marks.len());
         let mut ops = Vec::with_capacity(marks.len());
         for (op, key) in marks {
             let (engine, mut view) = self.engine_view();
@@ -738,10 +736,7 @@ impl Server {
     ) {
         self.requests_served += 1;
         let matches = self.store.scan_prefix(&prefix);
-        let cost = SimDuration::from_micros(
-            (self.config.service.read_us
-                + self.config.service.scan_record_us * matches.len() as f64) as u64,
-        );
+        let cost = self.config.service.scan(matches.len());
         let hold = self.service(ctx.now(), cost);
         ctx.send_after(hold, from, Msg::ScanResp { txn, op, matches });
     }
@@ -850,9 +845,7 @@ impl Server {
         ctx: &mut Ctx<'_, Msg>,
         writes: Vec<(Key, SharedRecord)>,
     ) -> SimDuration {
-        let cost = SimDuration::from_micros(
-            (self.config.service.replicate_record_us * writes.len() as f64) as u64,
-        );
+        let cost = self.config.service.replicate(writes.len());
         for (key, record) in writes {
             // Gossip applies bypass the local replication log (the
             // never-re-gossip rule), so an in-progress handoff stream
@@ -871,9 +864,7 @@ impl Server {
     /// up in the queueing model like any other replication traffic.
     fn handle_recover_req(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId) {
         let writes = self.store.all_versions();
-        let cost = SimDuration::from_micros(
-            (self.config.service.replicate_record_us * writes.len() as f64) as u64,
-        );
+        let cost = self.config.service.replicate(writes.len());
         let hold = self.service(ctx.now(), cost);
         ctx.send_after(hold, from, Msg::RecoverResp { writes });
     }
@@ -893,9 +884,7 @@ impl Server {
         writes: Vec<(Key, SharedRecord)>,
     ) {
         self.recovering.retain(|&p| p != from);
-        let cost = SimDuration::from_micros(
-            (self.config.service.replicate_record_us * writes.len() as f64) as u64,
-        );
+        let cost = self.config.service.replicate(writes.len());
         for (key, record) in writes {
             if self.store.exact(&key, record.stamp).is_some() {
                 continue;
@@ -1027,9 +1016,7 @@ impl Server {
         }
         self.tokens_acquired.insert(token);
         let upto = from_seq + writes.len() as u64;
-        let cost = SimDuration::from_micros(
-            (self.config.service.replicate_record_us * writes.len() as f64) as u64,
-        );
+        let cost = self.config.service.replicate(writes.len());
         for (key, record) in writes {
             self.note_handoff_write(&key, &record);
             let (engine, mut view) = self.engine_view();
@@ -1129,7 +1116,7 @@ impl Server {
     }
 
     fn handle_notify(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, ts: Timestamp, key: Key) {
-        let cost = SimDuration::from_micros(self.config.service.notify_us as u64);
+        let cost = self.config.service.notify(1);
         let _ = self.service(ctx.now(), cost);
         let (engine, mut view) = self.engine_view();
         engine.on_notify(&mut view, ctx, from, ts, key);
@@ -1142,8 +1129,7 @@ impl Server {
         ts: Timestamp,
         acks: Vec<(NodeId, Key)>,
     ) {
-        let per = self.config.service.notify_us as u64;
-        let cost = SimDuration::from_micros(per * acks.len().max(1) as u64);
+        let cost = self.config.service.notify(acks.len());
         let _ = self.service(ctx.now(), cost);
         let (engine, mut view) = self.engine_view();
         engine.on_notify_summary(&mut view, ctx, from, ts, acks);
@@ -1169,7 +1155,7 @@ impl Server {
             return;
         }
         self.requests_served += 1;
-        let cost = SimDuration::from_micros(self.config.service.lock_us as u64);
+        let cost = self.config.service.lock();
         let hold = self.service(ctx.now(), cost);
         let grants = {
             let (engine, mut view) = self.engine_view();
@@ -1214,14 +1200,14 @@ impl Server {
         key: Key,
     ) {
         self.requests_served += 1;
-        let cost = SimDuration::from_micros(self.config.service.lock_us as u64);
+        let cost = self.config.service.lock();
         let hold = self.service(ctx.now(), cost);
         let ok = self.engine.lock_valid(txn, &key);
         ctx.send_after(hold, from, Msg::LockCheckResp { txn, op, ok });
     }
 
     fn handle_unlock(&mut self, ctx: &mut Ctx<'_, Msg>, txn: Timestamp, keys: Vec<Key>) {
-        let cost = SimDuration::from_micros(self.config.service.lock_us as u64);
+        let cost = self.config.service.lock();
         let hold = self.service(ctx.now(), cost);
         let grants = {
             let (engine, mut view) = self.engine_view();

@@ -71,11 +71,6 @@ impl ShardRing {
         }
     }
 
-    /// Server positions covered by the ring.
-    pub fn num_positions(&self) -> u32 {
-        self.positions
-    }
-
     /// Total tokens (vnode arcs) on the ring.
     pub fn num_tokens(&self) -> u32 {
         self.entries.len() as u32

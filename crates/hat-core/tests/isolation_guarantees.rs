@@ -3,56 +3,61 @@
 //! catch-up (`Msg::ReplicateDelta`) are *optimizations* — every engine's
 //! advertised isolation level must be exactly what it was with per-key
 //! commit markers and per-record replay. These tests drive partition /
-//! heal schedules with the delta path forced on (a tiny
-//! `delta_catchup_threshold`) and group commit at its default, and
-//! assert the §5.1 guarantees the seed suite establishes on the healthy
-//! path: convergence, MAV atomic visibility (sibling notification must
-//! survive batch compaction), and RAMP atomic visibility (prepared-set
-//! promotion must survive both batched commit marks and compaction).
+//! heal schedules that build more than `MAX_BATCH` entries of
+//! replication lag behind the partition, so the healed peer is caught up
+//! through the delta path, and assert the §5.1 guarantees the seed suite
+//! establishes on the healthy path: convergence, MAV atomic visibility
+//! (sibling notification must survive batch compaction), and RAMP atomic
+//! visibility (prepared-set promotion must survive both batched commit
+//! marks and compaction).
 
 use hat_core::protocol::replication::{ReplicationLog, MAX_BATCH};
 use hat_core::{
-    ClusterSpec, DeploymentBuilder, Frontend, ProtocolKind, SessionOptions, SimFrontend,
-    SystemConfig, Timestamp,
+    ClusterSpec, DeploymentBuilder, Frontend, ProtocolKind, ServiceModel, SessionOptions,
+    SimFrontend, SystemConfig, Timestamp,
 };
 use hat_sim::{NodeId, Partition, PartitionSchedule, SimDuration, SimTime};
 use hat_storage::{Key, Record, SharedRecord};
-use std::collections::BTreeSet;
 
-/// A config with the delta catch-up path forced on: any peer lagging by
-/// more than `threshold` log entries receives one compacted
-/// `ReplicateDelta` instead of `MAX_BATCH`-sized replay chunks.
-fn delta_config(kind: ProtocolKind, threshold: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::new(kind);
-    cfg.delta_catchup_threshold = threshold;
-    cfg
+/// The largest replication lag (unacknowledged log entries) any server
+/// holds for a peer. Above `MAX_BATCH`, the next anti-entropy push to
+/// that peer is one compacted `ReplicateDelta`.
+fn max_lag(front: &SimFrontend) -> u64 {
+    front
+        .layout()
+        .servers
+        .iter()
+        .flatten()
+        .filter_map(|&s| front.engine().actor(s).as_server())
+        .map(|s| s.replication_lag())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Two-cluster deployment with one session per cluster and a partition
 /// separating the clusters (servers and their home clients) during
-/// `[start, end)`.
-/// Probe run to learn node ids and master placement for the schedule.
-/// Returns the deployment plus three keys whose master lives in cluster
-/// 0 — master/2PL writers must keep making progress while cluster 1 is
-/// cut off, and master-routed writes to a cluster-1 master would block.
-fn partitioned(
-    kind: ProtocolKind,
-    cfg: SystemConfig,
-    start: SimTime,
-    end: SimTime,
-) -> (SimFrontend, Vec<String>) {
+/// `[start, end)`, plus three keys mastered by one cluster-0 server (found
+/// by a probe run): master/2PL writers must keep making progress while
+/// cluster 1 is cut off, and that server's log gains three entries per
+/// transaction.
+///
+/// Service is free: MAV replays the notifications of every write still
+/// pending on each anti-entropy tick, and at calibrated costs that replay
+/// saturates the servers long before `MAX_BATCH` writes pend behind the
+/// partition.
+fn partitioned(kind: ProtocolKind, start: SimTime, end: SimTime) -> (SimFrontend, Vec<String>) {
     let probe = DeploymentBuilder::new(kind)
         .seed(11)
         .clusters(ClusterSpec::va_or(3))
         .sessions_per_cluster(1)
         .build();
-    let cluster0: BTreeSet<NodeId> = probe.layout().servers[0].iter().copied().collect();
+    let home = probe.layout().servers[0][0];
     let keys: Vec<String> = (0..100)
         .map(|i| format!("hot-{i}"))
-        .filter(|k| cluster0.contains(&probe.layout().master(&Key::from(k.as_str()))))
+        .filter(|k| probe.layout().master(&Key::from(k.as_str())) == home)
         .take(3)
         .collect();
-    assert_eq!(keys.len(), 3, "expected cluster-0-mastered keys");
+    assert_eq!(keys.len(), 3, "expected three keys mastered by {home}");
     let side_a: Vec<NodeId> = probe.layout().servers[0]
         .iter()
         .copied()
@@ -63,6 +68,8 @@ fn partitioned(
         .copied()
         .chain([probe.client(1)])
         .collect();
+    let mut cfg = SystemConfig::new(kind);
+    cfg.service = ServiceModel::zero();
     let front = DeploymentBuilder::new(kind)
         .seed(11)
         .clusters(ClusterSpec::va_or(3))
@@ -96,8 +103,8 @@ const ALL_ENGINES: [ProtocolKind; 7] = [
 fn delta_catchup_preserves_every_engines_guarantees() {
     for kind in ALL_ENGINES {
         let p_start = SimTime::from_millis(2_000);
-        let p_end = SimTime::from_millis(8_000);
-        let (mut front, keys) = partitioned(kind, delta_config(kind, 4), p_start, p_end);
+        let p_end = SimTime::from_millis(3_000);
+        let (mut front, keys) = partitioned(kind, p_start, p_end);
         let writer = front.open_session(SessionOptions::default()); // home cluster 0
         let reader = front.open_session(SessionOptions::default()); // home cluster 1
         let (k0, k1, k2) = (keys[0].as_str(), keys[1].as_str(), keys[2].as_str());
@@ -110,17 +117,28 @@ fn delta_catchup_preserves_every_engines_guarantees() {
         });
         front.quiesce();
 
-        // Build replication lag behind the partition: 30 overwrite
-        // rounds of 3 keys, far above the threshold of 4.
+        // Build replication lag behind the partition: overwrite rounds
+        // of 3 keys until some server lags its peer by more than
+        // MAX_BATCH. 2PL's writer blocks at the partition instead (see
+        // below), so it runs a fixed 30 rounds.
         front.run_for(p_start.since(front.now()));
-        for round in 0..30 {
-            let v = format!("round-{round}");
+        let mut rounds = 0;
+        while rounds < 30
+            || (kind != ProtocolKind::TwoPhaseLocking && max_lag(&front) <= MAX_BATCH as u64)
+        {
+            let v = format!("round-{rounds}");
             front.txn(&writer, |t| {
                 t.put(k0, &v)?;
                 t.put(k1, &v)?;
                 t.put(k2, &v)
             });
+            rounds += 1;
         }
+        let last = format!("round-{}", rounds - 1);
+        assert!(
+            kind == ProtocolKind::TwoPhaseLocking || front.now() < p_end,
+            "{kind:?}: the lag must build behind the partition"
+        );
 
         // Heal and let catch-up run.
         front.run_for(p_end.since(front.now()) + SimDuration::from_millis(1));
@@ -131,7 +149,7 @@ fn delta_catchup_preserves_every_engines_guarantees() {
         for v in [a, b, c] {
             assert_eq!(
                 v.as_deref(),
-                Some("round-29"),
+                Some(last.as_str()),
                 "{kind:?}: lagging cluster must converge to the final version"
             );
         }
@@ -163,6 +181,10 @@ fn delta_catchup_preserves_every_engines_guarantees() {
     }
 }
 
+/// Two-key transactions per burst in the partitioned tests: twelve
+/// bursts put more than `MAX_BATCH` entries in each writing server's log.
+const BURST: usize = MAX_BATCH / 12 + 1;
+
 /// MAV atomic visibility across a partition/heal cycle with compaction
 /// forced on. The stamp-closure property of the compacted batch is what
 /// keeps MAV's sibling ack counting sound: if the batch shipped only
@@ -173,13 +195,8 @@ fn delta_catchup_preserves_every_engines_guarantees() {
 #[test]
 fn mav_sibling_notification_survives_compacted_catchup() {
     let p_start = SimTime::from_millis(2_000);
-    let p_end = SimTime::from_millis(6_000);
-    let (mut front, _) = partitioned(
-        ProtocolKind::Mav,
-        delta_config(ProtocolKind::Mav, 2),
-        p_start,
-        p_end,
-    );
+    let p_end = SimTime::from_millis(4_000);
+    let (mut front, _) = partitioned(ProtocolKind::Mav, p_start, p_end);
     let writer = front.open_session(SessionOptions::default());
     let reader = front.open_session(SessionOptions::default());
     front.txn(&writer, |t| {
@@ -199,18 +216,24 @@ fn mav_sibling_notification_survives_compacted_catchup() {
         );
     };
 
-    // Behind the partition: overwrite rounds (the compaction fodder)…
-    for round in 1..=12 {
-        let v = format!("{round}");
-        front.txn(&writer, |t| {
-            t.put("acct-a", &v)?;
-            t.put("acct-b", &v)
-        });
+    // Behind the partition: bursts of overwrites (the compaction fodder,
+    // more than MAX_BATCH in all)…
+    let mut n = 0;
+    for _ in 0..12 {
+        for _ in 0..BURST {
+            n += 1;
+            let v = format!("{n}");
+            front.txn(&writer, |t| {
+                t.put("acct-a", &v)?;
+                t.put("acct-b", &v)
+            });
+        }
         // …while the partitioned side keeps reading its stale-but-atomic
         // snapshot.
         probe(&mut front, "during partition");
         front.run_for(SimDuration::from_millis(53));
     }
+    assert!(front.now() < p_end && max_lag(&front) > MAX_BATCH as u64);
 
     front.run_for(p_end.since(front.now()) + SimDuration::from_millis(1));
     // Probe while catch-up is in flight and after it settles.
@@ -234,8 +257,8 @@ fn mav_sibling_notification_survives_compacted_catchup() {
 fn ramp_promotion_survives_group_commit_and_catchup() {
     for kind in [ProtocolKind::RampFast, ProtocolKind::RampSmall] {
         let p_start = SimTime::from_millis(2_000);
-        let p_end = SimTime::from_millis(6_000);
-        let (mut front, _) = partitioned(kind, delta_config(kind, 2), p_start, p_end);
+        let p_end = SimTime::from_millis(4_500);
+        let (mut front, _) = partitioned(kind, p_start, p_end);
         let writer = front.open_session(SessionOptions::default());
         let reader = front.open_session(SessionOptions::default());
         front.txn(&writer, |t| {
@@ -244,24 +267,30 @@ fn ramp_promotion_survives_group_commit_and_catchup() {
         });
         front.quiesce();
         front.run_for(p_start.since(front.now()));
-        for round in 1..=12 {
-            let v = format!("{round}");
-            front.txn(&writer, |t| {
-                t.put("acct-a", &v)?;
-                t.put("acct-b", &v)
-            });
+        let mut n = 0;
+        for _ in 0..12 {
+            for _ in 0..BURST {
+                n += 1;
+                let v = format!("{n}");
+                front.txn(&writer, |t| {
+                    t.put("acct-a", &v)?;
+                    t.put("acct-b", &v)
+                });
+            }
             let (a, b) = front.txn(&reader, |t| Ok((t.get("acct-a")?, t.get("acct-b")?)));
             let a: u64 = a.unwrap_or_default().parse().unwrap_or(0);
             let b: u64 = b.unwrap_or_default().parse().unwrap_or(0);
             assert!(b >= a, "{kind:?}: a={a} then b={b}: atomic view violated");
             front.run_for(SimDuration::from_millis(53));
         }
+        assert!(front.now() < p_end && max_lag(&front) > MAX_BATCH as u64);
         front.run_for(p_end.since(front.now()) + SimDuration::from_millis(1));
         front.quiesce();
         front.quiesce();
         let (a, b) = front.txn(&reader, |t| Ok((t.get("acct-a")?, t.get("acct-b")?)));
-        assert_eq!(a.as_deref(), Some("12"));
-        assert_eq!(b.as_deref(), Some("12"));
+        let last = n.to_string();
+        assert_eq!(a.as_deref(), Some(last.as_str()));
+        assert_eq!(b.as_deref(), Some(last.as_str()));
         // The batched phase-2 path must actually have been used: the
         // writer's client batched marks and the servers counted them.
         let client = front.aggregate_metrics();
@@ -322,45 +351,4 @@ fn catchup_beats_replay_on_messages_and_bytes_for_10k_lag() {
         "delta catch-up must be far cheaper: {delta_bytes} vs {replay_bytes} bytes"
     );
     assert!(1 < replay_msgs, "replay takes multiple round trips");
-}
-
-/// End-to-end version of the wire-win check: the same partition/heal
-/// workload replicated once with delta catch-up enabled and once with
-/// it disabled (threshold = u64::MAX → per-record replay only) must
-/// converge to the same reads, with the delta run shipping fewer
-/// records.
-#[test]
-fn delta_catchup_ships_fewer_records_end_to_end() {
-    let run = |threshold: u64| {
-        let p_start = SimTime::from_millis(2_000);
-        let p_end = SimTime::from_millis(8_000);
-        let kind = ProtocolKind::Eventual;
-        let (mut front, _) = partitioned(kind, delta_config(kind, threshold), p_start, p_end);
-        let writer = front.open_session(SessionOptions::default());
-        let reader = front.open_session(SessionOptions::default());
-        front.txn(&writer, |t| t.put("k", "seed"));
-        front.quiesce();
-        front.run_for(p_start.since(front.now()));
-        for round in 0..40 {
-            let v = format!("r{round}");
-            front.txn(&writer, |t| t.put("k", &v));
-        }
-        front.run_for(p_end.since(front.now()) + SimDuration::from_millis(1));
-        front.quiesce();
-        front.quiesce();
-        let v = front.txn(&reader, |t| t.get("k"));
-        (v, front.server_stats())
-    };
-    let (v_delta, delta) = run(4);
-    let (v_replay, replay) = run(u64::MAX);
-    assert_eq!(v_delta.as_deref(), Some("r39"));
-    assert_eq!(v_replay, v_delta, "both replication modes converge alike");
-    assert!(delta.catchup_batches > 0);
-    assert_eq!(replay.catchup_batches, 0);
-    assert!(
-        delta.replication_records < replay.replication_records,
-        "compaction must ship fewer records: {} vs {}",
-        delta.replication_records,
-        replay.replication_records
-    );
 }

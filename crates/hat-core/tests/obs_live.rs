@@ -21,8 +21,6 @@ const ENGINES: [ProtocolKind; 4] = [
 fn builder(kind: ProtocolKind, obs: bool) -> DeploymentBuilder {
     let mut cfg = SystemConfig::new(kind);
     cfg.obs.enabled = obs;
-    cfg.obs.sample_interval = SimDuration::from_millis(5);
-    cfg.obs.probe_every = 2;
     DeploymentBuilder::new(kind)
         .seed(0x7ACE)
         .clusters(ClusterSpec::va_or(2))

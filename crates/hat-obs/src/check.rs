@@ -42,6 +42,10 @@ pub struct CommitObs {
     pub writes: Vec<(Vec<u8>, Vec<u32>)>,
 }
 
+/// Streaming-checker sliding window: recent writers, and per-session read
+/// floors, kept.
+pub(crate) const CHECKER_WINDOW: usize = 256;
+
 /// Which streaming checks an engine is subject to.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckerPolicy {
@@ -78,7 +82,6 @@ pub enum ObsViolation {
 #[derive(Debug, Clone)]
 pub struct StreamingChecker {
     policy: CheckerPolicy,
-    window: usize,
     /// stamp -> keys written, for write-set membership tests.
     writers: BTreeMap<Stamp, Vec<Vec<u8>>>,
     /// Eviction order for `writers`.
@@ -93,10 +96,9 @@ pub struct StreamingChecker {
 }
 
 impl StreamingChecker {
-    pub fn new(policy: CheckerPolicy, window: usize) -> Self {
+    pub fn new(policy: CheckerPolicy) -> Self {
         StreamingChecker {
             policy,
-            window: window.max(1),
             writers: BTreeMap::new(),
             order: VecDeque::new(),
             high_read: BTreeMap::new(),
@@ -184,7 +186,7 @@ impl StreamingChecker {
         }
         // Bound per-session floor memory; evicting a floor can only
         // make the checker miss (sound), never false-positive.
-        while floors.len() > self.window {
+        while floors.len() > CHECKER_WINDOW {
             let victim = floors.keys().next().cloned().unwrap();
             floors.remove(&victim);
         }
@@ -199,7 +201,7 @@ impl StreamingChecker {
         if self.writers.insert(c.stamp, keys).is_none() {
             self.order.push_back(c.stamp);
         }
-        while self.order.len() > self.window {
+        while self.order.len() > CHECKER_WINDOW {
             let old = self.order.pop_front().unwrap();
             self.writers.remove(&old);
             self.evicted_writers += 1;
@@ -234,7 +236,7 @@ mod tests {
 
     #[test]
     fn flags_fractured_read() {
-        let mut ck = StreamingChecker::new(ALL, 64);
+        let mut ck = StreamingChecker::new(ALL);
         // T1 writes x and y at stamp (10,0).
         assert!(ck
             .observe(&commit((10, 0), 0, &[], &[b"x", b"y"]))
@@ -256,7 +258,7 @@ mod tests {
 
     #[test]
     fn atomic_read_sets_pass() {
-        let mut ck = StreamingChecker::new(ALL, 64);
+        let mut ck = StreamingChecker::new(ALL);
         ck.observe(&commit((10, 0), 0, &[], &[b"x", b"y"]));
         // Reader sees both keys from T1: atomic, fine.
         let v = ck.observe(&commit(
@@ -275,7 +277,7 @@ mod tests {
 
     #[test]
     fn own_writes_exempt() {
-        let mut ck = StreamingChecker::new(ALL, 64);
+        let mut ck = StreamingChecker::new(ALL);
         ck.observe(&commit((10, 0), 0, &[], &[b"x", b"y"]));
         // Reader's read of y observed its own stamp (read-your-writes
         // rewrite): exempt even though (5,1) < (10,0) would otherwise trip.
@@ -290,7 +292,7 @@ mod tests {
 
     #[test]
     fn unknown_writer_is_skipped() {
-        let mut ck = StreamingChecker::new(ALL, 64);
+        let mut ck = StreamingChecker::new(ALL);
         // (10,0) never registered — reads from it are unverifiable.
         let v = ck.observe(&commit((20, 1), 1, &[(b"x", (10, 0)), (b"y", (3, 0))], &[]));
         assert!(v.is_none());
@@ -298,8 +300,9 @@ mod tests {
 
     #[test]
     fn window_eviction_bounds_memory() {
-        let mut ck = StreamingChecker::new(ALL, 2);
-        for i in 0..5u64 {
+        let mut ck = StreamingChecker::new(ALL);
+        let writers = CHECKER_WINDOW as u64 + 3;
+        for i in 0..writers {
             ck.observe(&commit((10 + i, 0), 0, &[], &[b"x", b"y"]));
         }
         assert_eq!(ck.evicted_writers, 3);
@@ -311,7 +314,7 @@ mod tests {
         let v = ck.observe(&commit(
             (100, 1),
             1,
-            &[(b"x", (14, 0)), (b"y", (3, 0))],
+            &[(b"x", (10 + writers - 1, 0)), (b"y", (3, 0))],
             &[],
         ));
         assert!(v.is_some());
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn flags_non_monotonic_session_read() {
-        let mut ck = StreamingChecker::new(ALL, 64);
+        let mut ck = StreamingChecker::new(ALL);
         assert!(ck
             .observe(&commit((10, 0), 3, &[(b"k", (8, 0))], &[]))
             .is_none());
@@ -338,13 +341,10 @@ mod tests {
 
     #[test]
     fn policy_gates_checks() {
-        let mut ck = StreamingChecker::new(
-            CheckerPolicy {
-                fractured: false,
-                monotonic: false,
-            },
-            64,
-        );
+        let mut ck = StreamingChecker::new(CheckerPolicy {
+            fractured: false,
+            monotonic: false,
+        });
         ck.observe(&commit((10, 0), 0, &[], &[b"x", b"y"]));
         let v = ck.observe(&commit((20, 1), 1, &[(b"x", (10, 0)), (b"y", (3, 0))], &[]));
         assert!(v.is_none());

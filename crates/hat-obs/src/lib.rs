@@ -64,32 +64,8 @@ fn bump(n: u64) {
     OBS_RECORDED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Configuration for an enabled sink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsOptions {
-    /// Sampling cadence in sim-microseconds (one series window each).
-    pub sample_interval_us: u64,
-    /// Register every Nth commit as a visibility probe (0 = no probes).
-    pub probe_every: u64,
-    /// Max in-flight visibility probes (oldest evicted beyond this).
-    pub probe_cap: usize,
-    /// Streaming-checker sliding window (recent writers / floors kept).
-    pub checker_window: usize,
-    /// Which streaming checks this engine is subject to.
-    pub policy: CheckerPolicy,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            sample_interval_us: 10_000,
-            probe_every: 4,
-            probe_cap: 64,
-            checker_window: 256,
-            policy: CheckerPolicy::default(),
-        }
-    }
-}
+/// Sampling cadence in sim-microseconds (one series window each).
+const SAMPLE_INTERVAL_US: u64 = 10_000;
 
 #[derive(Debug)]
 struct Shared {
@@ -97,7 +73,6 @@ struct Shared {
     series: TimeSeries,
     last: Cumulative,
     next_sample_us: u64,
-    interval_us: u64,
     probes: VisibilityTracker,
     checker: StreamingChecker,
     /// Set once the first violation has been returned to the caller
@@ -123,17 +98,17 @@ impl ObsSink {
         ObsSink { inner: None }
     }
 
-    /// A live sink with the given options.
-    pub fn enabled(opts: ObsOptions) -> Self {
+    /// A live sink whose streaming checker applies `policy` (the checks
+    /// the engine's advertised level makes).
+    pub fn enabled(policy: CheckerPolicy) -> Self {
         ObsSink {
             inner: Some(Arc::new(Mutex::new(Shared {
                 registry: MetricsRegistry::new(),
                 series: TimeSeries::default(),
                 last: Cumulative::default(),
-                next_sample_us: opts.sample_interval_us,
-                interval_us: opts.sample_interval_us.max(1),
-                probes: VisibilityTracker::new(opts.probe_every, opts.probe_cap),
-                checker: StreamingChecker::new(opts.policy, opts.checker_window),
+                next_sample_us: SAMPLE_INTERVAL_US,
+                probes: VisibilityTracker::default(),
+                checker: StreamingChecker::new(policy),
                 violation_reported: false,
             }))),
         }
@@ -248,7 +223,7 @@ impl ObsSink {
         let prev = std::mem::take(&mut s.last);
         s.series.push_window(t_us, &prev, &cum);
         s.last = cum;
-        s.next_sample_us = t_us + s.interval_us;
+        s.next_sample_us = t_us + SAMPLE_INTERVAL_US;
     }
 
     /// Polls pending visibility probes: `visible(key, stamp, node)`
@@ -309,6 +284,7 @@ impl ObsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::PROBE_EVERY;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -340,7 +316,7 @@ mod tests {
 
     #[test]
     fn enabled_sink_counts_recordings() {
-        let sink = ObsSink::enabled(ObsOptions::default());
+        let sink = ObsSink::enabled(CheckerPolicy::default());
         let before = obs_recorded_total();
         sink.counter_add("c", &[("n", "0")], 2);
         sink.counter_add("c", &[("n", "0")], 3);
@@ -350,23 +326,20 @@ mod tests {
 
     #[test]
     fn sampling_produces_windows() {
-        let sink = ObsSink::enabled(ObsOptions {
-            sample_interval_us: 1000,
-            ..Default::default()
-        });
-        assert!(!sink.sample_due(999));
-        assert!(sink.sample_due(1000));
+        let sink = ObsSink::enabled(CheckerPolicy::default());
+        assert!(!sink.sample_due(9_999));
+        assert!(sink.sample_due(10_000));
         sink.sample(
-            1000,
+            10_000,
             Cumulative {
                 committed: 4,
                 ..Default::default()
             },
         );
-        assert!(!sink.sample_due(1500));
-        assert!(sink.sample_due(2000));
+        assert!(!sink.sample_due(15_000));
+        assert!(sink.sample_due(20_000));
         sink.sample(
-            2000,
+            20_000,
             Cumulative {
                 committed: 10,
                 ..Default::default()
@@ -380,12 +353,9 @@ mod tests {
 
     #[test]
     fn first_violation_only_returned_once() {
-        let sink = ObsSink::enabled(ObsOptions {
-            policy: CheckerPolicy {
-                fractured: true,
-                monotonic: false,
-            },
-            ..Default::default()
+        let sink = ObsSink::enabled(CheckerPolicy {
+            fractured: true,
+            monotonic: false,
         });
         let writer = CommitObs {
             at_us: 0,
@@ -416,18 +386,18 @@ mod tests {
 
     #[test]
     fn probe_feeds_staleness_into_registry() {
-        let sink = ObsSink::enabled(ObsOptions {
-            probe_every: 1,
-            ..Default::default()
-        });
-        sink.observe_commit(&CommitObs {
-            at_us: 5_000,
-            session: 0,
-            session_seq: 0,
-            stamp: (7, 0),
-            reads: vec![],
-            writes: vec![(b"k".to_vec(), vec![1, 2])],
-        });
+        let sink = ObsSink::enabled(CheckerPolicy::default());
+        // Every PROBE_EVERY-th commit is probed: the last of these.
+        for seq in 0..PROBE_EVERY {
+            sink.observe_commit(&CommitObs {
+                at_us: 5_000,
+                session: 0,
+                session_seq: seq,
+                stamp: (7 + seq, 0),
+                reads: vec![],
+                writes: vec![(b"k".to_vec(), vec![1, 2])],
+            });
+        }
         sink.drive_probes(9_000, |_, _, _| true);
         let p = sink.staleness().unwrap();
         assert_eq!(p.count, 2);

@@ -9,10 +9,18 @@
 //! replica's store whether the stamped version has arrived. The elapsed
 //! sim-time from ack to visibility lands in a live histogram.
 //!
-//! Memory is bounded: at most `cap` writes are in flight; registering
-//! past the cap evicts the oldest entry (counted, never silent).
+//! Memory is bounded: at most `PROBE_CAP` writes are in flight;
+//! registering past the cap evicts the oldest entry (counted, never
+//! silent).
 
 use crate::hist::Histogram;
+
+/// Every `PROBE_EVERY`-th commit (by arrival order) is registered as a
+/// visibility probe.
+pub(crate) const PROBE_EVERY: u64 = 4;
+
+/// Max in-flight visibility probes (oldest evicted beyond this).
+pub(crate) const PROBE_CAP: usize = 64;
 
 /// A write stamp as an opaque ordered pair (the simulator's hybrid
 /// timestamp `(time, node)` — hat-obs stays dependency-free, so the
@@ -33,9 +41,6 @@ struct ProbeEntry {
 /// ack-to-visible staleness per replica into a histogram.
 #[derive(Debug, Clone)]
 pub struct VisibilityTracker {
-    /// Register every Nth commit (N = `every`); 0 disables probing.
-    every: u64,
-    cap: usize,
     commits_seen: u64,
     inflight: Vec<ProbeEntry>,
     /// Entries evicted before resolving (cap pressure).
@@ -46,11 +51,9 @@ pub struct VisibilityTracker {
     pub staleness_ms: Histogram,
 }
 
-impl VisibilityTracker {
-    pub fn new(every: u64, cap: usize) -> Self {
+impl Default for VisibilityTracker {
+    fn default() -> Self {
         VisibilityTracker {
-            every,
-            cap: cap.max(1),
             commits_seen: 0,
             inflight: Vec::new(),
             evicted: 0,
@@ -58,18 +61,18 @@ impl VisibilityTracker {
             staleness_ms: Histogram::for_latency_ms(),
         }
     }
+}
 
+impl VisibilityTracker {
     /// Considers a committed write for probing. Deterministic sampling:
-    /// every Nth commit (by arrival order) is registered, no rng.
+    /// every `PROBE_EVERY`-th commit (by arrival order) is registered,
+    /// no rng.
     pub fn observe_commit(&mut self, at_us: u64, key: &[u8], stamp: Stamp, replicas: &[u32]) {
-        if self.every == 0 {
-            return;
-        }
         self.commits_seen += 1;
-        if !self.commits_seen.is_multiple_of(self.every) || replicas.is_empty() {
+        if !self.commits_seen.is_multiple_of(PROBE_EVERY) || replicas.is_empty() {
             return;
         }
-        if self.inflight.len() >= self.cap {
+        if self.inflight.len() >= PROBE_CAP {
             self.inflight.remove(0);
             self.evicted += 1;
         }
@@ -114,20 +117,26 @@ impl VisibilityTracker {
 mod tests {
     use super::*;
 
+    /// Feeds `PROBE_EVERY` commits, the last of which is probed.
+    fn probe_one(t: &mut VisibilityTracker, at_us: u64, stamp: Stamp, replicas: &[u32]) {
+        for _ in 0..PROBE_EVERY {
+            t.observe_commit(at_us, b"k", stamp, replicas);
+        }
+    }
+
     #[test]
     fn samples_every_nth_commit() {
-        let mut t = VisibilityTracker::new(2, 16);
-        for i in 0..6u64 {
+        let mut t = VisibilityTracker::default();
+        for i in 0..3 * PROBE_EVERY {
             t.observe_commit(i * 1000, b"k", (i, 0), &[1, 2]);
         }
-        // Commits 2, 4, 6 registered.
         assert_eq!(t.inflight(), 3);
     }
 
     #[test]
     fn resolves_staleness_per_replica() {
-        let mut t = VisibilityTracker::new(1, 16);
-        t.observe_commit(10_000, b"k", (5, 0), &[1, 2]);
+        let mut t = VisibilityTracker::default();
+        probe_one(&mut t, 10_000, (5, 0), &[1, 2]);
         // Replica 1 sees it at t=12ms (2ms staleness), replica 2 at 30ms.
         t.drive(12_000, |_, _, node| node == 1);
         assert_eq!(t.samples, 1);
@@ -142,18 +151,11 @@ mod tests {
 
     #[test]
     fn cap_evicts_oldest_and_counts() {
-        let mut t = VisibilityTracker::new(1, 2);
-        for i in 0..4u64 {
-            t.observe_commit(i, b"k", (i, 0), &[9]);
+        let mut t = VisibilityTracker::default();
+        for i in 0..PROBE_CAP as u64 + 2 {
+            probe_one(&mut t, i, (i, 0), &[9]);
         }
-        assert_eq!(t.inflight(), 2);
+        assert_eq!(t.inflight(), PROBE_CAP);
         assert_eq!(t.evicted, 2);
-    }
-
-    #[test]
-    fn zero_every_disables() {
-        let mut t = VisibilityTracker::new(0, 4);
-        t.observe_commit(0, b"k", (1, 0), &[1]);
-        assert_eq!(t.inflight(), 0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The discrete-event simulator (`hat-sim`) gives determinism; this crate
 //! gives *concurrency*: every node (server or client) runs on its own OS
-//! thread, exchanging messages over crossbeam channels. The protocol
+//! thread, exchanging messages over `std::sync::mpsc` channels. The protocol
 //! state machines are exactly the ones the simulator drives —
 //! [`hat_core::Node`] — so anything verified deterministically also runs
 //! for real. Service-time holds and modelled network latency become

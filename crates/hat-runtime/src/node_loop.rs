@@ -25,19 +25,19 @@
 //! round's retry, its protocol half's own) rather than one per request,
 //! and servers arm one periodic timer per task.
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use hat_core::{ClientCmd, ClientReply, HatError, Msg, Node, TraceEventKind, TraceSink};
 use hat_sim::{Actor, Ctx, NodeId, SimTime, TimerId};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything a node thread can receive on its inbox. Interactive
 /// commands share the inbox with network traffic so their arrival wakes
-/// the blocked `recv` immediately (the channel shim has no `select`);
+/// the blocked `recv` immediately (`std::sync::mpsc` has no `select`);
 /// a separate command channel would only be noticed on poll ticks.
 #[derive(Debug)]
 pub enum Envelope {

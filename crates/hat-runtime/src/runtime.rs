@@ -2,7 +2,6 @@
 //! [`RuntimeFrontend`] implementing [`hat_core::Frontend`].
 
 use crate::node_loop::{run_node, Envelope, InteractivePort, Router};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hat_core::{
     ClientCmd, ClientMetrics, ClientReply, ClusterLayout, DeploymentBuilder, Frontend, HatError,
     Node, Session, SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
@@ -12,6 +11,7 @@ use hat_sim::{LatencyModel, NodeId, SimDuration, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -95,7 +95,7 @@ impl Runtime {
         let mut inboxes = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             inboxes.push(tx);
             receivers.push(rx);
         }
@@ -111,7 +111,7 @@ impl Runtime {
         let mut node_ports: Vec<Option<InteractivePort>> = (0..n).map(|_| None).collect();
         if interactive {
             for &c in &clients {
-                let (reply_tx, reply_rx) = unbounded::<(u64, ClientReply)>();
+                let (reply_tx, reply_rx) = channel::<(u64, ClientReply)>();
                 node_ports[c as usize] = Some(InteractivePort {
                     reply_tx,
                     op_deadline,
@@ -489,7 +489,7 @@ mod tests {
                     return None;
                 }
                 self.n -= 1;
-                let k = format!("key{}", rng.gen_range(0..20));
+                let k = format!("key{}", rng.gen_range(0u32..20));
                 Some(TxnSpec::new(vec![
                     Op::Read(k.clone().into_bytes().into()),
                     Op::Write(k.into_bytes().into(), bytes::Bytes::from_static(b"v")),

@@ -14,7 +14,6 @@
 //! acknowledged write is in the log, and that the history is clean.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
 use hat_core::client::TxnSource;
 use hat_core::{
     engine_for, ClusterLayout, ClusterSpec, DeploymentBuilder, Msg, Node, Op, OpRecord,
@@ -360,8 +359,8 @@ fn sim_engine_releases_nothing_before_the_handlers_barrier() {
 /// has returned.
 fn run_threaded(nodes: Vec<Node>, sink: &TraceSink, until: impl FnOnce(&Router)) -> Vec<Node> {
     let n = nodes.len();
-    let (inboxes, receivers): (Vec<_>, Vec<Receiver<Envelope>>) =
-        (0..n).map(|_| unbounded::<Envelope>()).unzip();
+    let (inboxes, receivers): (Vec<_>, Vec<mpsc::Receiver<Envelope>>) =
+        (0..n).map(|_| mpsc::channel::<Envelope>()).unzip();
     let router = Arc::new(Router {
         inboxes,
         delay_us: vec![vec![0; n]; n],

@@ -55,12 +55,12 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Builds a duration from whole microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 
     /// Builds a duration from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator's invariants.
 
 use hat_sim::{
-    percentile, Actor, Ctx, Engine, EngineConfig, Histogram, LatencyModel, NodeId, Partition,
+    Actor, Ctx, Engine, EngineConfig, Histogram, LatencyModel, NodeId, Partition,
     PartitionSchedule, Region, SimDuration, SimTime, Site, Topology,
 };
 use proptest::prelude::*;
@@ -119,15 +119,6 @@ proptest! {
         for w in qs.windows(2) {
             prop_assert!(h.quantile(w[0]) <= h.quantile(w[1]));
         }
-    }
-
-    /// percentile() of a sorted vector is an element of it and monotone.
-    #[test]
-    fn percentile_properties(mut xs in proptest::collection::vec(0.0f64..1e6, 1..200), q in 0.0f64..1.0) {
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p = percentile(&xs, q);
-        prop_assert!(xs.contains(&p));
-        prop_assert!(percentile(&xs, 0.0) <= p && p <= percentile(&xs, 1.0));
     }
 
     /// Engine ordering: messages sent with `send_after` never arrive

@@ -17,8 +17,6 @@ use hatdb::Frontend;
 fn build(obs: bool) -> hatdb::SimFrontend {
     let mut cfg = SystemConfig::new(ProtocolKind::Mav);
     cfg.obs.enabled = obs;
-    cfg.obs.sample_interval = SimDuration::from_millis(5);
-    cfg.obs.probe_every = 2;
     DeploymentBuilder::new(ProtocolKind::Mav)
         .seed(0x0011_FEED)
         .clusters(ClusterSpec::va_or(2))

@@ -1,9 +1,8 @@
 //! Workspace-local stand-in for the `bytes` crate.
 //!
 //! Implements the slice of the `bytes 1.x` API this workspace uses:
-//! [`Bytes`] (cheaply clonable, immutable byte string), [`BytesMut`]
-//! (growable builder), and the [`Buf`]/[`BufMut`] cursor traits for
-//! little-endian framing. `Bytes` is an `Arc<[u8]>`, so clones are
+//! [`Bytes`] (cheaply clonable, immutable byte string) and the [`Buf`]
+//! read cursor for little-endian framing. `Bytes` is an `Arc<[u8]>`, so clones are
 //! reference-counted — the property the protocol code relies on when it
 //! fans a value out to many messages.
 
@@ -133,50 +132,6 @@ impl FromIterator<u8> for Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut(Vec::new())
-    }
-
-    /// An empty buffer with pre-reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut(Vec::with_capacity(cap))
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 /// Read cursor over a byte source (implemented for `&[u8]`).
 pub trait Buf {
     /// Bytes remaining.
@@ -219,48 +174,17 @@ impl Buf for &[u8] {
     }
 }
 
-/// Write cursor over a growable sink (implemented for [`BytesMut`]).
-pub trait BufMut {
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8);
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32);
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64);
-    /// Appends a slice.
-    fn put_slice(&mut self, s: &[u8]);
-}
-
-impl BufMut for BytesMut {
-    fn put_u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, s: &[u8]) {
-        self.0.extend_from_slice(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn round_trip_framing() {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_u8(7);
-        buf.put_u32_le(0xDEAD_BEEF);
-        buf.put_u64_le(42);
-        buf.put_slice(b"xyz");
-        let frozen = buf.freeze();
+        let mut buf = vec![7u8];
+        buf.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        buf.extend_from_slice(&42u64.to_le_bytes());
+        buf.extend_from_slice(b"xyz");
+        let frozen = Bytes::from(buf);
         let mut cur: &[u8] = &frozen;
         assert_eq!(cur.get_u8(), 7);
         assert_eq!(cur.get_u32_le(), 0xDEAD_BEEF);

@@ -1,5 +1,8 @@
 //! Workspace-local stand-in for the `crossbeam` crate.
 //!
+//! Kept only for the benchmark (`bench/`), which still imports it; the
+//! workspace crates use `std::sync::mpsc` directly.
+//!
 //! Only `crossbeam::channel`'s unbounded MPSC surface is used by the
 //! workspace (one receiver per node thread), which `std::sync::mpsc`
 //! covers exactly, so the shim re-exports it under crossbeam's names.

@@ -76,14 +76,7 @@ macro_rules! impl_range_strategy {
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize);
-
-impl Strategy for core::ops::Range<f64> {
-    type Value = f64;
-    fn generate(&self, rng: &mut StdRng) -> f64 {
-        self.start + rng.gen::<f64>() * (self.end - self.start)
-    }
-}
+impl_range_strategy!(u8, u32, u64, usize);
 
 /// `&str` strategies interpret a small regex subset: a single character
 /// class with a bounded repetition, e.g. `"[a-z]{1,8}"`. Anything richer
@@ -133,7 +126,6 @@ macro_rules! impl_tuple_strategy {
 impl_tuple_strategy! {
     (A.0, B.1),
     (A.0, B.1, C.2),
-    (A.0, B.1, C.2, D.3),
 }
 
 /// Types with a default "arbitrary" strategy (see [`any`]).
@@ -142,27 +134,15 @@ pub trait Arbitrary: Sized {
     fn arbitrary(rng: &mut StdRng) -> Self;
 }
 
-macro_rules! impl_arbitrary_int {
-    ($($t:ty),*) => {$(
-        impl Arbitrary for $t {
-            fn arbitrary(rng: &mut StdRng) -> Self {
-                rng.gen_range(<$t>::MIN..<$t>::MAX)
-            }
-        }
-    )*};
+impl Arbitrary for u8 {
+    fn arbitrary(rng: &mut StdRng) -> Self {
+        rng.gen_range(u8::MIN..u8::MAX)
+    }
 }
-
-impl_arbitrary_int!(u8, u16, u32);
 
 impl Arbitrary for u64 {
     fn arbitrary(rng: &mut StdRng) -> Self {
         rng.gen::<u64>()
-    }
-}
-
-impl Arbitrary for bool {
-    fn arbitrary(rng: &mut StdRng) -> Self {
-        rng.gen::<bool>()
     }
 }
 

@@ -92,24 +92,6 @@ impl Standard for u64 {
     }
 }
 
-impl Standard for u32 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl Standard for u8 {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 /// Integer types usable with [`Rng::gen_range`].
 pub trait UniformInt: Copy + PartialOrd {
     /// Uniform draw from `[lo, hi)`.
@@ -138,22 +120,7 @@ macro_rules! impl_uniform_int {
     )*};
 }
 
-impl_uniform_int!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_uniform_int_signed {
-    ($($t:ty => $u:ty),*) => {$(
-        impl UniformInt for $t {
-            fn sample_range<R: Rng + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
-                assert!(lo < hi, "gen_range: empty range");
-                let span = (hi as $u).wrapping_sub(lo as $u);
-                let off = <$u as UniformInt>::sample_range(rng, 0, span);
-                lo.wrapping_add(off as $t)
-            }
-        }
-    )*};
-}
-
-impl_uniform_int_signed!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize);
+impl_uniform_int!(u8, u32, u64, usize);
 
 /// The user-facing randomness trait (subset of `rand::Rng`).
 pub trait Rng: RngCore {

@@ -4,9 +4,10 @@
 //! paper's central claim — each HAT protocol provides exactly the
 //! isolation level it advertises.
 
+use hatdb::core::client::TxnSource;
 use hatdb::core::{
-    ClientCmd, ClusterSpec, DeploymentBuilder, ProtocolKind, SessionLevel, SessionOptions,
-    TxnRecord,
+    ClientCmd, ClusterSpec, DeploymentBuilder, Op, ProtocolKind, SessionLevel, SessionOptions,
+    TxnBackend, TxnRecord, TxnSpec,
 };
 use hatdb::history::{check, IsolationLevel, Phenomenon};
 use hatdb::sim::SimDuration;
@@ -297,6 +298,103 @@ fn detector_separates_read_atomic_from_mav() {
         );
         assert!(report.ok(), "seed {seed}: {report}");
     }
+}
+
+/// A fixed plan list per closed-loop client.
+struct Plans(std::vec::IntoIter<TxnSpec>);
+
+impl TxnSource for Plans {
+    fn next_txn(&mut self, _rng: &mut rand::rngs::StdRng) -> Option<TxnSpec> {
+        self.0.next()
+    }
+}
+
+/// Closed-loop RAMP-S clients in one cluster of four shards: two write
+/// `fx` and `fy` together, two read them back as one plan, `fy` first.
+/// The driver fetches a plan's reads as one GET_ALL batch, so every
+/// read set is atomic; read one at a time, a reader that saw the old
+/// `fy` could not repair it once `fx` showed the new write.
+#[test]
+fn ramp_small_closed_loop_plans_are_read_atomic() {
+    for seed in [0, 1, 2] {
+        let drivers: Vec<Box<dyn TxnSource>> = (0..4)
+            .map(|c| {
+                let specs: Vec<TxnSpec> = (0..40)
+                    .map(|n| {
+                        let ops = if c % 2 == 0 {
+                            let v = format!("c{c}n{n}");
+                            vec![Op::write("fx", &v), Op::write("fy", &v)]
+                        } else {
+                            vec![Op::read("fy"), Op::read("fx")]
+                        };
+                        TxnSpec::new(ops)
+                    })
+                    .collect();
+                Box::new(Plans(specs.into_iter())) as Box<dyn TxnSource>
+            })
+            .collect();
+        let mut front = DeploymentBuilder::new(ProtocolKind::RampSmall)
+            .seed(seed)
+            .clusters(ClusterSpec::single_dc(1, 4))
+            .drivers(drivers)
+            .build();
+        front.run_for(SimDuration::from_secs(2));
+        let records = front.take_records();
+        assert!(
+            records.iter().filter(|r| r.committed()).count() > 100,
+            "seed {seed}: too few txns"
+        );
+        let report = check(records, IsolationLevel::ReadAtomic);
+        assert!(report.ok(), "seed {seed}: {report}");
+    }
+}
+
+/// The interactive RAMP-S contract, pinned the way MAV's backward
+/// fracture is above: a reader's sequential `get`s straddle a writer's
+/// commit of `fx` and `fy`. The later read of `fx` sees the new write;
+/// the earlier read of `fy` cannot be repaired, because RAMP-S carries
+/// no write-set metadata to tell it `fy` was written too. The history
+/// is fractured but still atomic-view clean. RAMP-F, whose metadata
+/// repairs the later read instead, stays Read Atomic on the same script.
+#[test]
+fn ramp_small_sequential_gets_can_fracture() {
+    let script = |protocol: ProtocolKind| {
+        let mut front = DeploymentBuilder::new(protocol)
+            .seed(60)
+            .clusters(ClusterSpec::single_dc(1, 4))
+            .sessions_per_cluster(2)
+            .build();
+        let writer = front.open_session(SessionOptions::default());
+        let reader = front.open_session(SessionOptions::default());
+        front.txn(&writer, |t| {
+            t.put("fx", "old")?;
+            t.put("fy", "old")
+        });
+        front.quiesce();
+        front.begin(&reader).unwrap();
+        let fy = front.exec_get(&reader, "fy".into()).unwrap();
+        front.txn(&writer, |t| {
+            t.put("fx", "new")?;
+            t.put("fy", "new")
+        });
+        let fx = front.exec_get(&reader, "fx".into()).unwrap();
+        front.commit(&reader).unwrap();
+        (fy, fx, front.take_records())
+    };
+    let (fy, fx, records) = script(ProtocolKind::RampSmall);
+    assert_eq!(fy.as_deref(), Some(&b"old"[..]));
+    assert_eq!(fx.as_deref(), Some(&b"new"[..]));
+    assert_eq!(fractured_reads(records.clone()), 1);
+    let report = check(records, IsolationLevel::MonotonicAtomicView);
+    assert!(report.ok(), "{report}");
+
+    let (_, fx, records) = script(ProtocolKind::RampFast);
+    assert_eq!(
+        fx.as_deref(),
+        Some(&b"old"[..]),
+        "RAMP-F repairs the later read"
+    );
+    assert_eq!(fractured_reads(records), 0);
 }
 
 /// Negative control pinning the anomaly: engines *without* atomic
