@@ -65,6 +65,11 @@ pub(super) struct ActiveTxn {
     /// read. Empty while the batch is in flight; `None` when the plan
     /// reads one key at a time.
     pub(super) prefetched: Option<(SimTime, BTreeMap<Key, SharedRecord>)>,
+    /// The plan's writes sent as one round at its start: the round's
+    /// issue time and the keys it wrote. A write of one of these keys is
+    /// recorded as the plan reaches it, and nothing more is sent. `None`
+    /// when the plan writes at operation time or at commit.
+    pub(super) prewritten: Option<(SimTime, Vec<Key>)>,
     pub(super) op_seq: u32,
     /// What is in flight.
     pub(super) round: Round,
@@ -240,6 +245,13 @@ impl ClientCore {
         &self.txn().write_buffer
     }
 
+    /// When the plan's write batch that already sent `key` was issued;
+    /// `None` if no batch carried it.
+    pub(super) fn prewritten(&self, key: &Key) -> Option<SimTime> {
+        let (issued, keys) = self.txn().prewritten.as_ref()?;
+        keys.contains(key).then_some(*issued)
+    }
+
     /// The version of `key` this transaction has already read, if any.
     pub fn cached(&self, key: &Key) -> Option<&SharedRecord> {
         self.txn().txn_cache.get(key)
@@ -395,22 +407,24 @@ impl ClientCore {
         self.op_span(ctx.now(), OpKind::Put, true);
     }
 
-    /// Flushes the write buffer as one round of stamped `Put`s — last
-    /// value per key, in first-write order. With `siblings`, every
-    /// record carries the whole write set as metadata. With nothing to
-    /// flush, nothing is sent and the commit is already done:
+    /// Sends `writes` (in program order: a commit's write buffer, or a
+    /// plan's write batch) as one round of stamped `Put`s — last value
+    /// per key, in first-write order. With `siblings`, every record
+    /// carries the whole write set as metadata. With nothing to send,
+    /// nothing is sent and the commit is already done:
     /// `Step::Finish(Committed)`.
     pub fn flush_writes(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
+        program_order: Vec<(Key, Bytes)>,
         siblings: bool,
         placement: Placement,
     ) -> Step {
-        let mut writes: Vec<(Key, Bytes)> = Vec::new();
-        for (k, v) in &self.txn().write_buffer {
-            match writes.iter_mut().find(|(wk, _)| wk == k) {
-                Some(w) => w.1 = v.clone(),
-                None => writes.push((k.clone(), v.clone())),
+        let mut writes: Vec<(Key, Bytes)> = Vec::with_capacity(program_order.len());
+        for (k, v) in program_order {
+            match writes.iter_mut().find(|(wk, _)| *wk == k) {
+                Some(w) => w.1 = v,
+                None => writes.push((k, v)),
             }
         }
         if writes.is_empty() {

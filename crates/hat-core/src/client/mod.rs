@@ -224,6 +224,7 @@ impl Client {
             phase: Phase::Executing,
             plan: None,
             prefetched: None,
+            prewritten: None,
             op_seq: 0,
             round: Default::default(),
         });
@@ -291,12 +292,20 @@ impl Client {
         }
     }
 
-    /// Issues a write. Buffering protocols complete immediately;
-    /// eventual/master send the write now; 2PL acquires the lock first.
+    /// Issues a write. Buffering protocols complete immediately, and so
+    /// does a write its plan's batch already sent; otherwise
+    /// eventual/master send the write now, and 2PL acquires the lock
+    /// first.
     fn issue_write(&mut self, ctx: &mut Ctx<'_, Msg>, key: Key, value: Bytes) {
-        assert!(!self.core.busy(), "one op at a time");
-        self.core.op_span(ctx.now(), OpKind::Put, false);
-        self.proto.write(&mut self.core, ctx, key, value);
+        let core = &mut self.core;
+        assert!(!core.busy(), "one op at a time");
+        core.op_span(ctx.now(), OpKind::Put, false);
+        if let Some(issued) = core.prewritten(&key) {
+            core.buffer_write(key, value);
+            core.finish_write(ctx, issued);
+            return;
+        }
+        self.proto.write(core, ctx, key, value);
     }
 
     /// Starts commit. Buffering protocols flush the write buffer; 2PL
@@ -585,10 +594,37 @@ impl Client {
             return;
         };
         self.begin(ctx.now());
-        let reads = batch_reads(&spec);
+        let (reads, writes) = plan_batches(&spec);
         self.core.txn_mut().plan = Some((spec, 0));
-        self.prefetch(ctx, reads);
+        if !self.prewrite(ctx, writes) {
+            self.prefetch(ctx, reads);
+        }
         self.step_plan(ctx);
+    }
+
+    /// Sends a plan's write batch as one round before its first
+    /// operation, if the protocol makes writes visible before commit
+    /// (eventual, master): Read Uncommitted orders a transaction's
+    /// writes by their one stamp, not by when they are sent, so the
+    /// plan's puts share one round — and, on a durable store, one sync —
+    /// instead of one each. False if there was nothing to send or the
+    /// protocol refused, in which case the plan may batch its reads.
+    fn prewrite(&mut self, ctx: &mut Ctx<'_, Msg>, writes: Vec<(Key, Bytes)>) -> bool {
+        if writes.is_empty() {
+            return false;
+        }
+        let keys = writes.iter().map(|(k, _)| k.clone()).collect();
+        self.core.txn_mut().prewritten = Some((ctx.now(), keys));
+        match self.proto.write_many(&mut self.core, ctx, writes) {
+            Ok(step) => {
+                self.apply(ctx, step);
+                true
+            }
+            Err(_) => {
+                self.core.txn_mut().prewritten = None;
+                false
+            }
+        }
     }
 
     /// Fetches a plan's reads as one batch (the RAMP paper's `GET_ALL`)
@@ -622,7 +658,8 @@ impl Client {
             if *idx >= spec.ops.len() {
                 if txn.phase == Phase::Executing {
                     self.start_commit(ctx);
-                    // eventual/master finish synchronously; others wait
+                    // eventual/master, whose writes are already out,
+                    // finish synchronously; others wait
                     if self
                         .core
                         .current
@@ -674,6 +711,10 @@ impl Client {
             Msg::PutResp { .. } | Msg::CommitBatchResp { .. } => {
                 if core.txn().phase == Phase::Committing {
                     self.proto.on_acked(core, ctx, done)
+                } else if done.key().is_some_and(|k| core.prewritten(k).is_some()) {
+                    // a plan's write batch: each write is recorded when
+                    // the plan reaches it
+                    Step::Continue
                 } else {
                     // operation-time write ack (eventual / master)
                     core.finish_write(ctx, done.issued);
@@ -703,21 +744,40 @@ impl Client {
     }
 }
 
-/// The keys a plan reads before writing them, each once, in plan order:
-/// what its batch fetches. A read of a key the plan wrote earlier is
-/// served from the write buffer. Predicate reads are not batched:
-/// `hat_history`'s fractured-read check covers item reads only.
-fn batch_reads(spec: &TxnSpec) -> Vec<Key> {
+/// What a plan's one batch may carry, in plan order:
+///
+/// * reads: the keys it reads before writing them, each once. A read of
+///   a key the plan wrote earlier is served from the write buffer.
+///   Predicate reads are not batched: `hat_history`'s fractured-read
+///   check covers item reads only.
+/// * writes: every write of each key whose first operation is a write
+///   (the batch sends the key's last value). A key read first — by an
+///   item read, or by a predicate read whose prefix covers it — is
+///   written when the plan reaches the write, after that read.
+fn plan_batches(spec: &TxnSpec) -> (Vec<Key>, Vec<(Key, Bytes)>) {
     let mut reads: Vec<Key> = Vec::new();
     let mut written: Vec<&Key> = Vec::new();
+    let mut scanned: Vec<&Key> = Vec::new();
+    let mut writes: Vec<(Key, Bytes)> = Vec::new();
     for op in &spec.ops {
         match op {
             Op::Read(k) if !written.contains(&k) && !reads.contains(k) => reads.push(k.clone()),
-            Op::Write(k, _) => written.push(k),
-            _ => {}
+            Op::Write(k, v) => {
+                let batched = if written.contains(&k) {
+                    writes.iter().any(|(w, _)| w == k)
+                } else {
+                    written.push(k);
+                    !reads.contains(k) && !scanned.iter().any(|p| k.starts_with(p))
+                };
+                if batched {
+                    writes.push((k.clone(), v.clone()));
+                }
+            }
+            Op::PredicateRead(p) => scanned.push(p),
+            Op::Read(_) => {}
         }
     }
-    reads
+    (reads, writes)
 }
 
 /// Feeds a committed transaction to the live-telemetry sink: its reads

@@ -360,6 +360,12 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
 
     /// Starts a one-shot multi-key read if the protocol has one; `Err`
     /// hands the keys back to be read one at a time.
+    ///
+    /// A closed-loop plan sends one batch: it offers its writes to
+    /// [`ClientProtocol::write_many`] first and its reads here only if
+    /// that refused. So at most one of the two accepts for any engine;
+    /// one accepting both would batch a plan's writes and read the plan
+    /// one key at a time.
     fn read_many(
         &mut self,
         core: &mut ClientCore,
@@ -395,9 +401,26 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
         core.op_span(ctx.now(), hat_trace::OpKind::Put, true);
     }
 
+    /// Sends a plan's write set as one round when the plan starts, if
+    /// the protocol makes writes visible before commit: `writes` holds,
+    /// in plan order, every write of each key whose first operation in
+    /// the plan is a write, and each key's last value goes out. The plan
+    /// then records each write as it reaches it, served locally. `Err`
+    /// hands the writes back to be issued at operation time. At most one
+    /// of this and [`ClientProtocol::read_many`] accepts.
+    fn write_many(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        writes: Vec<(Key, Bytes)>,
+    ) -> Result<Step, Vec<(Key, Bytes)>> {
+        let _ = (core, ctx);
+        Err(writes)
+    }
+
     /// Starts commit.
     fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
-        core.flush_writes(ctx, false, Placement::PerKey)
+        core.flush_writes(ctx, core.write_buffer().to_vec(), false, Placement::PerKey)
     }
 
     /// A commit-phase `Put` or mark batch was acknowledged.

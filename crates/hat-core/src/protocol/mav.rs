@@ -435,7 +435,7 @@ impl ClientProtocol for MavClient {
     }
 
     fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
-        core.flush_writes(ctx, true, Placement::PerKey)
+        core.flush_writes(ctx, core.write_buffer().to_vec(), true, Placement::PerKey)
     }
 }
 

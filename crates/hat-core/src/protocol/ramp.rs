@@ -592,7 +592,12 @@ impl ClientProtocol for RampFastClient {
     }
 
     fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
-        core.flush_writes(ctx, true, Placement::OneCluster)
+        core.flush_writes(
+            ctx,
+            core.write_buffer().to_vec(),
+            true,
+            Placement::OneCluster,
+        )
     }
 
     fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
@@ -766,7 +771,12 @@ impl ClientProtocol for RampSmallClient {
     /// No sibling metadata — constant-size metadata (the stamp) is
     /// RAMP-Small's whole point.
     fn commit(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
-        core.flush_writes(ctx, false, Placement::OneCluster)
+        core.flush_writes(
+            ctx,
+            core.write_buffer().to_vec(),
+            false,
+            Placement::OneCluster,
+        )
     }
 
     fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {

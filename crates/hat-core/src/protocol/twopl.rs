@@ -352,7 +352,7 @@ impl TwoPlClient {
     /// after commit-time lock validation when the transaction holds
     /// read locks, immediately otherwise.
     fn flush(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>) -> Step {
-        let step = core.flush_writes(ctx, false, Placement::PerKey);
+        let step = core.flush_writes(ctx, core.write_buffer().to_vec(), false, Placement::PerKey);
         if matches!(step, Step::Finish(_)) {
             self.release(core, ctx);
         }

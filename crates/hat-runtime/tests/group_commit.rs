@@ -515,14 +515,17 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// syncs are shared (`wal_syncs < wal_synced_puts`), every write of
 /// every committed transaction is found at or above its stamp in the
 /// reopened log, and the history is clean at the advertised level.
-/// Read Committed batches within a transaction (the commit flush sends
-/// the write set at once); eventual is write-through and batches only
-/// across clients.
+/// Every engine sends a plan's two writes in one round — Read Committed
+/// as its commit flush, eventual and master as the plan's write batch
+/// before its reads — so each transaction takes three rounds and the
+/// two puts share a pass and a sync. The write-through engines must
+/// show it: at one sync per put their batch would not be one round.
 #[test]
 fn durable_deployment_shares_syncs_and_loses_no_acknowledged_write() {
     for (kind, level) in [
         (ProtocolKind::ReadCommitted, IsolationLevel::ReadCommitted),
         (ProtocolKind::Eventual, IsolationLevel::ReadUncommitted),
+        (ProtocolKind::Master, IsolationLevel::ReadUncommitted),
     ] {
         let dir = wal_dir(&format!("{kind:?}"));
         let (drivers, all_done) = plans(150);
@@ -542,6 +545,8 @@ fn durable_deployment_shares_syncs_and_loses_no_acknowledged_write() {
         wait_all_done(&all_done);
         let (nodes, metrics, records) = rt.shutdown();
         assert_eq!(metrics.committed, (CLIENTS * 150) as u64, "{kind:?}");
+        // Two reads and one round for both writes.
+        assert_eq!(metrics.msg_rounds, metrics.committed * 3, "{kind:?}");
 
         let servers: Vec<&Server> = nodes.iter().filter_map(Node::as_server).collect();
         assert_eq!(servers.len(), 1);
@@ -558,6 +563,14 @@ fn durable_deployment_shares_syncs_and_loses_no_acknowledged_write() {
             stats.wal_syncs,
             stats.wal_synced_puts
         );
+        if kind != ProtocolKind::ReadCommitted {
+            assert!(
+                2 * stats.wal_synced_puts >= 3 * stats.wal_syncs,
+                "{kind:?}: {} syncs for {} puts — fewer than 1.5 puts per sync",
+                stats.wal_syncs,
+                stats.wal_synced_puts
+            );
+        }
         let server_dir = dir.join(format!("server-{}", servers[0].node_id()));
         drop(nodes); // close the log before reading it back
 
