@@ -6,8 +6,8 @@
 //!
 //! Run: `cargo run -p hat-bench --release --bin exp_fig1`
 
-use hat_sim::latency::{LinkClass, RegionPair};
-use hat_sim::{Histogram, LatencyModel, Region};
+use hat_obs::Histogram;
+use hat_sim::latency::{LatencyModel, LinkClass, Region, RegionPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

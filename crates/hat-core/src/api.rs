@@ -647,13 +647,13 @@ impl SimFrontend {
 
     /// Rebuilds a crashed server from its recovered store and boots it.
     ///
-    /// On a durable deployment the new incarnation replays its WAL
-    /// (checkpoint + valid log prefix; a torn tail is detected and
-    /// discarded) and re-seeds its replication log from the recovered
-    /// versions so surviving records re-gossip. Peers rewind their
-    /// cursors for this node, re-sending everything they still retain:
-    /// records the torn tail lost are the newest, so they sit above every
-    /// peer's compaction horizon. Application is idempotent.
+    /// On a durable deployment the new incarnation replays its WAL's
+    /// valid prefix (a torn tail is detected and cut) and re-seeds its
+    /// replication log from the recovered versions so surviving records
+    /// re-gossip. Peers rewind their cursors for this node, re-sending
+    /// everything they still retain: records the torn tail lost are the
+    /// newest, so they sit above every peer's compaction horizon.
+    /// Application is idempotent.
     pub fn restart_server(&mut self, node: NodeId) {
         assert!(
             self.engine.is_crashed(node),

@@ -1,6 +1,7 @@
 //! Per-client performance metrics.
 
-use hat_sim::{Histogram, LatencyPercentiles, SimDuration, SimTime};
+use hat_obs::{Histogram, LatencyPercentiles};
+use hat_sim::{SimDuration, SimTime};
 use hat_trace::OpKind;
 
 /// Latency/throughput counters maintained by each client. Latencies are

@@ -490,11 +490,11 @@ pub fn lww_apply(view: &mut ServerView<'_>, key: Key, record: SharedRecord) {
 /// the RAMP engines for the committed part of their lookup.
 pub fn resolve_version(store: &dyn Store, key: &Key, req: &VersionReq) -> Option<SharedRecord> {
     match req {
-        VersionReq::Exact(ts) => store.get_at(key, *ts),
+        VersionReq::Exact(ts) => store.exact(key, *ts),
         VersionReq::AtOrBelow(ts) => store.latest_at_or_below(key, *ts),
         VersionReq::Among(set) => set
             .iter()
-            .filter_map(|ts| store.get_at(key, *ts))
+            .filter_map(|ts| store.exact(key, *ts))
             .max_by_key(|r| r.stamp),
     }
 }

@@ -111,7 +111,7 @@ impl RampCore {
         rec: SharedRecord,
     ) {
         let ts = rec.stamp;
-        if view.store.get_at(&key, ts).is_some() || self.prepared.exact(&key, ts).is_some() {
+        if view.store.exact(&key, ts).is_some() || self.prepared.exact(&key, ts).is_some() {
             return; // duplicate delivery
         }
         // The prepared set, any parked-reader replies, and the eventual
@@ -227,7 +227,7 @@ impl RampCore {
         self.version_fetches += 1;
         match req {
             VersionReq::Exact(ts) => {
-                if let Some(r) = view.store.get_at(key, *ts) {
+                if let Some(r) = view.store.exact(key, *ts) {
                     return VersionAnswer::Ready(Some(r));
                 }
                 if let Some(r) = self.prepared.exact(key, *ts) {

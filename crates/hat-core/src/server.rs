@@ -57,9 +57,9 @@ const TIMER_RECOVERY: TimerId = 2;
 /// Records shipped per [`Msg::ShardTransfer`] chunk.
 const HANDOFF_CHUNK: usize = 256;
 
-/// Replication-side counters, kept alongside `requests_served` so
-/// experiments can report the group-commit and delta-compression wins
-/// numerically (messages and bytes actually put on the wire).
+/// Replication-side counters, so experiments can report the group-commit
+/// and delta-compression wins numerically (messages and bytes actually
+/// put on the wire).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
     /// Anti-entropy batches sent (`Replicate` + `ReplicateDelta`).
@@ -81,9 +81,9 @@ pub struct ServerStats {
     pub msgs_dropped_by_partition: u64,
     /// Times this server has been crashed by a fault injector.
     pub crashes: u64,
-    /// WAL/checkpoint records replayed into this server's store at
-    /// recovery, accumulated across restarts. Nonzero proves a restarted
-    /// server is serving log-recovered state rather than an empty store.
+    /// WAL records replayed into this server's store at recovery,
+    /// accumulated across restarts. Nonzero proves a restarted server is
+    /// serving log-recovered state rather than an empty store.
     pub wal_records_replayed: u64,
     /// Bytes of torn WAL tail recovery cut, accumulated across restarts
     /// like `wal_records_replayed`. Nonzero proves a torn-tail fault
@@ -248,8 +248,6 @@ pub struct Server {
     /// queues — everything the engines push past this point gets
     /// appended to the matching in-progress handoff's tail.
     handoff_cursor: u64,
-    /// Requests served (for load accounting in experiments).
-    pub requests_served: u64,
     /// Replication and group-commit counters.
     pub stats: ServerStats,
     /// Structured trace sink (no-op unless `SystemConfig::trace`).
@@ -302,7 +300,6 @@ impl Server {
             handoffs: BTreeMap::new(),
             tokens_acquired: BTreeSet::new(),
             handoff_cursor,
-            requests_served: 0,
             stats,
             trace: TraceSink::disabled(),
         }
@@ -646,7 +643,6 @@ impl Server {
         key: Key,
         required: Timestamp,
     ) {
-        self.requests_served += 1;
         if let Some(owner) = self.redirect_for(&key) {
             self.nack_wrong_shard(ctx, from, txn, op, key, owner);
             return;
@@ -667,7 +663,6 @@ impl Server {
         op: u32,
         key: Key,
     ) {
-        self.requests_served += 1;
         if let Some(owner) = self.redirect_for(&key) {
             self.nack_wrong_shard(ctx, from, txn, op, key, owner);
             return;
@@ -690,7 +685,6 @@ impl Server {
         key: Key,
         req: crate::messages::VersionReq,
     ) {
-        self.requests_served += 1;
         let cost = self.config.service.read();
         let (engine, mut view) = self.engine_view();
         let answer = engine.read_version(&mut view, from, txn, op, &key, &req);
@@ -712,7 +706,6 @@ impl Server {
         ts: Timestamp,
         marks: Vec<(u32, Key)>,
     ) {
-        self.requests_served += 1;
         self.stats.commit_batches += 1;
         self.stats.commit_batch_size += marks.len() as u64;
         let cost = self.config.service.ramp_commits(marks.len());
@@ -734,7 +727,6 @@ impl Server {
         op: u32,
         prefix: Key,
     ) {
-        self.requests_served += 1;
         let matches = self.store.scan_prefix(&prefix);
         let cost = self.config.service.scan(matches.len());
         let hold = self.service(ctx.now(), cost);
@@ -750,7 +742,6 @@ impl Server {
         key: Key,
         record: SharedRecord,
     ) {
-        self.requests_served += 1;
         if let Some(owner) = self.redirect_for(&key) {
             self.nack_wrong_shard(ctx, from, txn, op, key, owner);
             return;
@@ -1154,7 +1145,6 @@ impl Server {
         if !self.recovering.is_empty() {
             return;
         }
-        self.requests_served += 1;
         let cost = self.config.service.lock();
         let hold = self.service(ctx.now(), cost);
         let grants = {
@@ -1199,7 +1189,6 @@ impl Server {
         op: u32,
         key: Key,
     ) {
-        self.requests_served += 1;
         let cost = self.config.service.lock();
         let hold = self.service(ctx.now(), cost);
         let ok = self.engine.lock_valid(txn, &key);

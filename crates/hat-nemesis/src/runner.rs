@@ -6,8 +6,8 @@ use hat_core::{
     SessionOptions, SimFrontend, SystemConfig, TraceEventKind, TxnId, TxnRecord,
 };
 use hat_history::{check, IsolationLevel};
-use hat_obs::{LatencyPercentiles as StalenessPercentiles, MetricsRegistry, ObsSink, TimeSeries};
-use hat_sim::{LatencyModel, LatencyPercentiles, NodeId, Partition, SimDuration, SimTime};
+use hat_obs::{LatencyPercentiles, MetricsRegistry, ObsSink, TimeSeries};
+use hat_sim::{LatencyModel, NodeId, Partition, SimDuration, SimTime};
 use hat_storage::{Key, SyncPolicy, VersionStamp};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -85,7 +85,7 @@ pub struct NemesisReport {
     pub registry: MetricsRegistry,
     /// t-visibility staleness percentiles from the online probe pair
     /// (None when no probe resolved before the run ended).
-    pub staleness: Option<StalenessPercentiles>,
+    pub staleness: Option<LatencyPercentiles>,
     /// Violations flagged *live* by the streaming checker. Must be 0,
     /// like the offline `violations` — the streamed check is bounded-
     /// memory and may miss (evicted writers), but never false-alarms.

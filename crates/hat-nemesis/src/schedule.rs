@@ -47,8 +47,8 @@ pub enum Fault {
         torn_tail: u64,
     },
     /// Restart a previously crashed server: reopen its store (replaying
-    /// checkpoint + surviving WAL prefix) and rejoin the cluster via the
-    /// bootstrap recovery protocol.
+    /// the surviving WAL prefix) and rejoin the cluster via the bootstrap
+    /// recovery protocol.
     Restart {
         /// The server to revive.
         node: NodeId,

@@ -25,8 +25,7 @@ use hat_runtime::{Runtime, RuntimeConfig};
 use hat_sim::{Ctx, Engine, NetHop, NodeId, SimDuration, SimTime};
 use hat_storage::error::Result as StoreResult;
 use hat_storage::{
-    DurableStore, Key, MemStore, Record, SharedRecord, StorageError, Store, SyncPolicy,
-    VersionStamp,
+    DurableStore, Key, MemStore, Memtable, Record, SharedRecord, StorageError, Store, SyncPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,6 +76,12 @@ impl RecordingStore {
 }
 
 impl Store for RecordingStore {
+    fn table(&self) -> &Memtable {
+        self.inner.table()
+    }
+    fn table_mut(&mut self) -> &mut Memtable {
+        self.inner.table_mut()
+    }
     fn put(&mut self, key: Key, record: SharedRecord) -> StoreResult<bool> {
         self.sink
             .record(0, self.node, TraceEventKind::WalAppend { bytes: 0 });
@@ -95,43 +100,6 @@ impl Store for RecordingStore {
     }
     fn needs_persist(&self) -> bool {
         self.unsynced > 0
-    }
-    fn latest(&self, key: &[u8]) -> Option<SharedRecord> {
-        self.inner.latest(key)
-    }
-    fn latest_at_or_below(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.inner.latest_at_or_below(key, bound)
-    }
-    fn latest_at_or_above(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.inner.latest_at_or_above(key, bound)
-    }
-    fn exact(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord> {
-        self.inner.exact(key, stamp)
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)> {
-        self.inner.scan_prefix(prefix)
-    }
-    fn scan_prefix_at_or_below(
-        &self,
-        prefix: &[u8],
-        bound: VersionStamp,
-    ) -> Vec<(Key, SharedRecord)> {
-        self.inner.scan_prefix_at_or_below(prefix, bound)
-    }
-    fn gc_below(&mut self, bound: VersionStamp) -> usize {
-        self.inner.gc_below(bound)
-    }
-    fn key_count(&self) -> usize {
-        self.inner.key_count()
-    }
-    fn version_count(&self) -> usize {
-        self.inner.version_count()
-    }
-    fn sync(&mut self) -> StoreResult<()> {
-        Ok(())
-    }
-    fn all_versions(&self) -> Vec<(Key, SharedRecord)> {
-        self.inner.all_versions()
     }
 }
 

@@ -16,8 +16,6 @@
 //! * [`engine`] — the simulation engine: actors exchange messages and
 //!   timers; delivery latency is drawn from the latency model and messages
 //!   crossing an active partition are dropped.
-//! * [`stats`] — log-scaled latency histograms (re-exported from
-//!   `hat-obs`) shared by the benchmark harness.
 //!
 //! Everything is deterministic given a seed: two runs with identical
 //! configuration produce identical histories, which the test suite relies
@@ -29,7 +27,6 @@ pub mod engine;
 pub mod event;
 pub mod latency;
 pub mod partition;
-pub mod stats;
 pub mod time;
 pub mod topology;
 
@@ -39,6 +36,5 @@ pub use engine::{
 pub use event::{Event, EventQueue};
 pub use latency::{LatencyModel, LinkClass, Region, RegionPair, ALL_REGIONS};
 pub use partition::{Partition, PartitionSchedule};
-pub use stats::{Histogram, LatencyPercentiles};
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Site, Topology};

@@ -1,8 +1,9 @@
 //! Property-based tests for the simulator's invariants.
 
+use hat_obs::Histogram;
 use hat_sim::{
-    Actor, Ctx, Engine, EngineConfig, Histogram, LatencyModel, NodeId, Partition,
-    PartitionSchedule, Region, SimDuration, SimTime, Site, Topology,
+    Actor, Ctx, Engine, EngineConfig, LatencyModel, NodeId, Partition, PartitionSchedule, Region,
+    SimDuration, SimTime, Site, Topology,
 };
 use proptest::prelude::*;
 

@@ -28,10 +28,10 @@ pub struct Memtable {
     map: BTreeMap<Key, Vec<SharedRecord>>,
     versions: usize,
     /// Per-key version-chain bound (`None` = unbounded). Multi-version
-    /// readers (RAMP `get_at`, snapshot reads) only ever reach back a
-    /// bounded distance, so retaining every version forever is pure
-    /// memory leak; the cap drops the oldest versions of a chain once it
-    /// grows past the bound, always keeping the newest `cap`.
+    /// readers (RAMP's exact-stamp fetches, snapshot reads) only ever
+    /// reach back a bounded distance, so retaining every version forever
+    /// is pure memory leak; the cap drops the oldest versions of a chain
+    /// once it grows past the bound, always keeping the newest `cap`.
     cap: Option<usize>,
 }
 
@@ -128,41 +128,12 @@ impl Memtable {
     /// Latest version of every key whose bytes start with `prefix`,
     /// in key order. This is the predicate-read primitive: a `SELECT
     /// WHERE key LIKE 'prefix%'` over last-writer-wins state.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, &SharedRecord)> {
-        self.range_scan(prefix, |k| k.starts_with(prefix))
-    }
-
-    /// Latest version of every key whose bytes start with `prefix`, with
-    /// visibility bounded at `bound` (`≤ bound` snapshot semantics).
-    pub fn scan_prefix_at_or_below(
-        &self,
-        prefix: &[u8],
-        bound: VersionStamp,
-    ) -> Vec<(Key, &SharedRecord)> {
-        let mut out = Vec::new();
-        for (k, versions) in self.map.range(Key::copy_from_slice(prefix)..) {
-            if !k.starts_with(prefix) {
-                break;
-            }
-            let idx = versions.partition_point(|r| r.stamp <= bound);
-            if let Some(i) = idx.checked_sub(1) {
-                out.push((k.clone(), &versions[i]));
-            }
-        }
-        out
-    }
-
-    fn range_scan(&self, start: &[u8], keep: impl Fn(&[u8]) -> bool) -> Vec<(Key, &SharedRecord)> {
-        let mut out = Vec::new();
-        for (k, versions) in self.map.range(Key::copy_from_slice(start)..) {
-            if !keep(k) {
-                break;
-            }
-            if let Some(last) = versions.last() {
-                out.push((k.clone(), last));
-            }
-        }
-        out
+    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)> {
+        self.map
+            .range(Key::copy_from_slice(prefix)..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .filter_map(|(k, versions)| Some((k.clone(), versions.last()?.clone())))
+            .collect()
     }
 
     /// Garbage-collects versions strictly below `bound`, always retaining
@@ -197,8 +168,9 @@ impl Memtable {
         self.map.is_empty()
     }
 
-    /// Iterates `(key, versions)` in key order (used by checkpointing and
-    /// anti-entropy).
+    /// Iterates `(key, versions)` in key order (what
+    /// [`Store::all_versions`](crate::Store::all_versions) dumps to reseed
+    /// a restarted server's replication log).
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &[SharedRecord])> {
         self.map.iter().map(|(k, v)| (k, v.as_slice()))
     }
@@ -290,17 +262,6 @@ mod tests {
         assert_eq!(hits[0].0, k("order/1"));
         assert_eq!(hits[0].1.value, Bytes::from("o1v2"));
         assert_eq!(hits[1].0, k("order/2"));
-    }
-
-    #[test]
-    fn prefix_scan_snapshot_bounds_visibility() {
-        let mut m = Memtable::new();
-        m.insert(k("a/1"), rec(1, 0, "old"));
-        m.insert(k("a/1"), rec(10, 0, "new"));
-        m.insert(k("a/2"), rec(20, 0, "only-new"));
-        let hits = m.scan_prefix_at_or_below(b"a/", VersionStamp::new(5, 0));
-        assert_eq!(hits.len(), 1, "a/2 has no version at or below the bound");
-        assert_eq!(hits[0].1.value, Bytes::from("old"));
     }
 
     #[test]

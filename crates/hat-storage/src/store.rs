@@ -4,7 +4,9 @@
 //! (§6.3: "With in-memory persistence (i.e., no LevelDB or WAL), MAV
 //! throughput was within 20% of eventual"); [`DurableStore`] corresponds
 //! to the default durable configuration where every write is logged before
-//! the server responds.
+//! the server responds. The two differ only there: both read from one
+//! [`Memtable`], and the durable store also logs each put to a [`Wal`]
+//! that [`DurableStore::open`] replays.
 //!
 //! ## Durability is two steps
 //!
@@ -38,6 +40,12 @@ pub enum SyncPolicy {
 
 /// Replica-local multi-version storage.
 ///
+/// Reads are provided: each answers from the store's [`Memtable`]
+/// ([`Store::table`]), so every store reads alike. An implementation
+/// supplies its table, [`Store::put`], and its durability half
+/// ([`Store::sync`], [`Store::persist`] and the counters after it), whose
+/// defaults are a volatile store's.
+///
 /// Reads return [`SharedRecord`] handles to the allocation made at write
 /// time: cloning one out of the table is a refcount bump, not a deep copy
 /// of value bytes and sibling lists. Callers are protocol state machines
@@ -45,54 +53,75 @@ pub enum SyncPolicy {
 /// record's single allocation is shared across the whole hot path while
 /// the trait stays object-safe.
 pub trait Store {
+    /// The table every read answers from.
+    fn table(&self) -> &Memtable;
+
+    /// The table, for [`Store::gc_below`]; writes go through
+    /// [`Store::put`].
+    fn table_mut(&mut self) -> &mut Memtable;
+
     /// Installs a version. Returns `true` if newly installed, `false` if
     /// the (key, stamp) pair was already present (idempotent redelivery).
     fn put(&mut self, key: Key, record: SharedRecord) -> Result<bool>;
 
     /// Last-writer-wins read.
-    fn latest(&self, key: &[u8]) -> Option<SharedRecord>;
+    fn latest(&self, key: &[u8]) -> Option<SharedRecord> {
+        self.table().latest(key).cloned()
+    }
 
     /// Newest version at or below `bound` (snapshot read).
-    fn latest_at_or_below(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord>;
+    fn latest_at_or_below(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
+        self.table().latest_at_or_below(key, bound).cloned()
+    }
 
     /// Newest version, provided its stamp is at or above `bound`.
-    fn latest_at_or_above(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord>;
+    fn latest_at_or_above(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
+        self.table().latest_at_or_above(key, bound).cloned()
+    }
 
-    /// The version stamped exactly `stamp`.
-    fn exact(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord>;
-
-    /// Read a *specific* version by timestamp — the RAMP second-round
-    /// fetch (readers repair fractured reads by asking for the exact
-    /// sibling version named in another record's metadata). Alias of
-    /// [`Store::exact`] with a reader-facing name; engines that keep
-    /// auxiliary version sets (pending/prepared) layer those on top.
-    fn get_at(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord> {
-        self.exact(key, stamp)
+    /// The version stamped exactly `stamp` — also the RAMP second-round
+    /// fetch of a sibling version named in another record's metadata.
+    fn exact(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord> {
+        self.table().exact(key, stamp).cloned()
     }
 
     /// Latest version per key under `prefix` (predicate read).
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)>;
-
-    /// Snapshot predicate read bounded at `bound`.
-    fn scan_prefix_at_or_below(
-        &self,
-        prefix: &[u8],
-        bound: VersionStamp,
-    ) -> Vec<(Key, SharedRecord)>;
+    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)> {
+        self.table().scan_prefix(prefix)
+    }
 
     /// Garbage-collects versions dominated below `bound`; returns count
     /// dropped.
-    fn gc_below(&mut self, bound: VersionStamp) -> usize;
+    fn gc_below(&mut self, bound: VersionStamp) -> usize {
+        self.table_mut().gc_below(bound)
+    }
 
     /// Number of distinct keys.
-    fn key_count(&self) -> usize;
+    fn key_count(&self) -> usize {
+        self.table().key_count()
+    }
 
     /// Number of stored versions.
-    fn version_count(&self) -> usize;
+    fn version_count(&self) -> usize {
+        self.table().version_count()
+    }
+
+    /// Every stored version of every key, in key order. Used to reseed
+    /// a restarted server's replication buffer from recovered state —
+    /// whole version chains, not just per-key latest, so multi-key
+    /// transactions re-gossip intact.
+    fn all_versions(&self) -> Vec<(Key, SharedRecord)> {
+        self.table()
+            .iter()
+            .flat_map(|(k, versions)| versions.iter().map(move |r| (k.clone(), r.clone())))
+            .collect()
+    }
 
     /// Forces buffered writes to stable storage unconditionally,
     /// whatever the store's policy (no-op for volatile stores).
-    fn sync(&mut self) -> Result<()>;
+    fn sync(&mut self) -> Result<()> {
+        Ok(())
+    }
 
     /// The durability barrier: makes every put since the previous
     /// barrier durable *if the store promises durability and holds an
@@ -116,12 +145,6 @@ pub trait Store {
     fn sync_stats(&self) -> (u64, u64) {
         (0, 0)
     }
-
-    /// Every stored version of every key, in key order. Used to reseed
-    /// a restarted server's replication buffer from recovered state —
-    /// whole version chains, not just per-key latest, so multi-key
-    /// transactions re-gossip intact.
-    fn all_versions(&self) -> Vec<(Key, SharedRecord)>;
 
     /// How many records recovery replayed into this store when it was
     /// opened (0 for volatile stores, which never recover anything).
@@ -165,71 +188,21 @@ impl MemStore {
 }
 
 impl Store for MemStore {
+    fn table(&self) -> &Memtable {
+        &self.table
+    }
+    fn table_mut(&mut self) -> &mut Memtable {
+        &mut self.table
+    }
     fn put(&mut self, key: Key, record: SharedRecord) -> Result<bool> {
         Ok(self.table.insert(key, record))
     }
-    fn latest(&self, key: &[u8]) -> Option<SharedRecord> {
-        self.table.latest(key).cloned()
-    }
-    fn latest_at_or_below(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.table.latest_at_or_below(key, bound).cloned()
-    }
-    fn latest_at_or_above(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.table.latest_at_or_above(key, bound).cloned()
-    }
-    fn exact(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord> {
-        self.table.exact(key, stamp).cloned()
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)> {
-        self.table
-            .scan_prefix(prefix)
-            .into_iter()
-            .map(|(k, r)| (k, r.clone()))
-            .collect()
-    }
-    fn scan_prefix_at_or_below(
-        &self,
-        prefix: &[u8],
-        bound: VersionStamp,
-    ) -> Vec<(Key, SharedRecord)> {
-        self.table
-            .scan_prefix_at_or_below(prefix, bound)
-            .into_iter()
-            .map(|(k, r)| (k, r.clone()))
-            .collect()
-    }
-    fn gc_below(&mut self, bound: VersionStamp) -> usize {
-        self.table.gc_below(bound)
-    }
-    fn key_count(&self) -> usize {
-        self.table.key_count()
-    }
-    fn version_count(&self) -> usize {
-        self.table.version_count()
-    }
-    fn sync(&mut self) -> Result<()> {
-        Ok(())
-    }
-    fn all_versions(&self) -> Vec<(Key, SharedRecord)> {
-        dump_versions(&self.table)
-    }
 }
 
-/// Key-ordered dump of every version chain (shared handles, no copies).
-fn dump_versions(table: &Memtable) -> Vec<(Key, SharedRecord)> {
-    table
-        .iter()
-        .flat_map(|(k, versions)| versions.iter().map(move |r| (k.clone(), r.clone())))
-        .collect()
-}
-
-/// WAL-backed durable store with checkpoint compaction.
-///
-/// Layout inside the directory: `wal` (the active log) and `checkpoint`
-/// (a compacted log of all versions as of the last [`DurableStore::checkpoint`]
-/// call). Recovery replays `checkpoint` then `wal`.
+/// WAL-backed durable store: a [`Memtable`] whose every put is first
+/// logged to the `wal` file in the store's directory. [`DurableStore::open`]
+/// rebuilds the table from that log's valid prefix.
 pub struct DurableStore {
-    dir: PathBuf,
     table: Memtable,
     wal: Wal,
     policy: SyncPolicy,
@@ -249,25 +222,22 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens (or creates) a durable store in `dir`, replaying any existing
-    /// checkpoint and WAL.
+    /// WAL.
     pub fn open(dir: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut table = Memtable::new();
-        let mut recovered = 0u64;
-        let checkpoint = Wal::replay(dir.join("checkpoint"))?;
         // One read and one scan of the log, which also cuts a torn tail:
         // new frames land right behind the last whole one, where the next
-        // replay reaches them.
-        let (wal, log, torn_bytes) = Wal::recover(dir.join("wal"))?;
-        for entry in checkpoint.into_iter().chain(log) {
+        // recovery reaches them.
+        let (wal, log, torn_bytes) = Wal::recover(Self::wal_path(dir))?;
+        let mut table = Memtable::new();
+        let mut recovered = 0u64;
+        for entry in log {
             if let WalEntry::Put { key, record } = entry {
                 table.insert(key, record);
                 recovered += 1;
             }
         }
         Ok(DurableStore {
-            dir,
             table,
             wal,
             policy,
@@ -279,45 +249,16 @@ impl DurableStore {
         })
     }
 
-    /// Path of the active WAL file inside a store directory — the file a
+    /// Path of the WAL file inside a store directory — the file a
     /// torn-tail fault injector truncates between crash and recovery.
     pub fn wal_path(dir: impl AsRef<Path>) -> PathBuf {
         dir.as_ref().join("wal")
     }
 
-    /// Writes a checkpoint of the entire table and truncates the WAL.
-    ///
-    /// The checkpoint is written to a temporary file and atomically
-    /// renamed, so a crash mid-checkpoint leaves the previous
-    /// checkpoint + WAL intact.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let tmp = self.dir.join("checkpoint.tmp");
-        let _ = std::fs::remove_file(&tmp);
-        {
-            let mut ckpt = Wal::open(&tmp)?;
-            for (key, versions) in self.table.iter() {
-                for record in versions {
-                    ckpt.append_put(key, record)?;
-                }
-            }
-            ckpt.sync()?;
-        }
-        std::fs::rename(&tmp, self.dir.join("checkpoint"))?;
-        self.wal.reset()?;
-        // Everything the log held is in the synced checkpoint now.
-        self.unsynced_puts = 0;
-        Ok(())
-    }
-
-    /// Bytes of frames in the active WAL: its logical length, not the
-    /// file's, which runs on in pre-written zeros.
+    /// Bytes of frames in the WAL: its logical length, not the file's,
+    /// which runs on in pre-written zeros.
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Runs one operation on the log, refusing once any has failed
@@ -332,15 +273,15 @@ impl DurableStore {
         self.failed = result.is_err();
         result
     }
-
-    fn sync_wal(&mut self) -> Result<()> {
-        self.wal_op(Wal::sync)?;
-        self.synced_puts += std::mem::take(&mut self.unsynced_puts);
-        Ok(())
-    }
 }
 
 impl Store for DurableStore {
+    fn table(&self) -> &Memtable {
+        &self.table
+    }
+    fn table_mut(&mut self) -> &mut Memtable {
+        &mut self.table
+    }
     fn put(&mut self, key: Key, record: SharedRecord) -> Result<bool> {
         // Log before applying: a version is never visible unless the WAL
         // holds its frame. The frame is encoded straight from the
@@ -350,51 +291,14 @@ impl Store for DurableStore {
         self.unsynced_puts += 1;
         Ok(self.table.insert(key, record))
     }
-    fn latest(&self, key: &[u8]) -> Option<SharedRecord> {
-        self.table.latest(key).cloned()
-    }
-    fn latest_at_or_below(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.table.latest_at_or_below(key, bound).cloned()
-    }
-    fn latest_at_or_above(&self, key: &[u8], bound: VersionStamp) -> Option<SharedRecord> {
-        self.table.latest_at_or_above(key, bound).cloned()
-    }
-    fn exact(&self, key: &[u8], stamp: VersionStamp) -> Option<SharedRecord> {
-        self.table.exact(key, stamp).cloned()
-    }
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, SharedRecord)> {
-        self.table
-            .scan_prefix(prefix)
-            .into_iter()
-            .map(|(k, r)| (k, r.clone()))
-            .collect()
-    }
-    fn scan_prefix_at_or_below(
-        &self,
-        prefix: &[u8],
-        bound: VersionStamp,
-    ) -> Vec<(Key, SharedRecord)> {
-        self.table
-            .scan_prefix_at_or_below(prefix, bound)
-            .into_iter()
-            .map(|(k, r)| (k, r.clone()))
-            .collect()
-    }
-    fn gc_below(&mut self, bound: VersionStamp) -> usize {
-        self.table.gc_below(bound)
-    }
-    fn key_count(&self) -> usize {
-        self.table.key_count()
-    }
-    fn version_count(&self) -> usize {
-        self.table.version_count()
-    }
     fn sync(&mut self) -> Result<()> {
-        self.sync_wal()
+        self.wal_op(Wal::sync)?;
+        self.synced_puts += std::mem::take(&mut self.unsynced_puts);
+        Ok(())
     }
     fn persist(&mut self) -> Result<()> {
         if self.needs_persist() {
-            self.sync_wal()?;
+            self.sync()?;
         }
         Ok(())
     }
@@ -406,9 +310,6 @@ impl Store for DurableStore {
     }
     fn sync_stats(&self) -> (u64, u64) {
         (self.wal.syncs(), self.synced_puts)
-    }
-    fn all_versions(&self) -> Vec<(Key, SharedRecord)> {
-        dump_versions(&self.table)
     }
     fn recovered_records(&self) -> u64 {
         self.recovered
@@ -479,28 +380,6 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
-    #[test]
-    fn checkpoint_truncates_wal_and_preserves_data() {
-        let dir = tmpdir();
-        {
-            let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
-            for i in 0..10 {
-                s.put(Key::from(format!("k{i}")), rec(i as u64 + 1, "v"))
-                    .unwrap();
-            }
-            let before = s.wal_len();
-            assert!(before > 0);
-            s.checkpoint().unwrap();
-            assert_eq!(s.wal_len(), 0);
-            // writes after checkpoint land in the fresh WAL
-            s.put(Key::from("after"), rec(100, "post")).unwrap();
-        }
-        let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
-        assert_eq!(s.key_count(), 11);
-        assert_eq!(s.latest(b"after").unwrap().value, Bytes::from("post"));
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
     /// A put the log could not take is never covered by a later
     /// barrier: once an append fails the store refuses puts and
     /// barriers alike, under either policy, so no caller can
@@ -535,11 +414,6 @@ mod tests {
         s.put(Key::from("p/b"), rec(2, "2")).unwrap();
         s.put(Key::from("q/a"), rec(3, "3")).unwrap();
         assert_eq!(s.scan_prefix(b"p/").len(), 2);
-        assert_eq!(
-            s.scan_prefix_at_or_below(b"p/", VersionStamp::new(1, 9))
-                .len(),
-            1
-        );
     }
 
     #[test]

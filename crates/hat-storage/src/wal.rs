@@ -65,10 +65,12 @@ pub enum WalEntry {
         /// The installed version.
         record: Record,
     },
-    /// A checkpoint marker: all versions `≤ stamp` are persisted in a
-    /// checkpoint file, so earlier entries may be dropped at compaction.
+    /// A checkpoint marker: all versions `≤ stamp` are covered by a
+    /// compacted log. No store writes one, and recovery skips it; the
+    /// variant stays because the benchmark (`bench/src/kernels.rs`)
+    /// matches on it.
     Checkpoint {
-        /// Upper stamp bound covered by the checkpoint.
+        /// Upper stamp bound the checkpoint covers.
         stamp: VersionStamp,
     },
 }
@@ -371,16 +373,6 @@ impl Wal {
         self.appended == 0
     }
 
-    /// Truncates the log to zero length (after a checkpoint has been
-    /// written elsewhere).
-    pub fn reset(&mut self) -> Result<()> {
-        self.file.set_len(0)?;
-        self.appended = 0;
-        self.allocated = 0;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
     /// Path of the log file.
     pub fn path(&self) -> &Path {
         &self.path
@@ -388,7 +380,7 @@ impl Wal {
 
     /// Chops `bytes` off the end of the log at `path` — the torn-write
     /// fault: a crash mid-append leaves a partial final frame, which
-    /// [`Wal::replay`] must discard while keeping the valid prefix. The
+    /// [`Wal::recover`] must cut while keeping the valid prefix. The
     /// chop is taken from the log's logical end, and the pre-written
     /// zeros behind it go too. Chopping more bytes than the log holds
     /// empties it. No-op on a missing file.
@@ -404,11 +396,11 @@ impl Wal {
     /// Writes `junk` bytes of a partial frame at the logical end of the
     /// log at `path`, over its pre-written zeros — the torn-write fault:
     /// a crash mid-append leaves a final frame whose header promises more
-    /// bytes than reached the disk. [`Wal::replay`] discards it and
-    /// [`Wal::recover`] cuts it. Synced (acknowledged) records are never
-    /// affected — that is what distinguishes a torn tail from disk
-    /// corruption, which no recovery protocol can be expected to mask.
-    /// No-op when `junk` is 0 or the file does not exist.
+    /// bytes than reached the disk. [`Wal::recover`] cuts it. Synced
+    /// (acknowledged) records are never affected — that is what
+    /// distinguishes a torn tail from disk corruption, which no recovery
+    /// protocol can be expected to mask. No-op when `junk` is 0 or the
+    /// file does not exist.
     pub fn tear_tail(path: impl AsRef<Path>, junk: u64) -> Result<()> {
         if junk == 0 {
             return Ok(());
@@ -420,7 +412,7 @@ impl Wal {
         if junk >= 8 {
             let body = (junk - 8) as u32;
             // Promise more payload than was flushed: a guaranteed short
-            // read at replay, independent of the junk's content.
+            // read at recovery, independent of the junk's content.
             frame.extend_from_slice(&(body + 64).to_le_bytes());
             frame.extend_from_slice(&0u32.to_le_bytes());
         }
@@ -428,20 +420,6 @@ impl Wal {
         file.write_all_at(&frame, end)?;
         file.sync_data()?;
         Ok(())
-    }
-
-    /// Replays the log at `path`, returning decoded entries, without
-    /// changing the file.
-    ///
-    /// A framing/checksum failure at the tail is treated as a torn write:
-    /// replay stops and the valid prefix is returned. A failure *before*
-    /// valid trailing data returns [`StorageError::Corrupt`].
-    pub fn replay(path: impl AsRef<Path>) -> Result<Vec<WalEntry>> {
-        match File::open(path.as_ref()) {
-            Ok(file) => Ok(scan(&read_log(&file)?)?.0),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e.into()),
-        }
     }
 }
 
@@ -557,6 +535,11 @@ mod tests {
         }
     }
 
+    /// The entries recovery reads back from the log at `path`.
+    fn recovered(path: impl AsRef<Path>) -> Result<Vec<WalEntry>> {
+        Wal::recover(path).map(|(_, entries, _)| entries)
+    }
+
     /// The frames of `wal`'s log, without the zeros the file runs on in.
     fn logical_bytes(wal: &Wal) -> Vec<u8> {
         let mut data = std::fs::read(wal.path()).unwrap();
@@ -592,23 +575,22 @@ mod tests {
         // the end of a file recovery has cut back to the log.
         for junk in [3u64, 48] {
             Wal::tear_tail(&path, junk).unwrap();
-            // Replay discards the torn frame, keeps every synced record.
-            assert_eq!(Wal::replay(&path).unwrap().len(), 2, "junk={junk}");
-            // Recovery cuts the damage so future appends stay reachable.
+            // Recovery keeps every synced record and cuts the damage, so
+            // future appends stay reachable.
             let (_, entries, torn) = Wal::recover(&path).unwrap();
-            assert_eq!((entries.len(), torn), (2, junk));
+            assert_eq!((entries.len(), torn), (2, junk), "junk={junk}");
         }
         assert_eq!(Wal::recover(&path).unwrap().2, 0, "clean log");
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&put("c", 3, "v3", &[])).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        assert_eq!(Wal::replay(&path).unwrap().len(), 3);
+        assert_eq!(recovered(&path).unwrap().len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A torn log opened directly, with no recovery step first, still
-    /// takes new frames where a replay will reach them.
+    /// takes new frames where recovery will reach them.
     #[test]
     fn open_appends_over_a_torn_tail_not_behind_it() {
         let dir = tmpdir();
@@ -625,7 +607,7 @@ mod tests {
             wal.sync().unwrap();
         }
         assert_eq!(
-            Wal::replay(&path).unwrap(),
+            recovered(&path).unwrap(),
             vec![put("a", 1, "v1", &[]), put("b", 2, "v2", &[])]
         );
         std::fs::remove_dir_all(dir).unwrap();
@@ -724,7 +706,7 @@ mod tests {
             wal.sync().unwrap();
             assert!(!wal.is_empty());
         }
-        assert_eq!(Wal::replay(&path).unwrap(), entries);
+        assert_eq!(recovered(&path).unwrap(), entries);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -750,14 +732,14 @@ mod tests {
         assert_eq!(by_parts.syncs(), 1);
         assert_eq!(by_entry.len(), by_parts.len());
         assert_eq!(logical_bytes(&by_entry), logical_bytes(&by_parts));
-        assert_eq!(Wal::replay(dir.join("parts")).unwrap(), entries);
+        assert_eq!(recovered(dir.join("parts")).unwrap(), entries);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn replay_missing_file_is_empty() {
         let dir = tmpdir();
-        assert!(Wal::replay(dir.join("nope")).unwrap().is_empty());
+        assert!(recovered(dir.join("nope")).unwrap().is_empty());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -774,7 +756,7 @@ mod tests {
         };
         // simulate a crash mid-append: chop bytes off the log's tail
         std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let replayed = Wal::replay(&path).unwrap();
+        let replayed = recovered(&path).unwrap();
         assert_eq!(replayed.len(), 1);
         assert!(matches!(&replayed[0], WalEntry::Put { key, .. } if key.as_ref() == b"a"));
         std::fs::remove_dir_all(dir).unwrap();
@@ -794,27 +776,10 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[10] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        match Wal::replay(&path) {
+        match recovered(&path) {
             Err(StorageError::Corrupt { .. }) => {}
             other => panic!("expected corruption error, got {other:?}"),
         }
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn reset_empties_log() {
-        let dir = tmpdir();
-        let path = dir.join("wal");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&put("a", 1, "1", &[])).unwrap();
-        wal.sync().unwrap();
-        wal.reset().unwrap();
-        assert!(wal.is_empty());
-        assert!(Wal::replay(&path).unwrap().is_empty());
-        // appends still work after reset
-        wal.append(&put("b", 2, "2", &[])).unwrap();
-        wal.sync().unwrap();
-        assert_eq!(Wal::replay(&path).unwrap().len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -833,7 +798,7 @@ mod tests {
             wal.append(&put("b", 2, "2", &[])).unwrap();
             wal.sync().unwrap();
         }
-        assert_eq!(Wal::replay(&path).unwrap().len(), 2);
+        assert_eq!(recovered(&path).unwrap().len(), 2);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -846,7 +811,7 @@ mod tests {
         f.write_all(&[7u8; 5]).unwrap(); // shorter than a header
         drop(f);
         // too short for a header: treated as torn tail -> empty
-        assert!(Wal::replay(&path).unwrap().is_empty());
+        assert!(recovered(&path).unwrap().is_empty());
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

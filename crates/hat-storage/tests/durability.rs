@@ -1,7 +1,7 @@
 //! Crash-recovery integration tests for the durable store.
 
 use bytes::Bytes;
-use hat_storage::{DurableStore, Key, Record, Store, SyncPolicy, VersionStamp, Wal, WalEntry};
+use hat_storage::{DurableStore, Key, Record, Store, SyncPolicy, VersionStamp, Wal};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -21,22 +21,14 @@ fn rec(seq: u64, val: &str) -> Record {
     Record::new(VersionStamp::new(seq, 1), Bytes::from(val.to_owned()))
 }
 
-/// The full lifecycle: write → checkpoint → write more → "crash" →
-/// recover → everything visible, including multi-version state.
+/// The full lifecycle: write → "crash" → recover → everything visible,
+/// including multi-version state.
 #[test]
-fn checkpoint_plus_wal_recovery_preserves_versions() {
+fn wal_recovery_preserves_versions() {
     let dir = tmpdir("lifecycle");
     {
         let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
-        for i in 1..=50u64 {
-            s.put(
-                Key::from(format!("k{}", i % 10)),
-                rec(i, &format!("v{i}")).into(),
-            )
-            .unwrap();
-        }
-        s.checkpoint().unwrap();
-        for i in 51..=80u64 {
+        for i in 1..=80u64 {
             s.put(
                 Key::from(format!("k{}", i % 10)),
                 rec(i, &format!("v{i}")).into(),
@@ -50,7 +42,7 @@ fn checkpoint_plus_wal_recovery_preserves_versions() {
     assert_eq!(s.version_count(), 80);
     // latest version of k0 is i=80
     assert_eq!(s.latest(b"k0").unwrap().value, Bytes::from("v80"));
-    // snapshot reads reach back across the checkpoint boundary
+    // snapshot reads reach back past the newest versions
     let old = s
         .latest_at_or_below(b"k0", VersionStamp::new(40, 9))
         .unwrap();
@@ -81,33 +73,7 @@ fn torn_wal_tail_after_checkpoint_recovers_prefix() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// A crash between writing checkpoint.tmp and the rename leaves the old
-/// state fully recoverable (the tmp file is ignored).
-#[test]
-fn interrupted_checkpoint_is_invisible() {
-    let dir = tmpdir("ckpt");
-    {
-        let mut s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
-        s.put(Key::from("a"), rec(1, "one").into()).unwrap();
-    }
-    // simulate the crash: a stray checkpoint.tmp with arbitrary content
-    {
-        let mut fake = Wal::open(dir.join("checkpoint.tmp")).unwrap();
-        fake.append(&WalEntry::Put {
-            key: Key::from("zz"),
-            record: rec(99, "should-not-appear"),
-        })
-        .unwrap();
-        fake.sync().unwrap();
-    }
-    let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();
-    assert!(s.latest(b"zz").is_none(), "tmp checkpoint must be ignored");
-    assert_eq!(s.latest(b"a").unwrap().value, Bytes::from("one"));
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// Repeated open/close cycles with interleaved checkpoints never lose or
-/// duplicate versions.
+/// Repeated open/close cycles never lose or duplicate versions.
 #[test]
 fn repeated_restart_cycles_are_stable() {
     let dir = tmpdir("cycles");
@@ -121,9 +87,6 @@ fn repeated_restart_cycles_are_stable() {
                 .unwrap();
         }
         expect += 7;
-        if cycle % 2 == 1 {
-            s.checkpoint().unwrap();
-        }
         s.sync().unwrap();
     }
     let s = DurableStore::open(&dir, SyncPolicy::Always).unwrap();

@@ -2,9 +2,10 @@
 
 use bytes::Bytes;
 use hatdb::core::taxonomy::{Model, Taxonomy};
-use hatdb::storage::{Key, Memtable, Record, VersionStamp};
-use hatdb::storage::{Wal, WalEntry};
+use hatdb::storage::{DurableStore, MemStore, Store, SyncPolicy, Wal, WalEntry};
+use hatdb::storage::{Key, Memtable, Record, SharedRecord, VersionStamp};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_key() -> impl Strategy<Value = Key> {
     "[a-z]{1,8}".prop_map(|s| Key::from(s.into_bytes()))
@@ -23,6 +24,104 @@ fn arb_record() -> impl Strategy<Value = Record> {
         .prop_map(|(stamp, value, siblings)| Record::with_siblings(stamp, value, siblings))
 }
 
+/// One of a dozen keys sharing three first letters.
+fn dense_key() -> impl Strategy<Value = Key> {
+    "[a-c]{1,2}".prop_map(|s| Key::from(s.into_bytes()))
+}
+
+/// One of 21 stamps.
+fn dense_stamp() -> impl Strategy<Value = VersionStamp> {
+    (1u64..8, 1u32..4).prop_map(|(seq, writer)| VersionStamp::new(seq, writer))
+}
+
+fn dense_record() -> impl Strategy<Value = Record> {
+    (
+        dense_stamp(),
+        proptest::collection::vec(any::<u8>(), 0..8),
+        proptest::collection::vec(dense_key(), 0..3),
+    )
+        .prop_map(|(stamp, value, siblings)| Record::with_siblings(stamp, value, siblings))
+}
+
+/// The reference model: every version, the last write of a (key, stamp)
+/// pair winning.
+type Reference = BTreeMap<(Key, VersionStamp), SharedRecord>;
+
+/// The model's versions of `key`, oldest first.
+fn chain<'a>(model: &'a Reference, key: &Key) -> Vec<&'a SharedRecord> {
+    let lo = (key.clone(), VersionStamp::new(0, 0));
+    let hi = (key.clone(), VersionStamp::new(u64::MAX, u32::MAX));
+    model.range(lo..=hi).map(|(_, r)| r).collect()
+}
+
+/// Asserts that every read `store` provides answers as `model` does, for
+/// every key and prefix the history could name.
+fn assert_reads_match(store: &dyn Store, model: &Reference, bound: VersionStamp) {
+    let mut keys: Vec<Key> = model.keys().map(|(k, _)| k.clone()).collect();
+    keys.dedup();
+    keys.push(Key::from("d"));
+    for key in &keys {
+        let versions = chain(model, key);
+        let latest = versions.last().copied().cloned();
+        assert_eq!(store.latest(key), latest);
+        assert_eq!(
+            store.latest_at_or_below(key, bound),
+            versions
+                .iter()
+                .rev()
+                .find(|r| r.stamp <= bound)
+                .copied()
+                .cloned()
+        );
+        assert_eq!(
+            store.latest_at_or_above(key, bound),
+            latest.filter(|r| r.stamp >= bound)
+        );
+        for seq in 0..9 {
+            for writer in 0..5 {
+                let stamp = VersionStamp::new(seq, writer);
+                assert_eq!(
+                    store.exact(key, stamp),
+                    model.get(&(key.clone(), stamp)).cloned()
+                );
+            }
+        }
+    }
+    for prefix in ["", "a", "b", "c", "d"]
+        .iter()
+        .map(|p| p.as_bytes())
+        .chain(keys.iter().map(|k| k.as_ref()))
+    {
+        let expect: Vec<(Key, SharedRecord)> = keys
+            .iter()
+            .filter(|k| k.starts_with(prefix))
+            .filter_map(|k| Some((k.clone(), (*chain(model, k).last()?).clone())))
+            .collect();
+        assert_eq!(store.scan_prefix(prefix), expect, "prefix {prefix:?}");
+    }
+    assert_eq!(store.key_count(), keys.len() - 1);
+    assert_eq!(store.version_count(), model.len());
+    let all: Vec<(Key, SharedRecord)> = model
+        .iter()
+        .map(|((k, _), r)| (k.clone(), r.clone()))
+        .collect();
+    assert_eq!(store.all_versions(), all, "every version, in key order");
+}
+
+/// Drops what `gc_below(bound)` drops from the model: each key's versions
+/// older than its newest at or below `bound`. Returns how many went.
+fn gc_model(model: &mut Reference, bound: VersionStamp) -> usize {
+    let before = model.len();
+    let mut keep_from: BTreeMap<Key, VersionStamp> = BTreeMap::new();
+    for (key, stamp) in model.keys() {
+        if *stamp <= bound {
+            keep_from.insert(key.clone(), *stamp);
+        }
+    }
+    model.retain(|(key, stamp), _| keep_from.get(key).is_none_or(|from| stamp >= from));
+    before - model.len()
+}
+
 proptest! {
     /// WAL entries round-trip byte-exactly through encode/decode.
     #[test]
@@ -32,29 +131,45 @@ proptest! {
         prop_assert_eq!(hatdb::storage::wal::decode_entry(&encoded), Some(entry));
     }
 
-    /// The memtable's latest() always agrees with a naive reference
-    /// model (BTreeMap keyed by (key, stamp)).
+    /// Every read a `Store` provides answers as a naive reference model
+    /// (a map keyed by (key, stamp)) does, on each store the testbed
+    /// runs: volatile, durable under either sync policy, and the durable
+    /// stores reopened from their logs. Keys and stamps are drawn from
+    /// small ranges, so histories repeat stamps and rewrite a stamp.
     #[test]
     fn memtable_matches_reference_model(
-        ops in proptest::collection::vec((arb_key(), arb_record()), 1..80)
+        ops in proptest::collection::vec((dense_key(), dense_record()), 1..80),
+        bound in dense_stamp()
     ) {
-        let mut table = Memtable::new();
-        let mut reference: std::collections::BTreeMap<(Key, VersionStamp), Bytes> =
-            Default::default();
+        let mut model = Reference::new();
         for (key, record) in &ops {
-            table.insert(key.clone(), record.clone());
-            reference.insert((key.clone(), record.stamp), record.value.clone());
+            model.insert((key.clone(), record.stamp), record.clone().into());
         }
-        // latest per key must match the reference max stamp
-        let keys: std::collections::BTreeSet<&Key> = ops.iter().map(|(k, _)| k).collect();
-        for key in keys {
-            let expect = reference
-                .range((key.clone(), VersionStamp::new(0, 0))..=(key.clone(), VersionStamp::new(u64::MAX, u32::MAX)))
-                .next_back()
-                .map(|((_, s), v)| (*s, v.clone()));
-            let got = table.latest(key).map(|r| (r.stamp, r.value.clone()));
-            prop_assert_eq!(got, expect);
+        // Cases run one after another, and each removes the directory.
+        let dir = std::env::temp_dir().join(format!("hat-prop-store-{}", std::process::id()));
+        let mut stores: Vec<Box<dyn Store>> = vec![Box::new(MemStore::new())];
+        for (name, policy) in [("always", SyncPolicy::Always), ("never", SyncPolicy::Never)] {
+            stores.push(Box::new(DurableStore::open(dir.join(name), policy).unwrap()));
         }
+        for store in &mut stores {
+            for (key, record) in &ops {
+                store.put(key.clone(), record.clone().into()).unwrap();
+            }
+            store.persist().unwrap();
+        }
+        for name in ["always", "never"] {
+            stores.push(Box::new(DurableStore::open(dir.join(name), SyncPolicy::Always).unwrap()));
+        }
+        for store in &stores {
+            assert_reads_match(store.as_ref(), &model, bound);
+        }
+        let dropped = gc_model(&mut model, bound);
+        for store in &mut stores {
+            prop_assert_eq!(store.gc_below(bound), dropped);
+            assert_reads_match(store.as_ref(), &model, bound);
+        }
+        drop(stores);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// Snapshot reads never return a version above the bound, and return
@@ -152,7 +267,7 @@ fn wal_recovery_yields_a_prefix_under_truncation() {
     let full = std::fs::read(&path).unwrap()[..logical].to_vec();
     for cut in (0..full.len()).step_by(7) {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let replayed = Wal::replay(&path).unwrap();
+        let (_, replayed, _) = Wal::recover(&path).unwrap();
         assert!(replayed.len() <= entries.len());
         assert_eq!(
             replayed.as_slice(),
