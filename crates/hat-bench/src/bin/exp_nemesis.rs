@@ -2,8 +2,8 @@
 //! schedule in the standard catalog, at a fixed seed.
 //!
 //! For each `(schedule, engine)` pair the nemesis runner injects
-//! rolling/one-way partitions, clock skew, latency spikes and
-//! crash-restarts with torn WAL tails while a closed-loop workload keeps
+//! rolling/one-way partitions, latency spikes, crash-restarts with
+//! torn WAL tails and shard handoffs while a closed-loop workload keeps
 //! committing, then heals the deployment and checks the three HAT
 //! claims: the advertised isolation level held, every replica group
 //! converged, and each crash-restart provably served WAL-recovered

@@ -26,7 +26,8 @@ use crate::server::Server;
 use crate::txn::TxnRecord;
 use hat_obs::ObsSink;
 use hat_sim::{
-    Engine, EngineConfig, LatencyModel, NodeId, PartitionSchedule, SimDuration, SimTime, Topology,
+    Engine, EngineConfig, LatencyModel, NodeId, Partition, PartitionSchedule, SimDuration, SimTime,
+    Topology,
 };
 use hat_storage::{DurableStore, Key, MemStore, Store, SyncPolicy, VersionStamp, Wal};
 use hat_trace::{DropReason, TraceEvent, TraceEventKind, TraceSink};
@@ -610,39 +611,62 @@ impl SimFrontend {
         total
     }
 
+    // Fault injection. Every nemesis fault is applied here, and each one
+    // records itself once: one trace event and one series mark under one
+    // label. A series begin/end pair shares its label (the series
+    // validator pairs by label), so a restart closes its crash's label.
+
+    /// Records a fault window opening (`begin`) or closing at `at`, in
+    /// the trace (filed under `node`) and in the telemetry series.
+    fn mark_fault(&self, at: SimTime, node: NodeId, label: &str, begin: bool) {
+        let (at, desc) = (at.as_micros(), label.to_string());
+        if begin {
+            self.trace
+                .record(at, node, TraceEventKind::FaultBegin { desc });
+            self.obs.fault_begin(at, label);
+        } else {
+            self.trace
+                .record(at, node, TraceEventKind::FaultEnd { desc });
+            self.obs.fault_end(at, label);
+        }
+    }
+
     /// Hard-crashes server `node`: in-flight deliveries and armed timers
     /// die with it. Volatile state (memtables, RAMP prepared sets, locks)
     /// is lost; only the WAL of a durable deployment survives.
     ///
-    /// Panics if `node` is not a server or is already crashed.
-    pub fn crash_server(&mut self, node: NodeId) {
+    /// `torn_tail` bytes of a torn partial frame are left at the logical
+    /// end of that WAL — the write that was in flight when the crash hit
+    /// (0 = clean crash). Recovery detects and discards it. Synced
+    /// (acknowledged) records are never touched: destroying those would
+    /// be disk corruption, a fault outside what crash recovery promises
+    /// to mask. Crashing a crashed server is a no-op.
+    ///
+    /// Panics if `node` is not a server, or if `torn_tail > 0` on a
+    /// deployment that is not durable.
+    pub fn crash_server(&mut self, node: NodeId, torn_tail: u64) {
         assert!(
             self.engine.actor(node).as_server().is_some(),
             "crash_server: node {node} is not a server"
         );
-        self.trace
-            .record(self.engine.now().as_micros(), node, TraceEventKind::Crash);
+        if self.engine.is_crashed(node) {
+            return;
+        }
+        let now = self.engine.now().as_micros();
+        self.trace.record(now, node, TraceEventKind::Crash);
+        self.obs.fault_begin(now, &format!("crash node {node}"));
         self.engine.crash(node);
-    }
-
-    /// Leaves `bytes` of a torn partial frame at the logical end of a
-    /// crashed server's WAL — the write that was in flight when the crash
-    /// hit.
-    /// Recovery detects and discards it. Synced (acknowledged) records
-    /// are never touched: destroying those would be disk corruption, a
-    /// fault outside what crash recovery promises to mask. Only valid on
-    /// durable deployments while the server is down.
-    pub fn tear_wal_tail(&mut self, node: NodeId, bytes: u64) {
-        assert!(
-            self.engine.is_crashed(node),
-            "tear_wal_tail: server {node} must be crashed first"
-        );
-        let (dir, _) = self
-            .durable
-            .as_ref()
-            .expect("tear_wal_tail: deployment is not durable");
-        Wal::tear_tail(DurableStore::wal_path(server_store_dir(dir, node)), bytes)
+        if torn_tail > 0 {
+            let (dir, _) = self
+                .durable
+                .as_ref()
+                .expect("crash_server: a torn tail needs a durable deployment");
+            Wal::tear_tail(
+                DurableStore::wal_path(server_store_dir(dir, node)),
+                torn_tail,
+            )
             .expect("tear WAL tail");
+        }
     }
 
     /// Rebuilds a crashed server from its recovered store and boots it.
@@ -653,12 +677,11 @@ impl SimFrontend {
     /// re-gossip. Peers rewind their cursors for this node, re-sending
     /// everything they still retain: records the torn tail lost are the
     /// newest, so they sit above every peer's compaction horizon.
-    /// Application is idempotent.
+    /// Application is idempotent. Restarting a live server is a no-op.
     pub fn restart_server(&mut self, node: NodeId) {
-        assert!(
-            self.engine.is_crashed(node),
-            "restart_server: server {node} is not crashed"
-        );
+        if !self.engine.is_crashed(node) {
+            return;
+        }
         let cluster = self
             .layout
             .cluster_of(node)
@@ -685,8 +708,9 @@ impl SimFrontend {
         server.stats.wal_torn_bytes_cut += prior.wal_torn_bytes_cut;
         server.mark_restarted();
         server.set_trace_sink(self.trace.clone());
-        self.trace
-            .record(self.engine.now().as_micros(), node, TraceEventKind::Restart);
+        let now = self.engine.now().as_micros();
+        self.trace.record(now, node, TraceEventKind::Restart);
+        self.obs.fault_end(now, &format!("crash node {node}"));
         for peer in self.layout.anti_entropy_peers(node) {
             if let Some(srv) = self.engine.actor_mut(peer).as_server_mut() {
                 srv.reset_peer_cursor(node);
@@ -711,6 +735,8 @@ impl SimFrontend {
             (to_position as usize) < self.layout.shards_per_cluster(),
             "begin_handoff: position {to_position} out of range"
         );
+        let label = format!("handoff token {token} -> position {to_position}");
+        self.mark_fault(self.engine.now(), 0, &label, true);
         for cluster in 0..self.layout.num_clusters() {
             let to = self.layout.servers[cluster][to_position as usize];
             for &server in &self.layout.servers[cluster].clone() {
@@ -723,6 +749,39 @@ impl SimFrontend {
                     }
                 });
             }
+        }
+    }
+
+    /// Cuts `a` from `b` for `duration` from now: both directions, or
+    /// only `a → b` traffic when `one_way` (an asymmetric link failure).
+    /// The cut heals by itself, so both ends of its fault window are
+    /// recorded now.
+    pub fn partition(&mut self, a: &[NodeId], b: &[NodeId], duration: SimDuration, one_way: bool) {
+        let (now, end) = (self.engine.now(), self.engine.now() + duration);
+        let arrow = if one_way { " -/-> " } else { " <-/-> " };
+        let label = format!("partition {a:?}{arrow}{b:?}");
+        let reporter = a.first().copied().unwrap_or(0);
+        self.mark_fault(now, reporter, &label, true);
+        self.mark_fault(end, reporter, &label, false);
+        let (a, b) = (a.iter().copied(), b.iter().copied());
+        let cut = if one_way {
+            Partition::one_way(now, end, a, b)
+        } else {
+            Partition::new(now, end, a, b)
+        };
+        self.engine.partitions_mut().add(cut);
+    }
+
+    /// Multiplies every cross-node latency sample by `factor` from now
+    /// on; 1.0 restores the healthy network. Leaving 1.0 opens a
+    /// `latency spike` fault window and returning to it closes the window,
+    /// so restoring an unscaled network records nothing.
+    pub fn scale_latency(&mut self, factor: f64) {
+        let was_scaled = self.engine.latency_factor() != 1.0;
+        self.engine.set_latency_factor(factor);
+        let scaled = self.engine.latency_factor() != 1.0;
+        if scaled != was_scaled {
+            self.mark_fault(self.engine.now(), 0, "latency spike", scaled);
         }
     }
 

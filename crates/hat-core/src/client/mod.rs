@@ -784,8 +784,9 @@ fn plan_batches(spec: &TxnSpec) -> (Vec<Key>, Vec<(Key, Bytes)>) {
 /// (for the streaming checker) and its writes with each key's replica
 /// set (for the t-visibility probe). Observation only — the sink is fed
 /// from state the commit already produced and draws nothing from the
-/// rng. On the sink's *first* violation the PR-8 trace window around
-/// the offending transaction is dumped (once per run).
+/// rng. On the sink's *first* violation it is reported once per run,
+/// with the trace window around the offending transaction when tracing
+/// is on.
 fn feed_obs(core: &ClientCore, now: SimTime, stamp: Timestamp, ops: &[OpRecord], tid: TxnId) {
     let mut reads = Vec::new();
     let mut writes = Vec::new();
@@ -809,10 +810,13 @@ fn feed_obs(core: &ClientCore, now: SimTime, stamp: Timestamp, ops: &[OpRecord],
         writes,
     };
     if let Some(v) = core.obs.observe_commit(&commit) {
-        eprintln!(
-            "hat-obs: first streaming violation {v:?}\n{}",
-            hat_trace::format_txn_window(&core.trace.events(), tid, 5_000)
-        );
+        eprintln!("hat-obs: first streaming violation {v:?}");
+        if core.trace.is_enabled() {
+            eprint!(
+                "{}",
+                hat_trace::format_txn_window(&core.trace.events(), tid, 5_000)
+            );
+        }
     }
 }
 

@@ -63,13 +63,16 @@ impl ProtocolKind {
     /// Streaming-checker policy for this engine: only phenomena the
     /// engine's *advertised* isolation level prohibits are checked
     /// online, mirroring `hat-history`'s `IsolationLevel::prohibited`
-    /// sets. Read Atomic (both RAMP engines) and Serializable (2PL)
-    /// prohibit fractured reads; only Serializable prohibits
-    /// non-monotonic session reads (MAV's monotonic *view* still
-    /// permits per-key read regression, Definition 28 vs the MAV cut).
+    /// sets. RAMP-F's Read Atomic and 2PL's Serializable prohibit
+    /// fractured reads. RAMP-S is not checked for them: it is Read
+    /// Atomic only for reads fetched as one batch, and a commit does not
+    /// say how its reads were fetched (sequential `get`s on RAMP-S give
+    /// atomic view). Only Serializable prohibits non-monotonic session
+    /// reads (MAV's monotonic *view* still permits per-key read
+    /// regression, Definition 28 vs the MAV cut).
     pub fn checker_policy(self) -> hat_obs::CheckerPolicy {
         hat_obs::CheckerPolicy {
-            fractured: self.is_ramp() || self == ProtocolKind::TwoPhaseLocking,
+            fractured: matches!(self, ProtocolKind::RampFast | ProtocolKind::TwoPhaseLocking),
             monotonic: self == ProtocolKind::TwoPhaseLocking,
         }
     }

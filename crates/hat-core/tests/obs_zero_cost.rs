@@ -1,8 +1,8 @@
-//! Zero-cost-when-off audit, in its own integration binary: the
-//! process-wide [`hat_obs::obs_recorded_total`] counter must not move
-//! across an entire untelemetered deployment run. Isolated here because
-//! the counter is global — any obs-enabled test in the same process
-//! would race it. Mirrors hat-trace's `events_recorded_total` audit.
+//! Zero-cost-when-off audit: the [`hat_obs::obs_recorded_total`]
+//! counter must not move across an entire untelemetered deployment run.
+//! The counter is per thread and the simulator runs on the test's own
+//! thread, so obs-enabled tests running beside it cannot disturb it.
+//! Mirrors hat-trace's `events_recorded_total` audit.
 
 use hat_core::{
     ClusterSpec, DeploymentBuilder, Frontend, ProtocolKind, SessionOptions, SystemConfig,

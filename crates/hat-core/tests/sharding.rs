@@ -97,7 +97,7 @@ fn dead_home_sticky_client_surfaces_unavailable_with_key() {
     // Kill every server in the sticky session's home cluster. Homes are
     // derived round-robin, so session 0's home is cluster 0.
     for server in front.layout().servers[0].clone() {
-        front.crash_server(server);
+        front.crash_server(server, 0);
     }
 
     let err = front

@@ -163,7 +163,7 @@ fn crash_and_restart_appear_in_the_timeline() {
     front.txn(&s, |t| t.put("ck", "v"));
     front.quiesce();
     let victim = front.layout().servers[0][0];
-    front.crash_server(victim);
+    front.crash_server(victim, 0);
     front.restart_server(victim);
     let events = front.trace_events();
     let crash = events

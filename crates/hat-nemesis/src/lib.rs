@@ -2,12 +2,12 @@
 //!
 //! A *nemesis* is a seeded, fully deterministic adversarial schedule —
 //! a time-ordered list of [`Fault`]s composed from rolling partitions,
-//! asymmetric (one-way) link loss, per-node clock skew, latency spikes,
-//! crash-restart with WAL replay and torn log tails, and live shard
-//! handoffs racing the workload mid-transaction. The
-//! [`runner`] drives every protocol engine through a schedule while a
-//! closed-loop workload keeps committing, then heals the deployment,
-//! waits for anti-entropy to settle, and asserts:
+//! asymmetric (one-way) link loss, latency spikes, crash-restart with
+//! WAL replay and torn log tails, and live shard handoffs racing the
+//! workload mid-transaction. The [`runner`] drives every protocol
+//! engine through a schedule while a closed-loop workload keeps
+//! committing, then heals the deployment, waits for anti-entropy to
+//! settle, and asserts:
 //!
 //! 1. the engine's **advertised isolation level** still holds over the
 //!    recorded history (`hat-history`'s phenomenon checkers — Table 3
@@ -23,8 +23,8 @@
 //!
 //! Determinism: schedules are pure functions of the cluster layout and
 //! the horizon; the simulator consumes one seeded rng stream; faults
-//! never draw from it (clock skew offsets hash the node id, latency
-//! scaling multiplies the sampled value without extra draws). Two runs
+//! never draw from it (victims follow the layout, latency scaling
+//! multiplies the sampled value without extra draws). Two runs
 //! with the same seed are bit-identical — a failing schedule replays
 //! exactly from `(schedule, engine, seed)`, which every assertion
 //! message includes.
@@ -35,5 +35,5 @@ pub mod schedule;
 pub use runner::{advertised_level, converged, run, workload_keys, NemesisOpts, NemesisReport};
 pub use schedule::{
     standard_catalog, Compose, CrashRestart, Fault, Flapping, Handoffs, LatencySpikes, Nemesis,
-    Rolling, SkewClocks, SplitBrain,
+    Rolling, SplitBrain,
 };

@@ -3,13 +3,13 @@
 use crate::schedule::{Fault, Nemesis};
 use hat_core::{
     format_txn_window, ClusterSpec, DeploymentBuilder, Frontend, HatError, ProtocolKind, Session,
-    SessionOptions, SimFrontend, SystemConfig, TraceEventKind, TxnId, TxnRecord,
+    SessionOptions, SimFrontend, SystemConfig, TxnId, TxnRecord,
 };
 use hat_history::{check, IsolationLevel};
 use hat_obs::{LatencyPercentiles, MetricsRegistry, ObsSink, TimeSeries};
-use hat_sim::{LatencyModel, NodeId, Partition, SimDuration, SimTime};
+use hat_sim::{LatencyModel, NodeId, SimDuration, SimTime};
 use hat_storage::{Key, SyncPolicy, VersionStamp};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -205,15 +205,13 @@ fn run_in(
 
     let keys = workload_keys(front.layout(), opts.keys);
     let schedule = nemesis.schedule(front.layout(), opts.horizon);
-    let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
-    let mut spiked = false;
     let mut next = 0usize;
     let (mut committed, mut unavailable, mut aborted) = (0u64, 0u64, 0u64);
     let end = SimTime::ZERO + opts.horizon;
     let mut round = 0usize;
     while front.now() < end {
         while next < schedule.len() && schedule[next].0 <= front.now() {
-            apply(&mut front, &schedule[next].1, &mut crashed, &mut spiked);
+            apply(&mut front, &schedule[next].1);
             next += 1;
         }
         workload_round(
@@ -228,34 +226,23 @@ fn run_in(
         round += 1;
         front.run_for(opts.tick);
     }
-    // Fire anything left (typically the restarts paired with the last
-    // crashes), then heal: revive stragglers, restore latency, let every
-    // bounded partition expire, and give anti-entropy + bootstrap
-    // recovery time to settle.
-    for (_, fault) in &schedule[next..] {
-        if let Fault::Restart { node } = fault {
-            if crashed.remove(node) {
-                front
-                    .obs_sink()
-                    .fault_end(front.now().as_micros(), &format!("crash node {node}"));
-                front.restart_server(*node);
-            }
-        }
+    // Fire the restarts left over (typically those paired with the last
+    // crashes) in schedule order, then heal: restart any server still
+    // down, in id order, restore latency, let every bounded partition
+    // expire, and give anti-entropy + bootstrap recovery time to settle.
+    let leftover = schedule[next..]
+        .iter()
+        .map(|(_, fault)| fault.clone())
+        .filter(|fault| matches!(fault, Fault::Restart { .. }));
+    // Server ids are dense per cluster, so the flattened layout is in id order.
+    let servers: Vec<NodeId> = front.layout().servers.iter().flatten().copied().collect();
+    let heal = servers
+        .into_iter()
+        .map(|node| Fault::Restart { node })
+        .chain([Fault::LatencyScale { factor: 1.0 }]);
+    for fault in leftover.chain(heal) {
+        apply(&mut front, &fault);
     }
-    for node in std::mem::take(&mut crashed) {
-        front
-            .obs_sink()
-            .fault_end(front.now().as_micros(), &format!("crash node {node}"));
-        front.restart_server(node);
-    }
-    if std::mem::take(&mut spiked) {
-        // The horizon cut mid-spike: close the mark so the exported
-        // series keeps every bounded fault paired.
-        front
-            .obs_sink()
-            .fault_end(front.now().as_micros(), "latency spike");
-    }
-    front.engine_mut().set_latency_factor(1.0);
     let max_cut = schedule
         .iter()
         .filter_map(|(t, f)| match f {
@@ -341,130 +328,21 @@ fn dump_violation_traces(
     }
 }
 
-fn apply(
-    front: &mut SimFrontend,
-    fault: &Fault,
-    crashed: &mut BTreeSet<NodeId>,
-    spiked: &mut bool,
-) {
-    let now = front.now();
-    let trace = front.trace_sink().clone();
-    // Fault marks mirror the trace records into the telemetry series.
-    // Begin/end pairs must share one label (the series validator pairs
-    // by label), so restart closes with the *crash* label and latency
-    // transitions share a constant one; clock skew and handoffs are
-    // instantaneous and stay begin-only.
-    let obs = front.obs_sink().clone();
+/// Applies one scheduled fault through the frontend's fault API, which
+/// also records it in the trace and the telemetry series. Crashing a
+/// crashed server and restarting a live one are no-ops.
+fn apply(front: &mut SimFrontend, fault: &Fault) {
     match fault {
         Fault::Partition {
             a,
             b,
             duration,
             one_way,
-        } => {
-            let desc = format!(
-                "partition {a:?}{}{b:?}",
-                if *one_way { " -/-> " } else { " <-/-> " }
-            );
-            let reporter = a.first().copied().unwrap_or(0);
-            trace.record(
-                now.as_micros(),
-                reporter,
-                TraceEventKind::FaultBegin { desc: desc.clone() },
-            );
-            // Bounded faults know their end now; stamping the close
-            // event at its future time keeps the sorted timeline honest.
-            trace.record(
-                (now + *duration).as_micros(),
-                reporter,
-                TraceEventKind::FaultEnd { desc: desc.clone() },
-            );
-            obs.fault_begin(now.as_micros(), &desc);
-            obs.fault_end((now + *duration).as_micros(), &desc);
-            let p = if *one_way {
-                Partition::one_way(now, now + *duration, a.iter().copied(), b.iter().copied())
-            } else {
-                Partition::new(now, now + *duration, a.iter().copied(), b.iter().copied())
-            };
-            front.engine_mut().partitions_mut().add(p);
-        }
-        Fault::SkewClock { node, offset_us } => {
-            trace.record(
-                now.as_micros(),
-                *node,
-                TraceEventKind::FaultBegin {
-                    desc: format!("clock skew {offset_us}us on node {node}"),
-                },
-            );
-            obs.fault_begin(
-                now.as_micros(),
-                &format!("clock skew {offset_us}us on node {node}"),
-            );
-            front.engine_mut().set_clock_offset(*node, *offset_us);
-        }
-        Fault::LatencyScale { factor } => {
-            let kind = if *factor > 1.0 {
-                TraceEventKind::FaultBegin {
-                    desc: format!("latency x{factor}"),
-                }
-            } else {
-                TraceEventKind::FaultEnd {
-                    desc: format!("latency x{factor}"),
-                }
-            };
-            trace.record(now.as_micros(), 0, kind);
-            if *factor > 1.0 {
-                obs.fault_begin(now.as_micros(), "latency spike");
-                *spiked = true;
-            } else {
-                obs.fault_end(now.as_micros(), "latency spike");
-                *spiked = false;
-            }
-            front.engine_mut().set_latency_factor(*factor)
-        }
-        Fault::Crash { node, torn_tail } => {
-            if crashed.insert(*node) {
-                trace.record(
-                    now.as_micros(),
-                    *node,
-                    TraceEventKind::FaultBegin {
-                        desc: format!("crash node {node} (torn tail {torn_tail}B)"),
-                    },
-                );
-                obs.fault_begin(now.as_micros(), &format!("crash node {node}"));
-                front.crash_server(*node);
-                if *torn_tail > 0 {
-                    front.tear_wal_tail(*node, *torn_tail);
-                }
-            }
-        }
-        Fault::Restart { node } => {
-            if crashed.remove(node) {
-                trace.record(
-                    now.as_micros(),
-                    *node,
-                    TraceEventKind::FaultEnd {
-                        desc: format!("restart node {node}"),
-                    },
-                );
-                obs.fault_end(now.as_micros(), &format!("crash node {node}"));
-                front.restart_server(*node);
-            }
-        }
-        Fault::ShardHandoff { token, to_position } => {
-            trace.record(
-                now.as_micros(),
-                0,
-                TraceEventKind::FaultBegin {
-                    desc: format!("handoff token {token} -> position {to_position}"),
-                },
-            );
-            obs.fault_begin(
-                now.as_micros(),
-                &format!("handoff token {token} -> position {to_position}"),
-            );
-            front.begin_handoff(*token, *to_position);
-        }
+        } => front.partition(a, b, *duration, *one_way),
+        Fault::LatencyScale { factor } => front.scale_latency(*factor),
+        Fault::Crash { node, torn_tail } => front.crash_server(*node, *torn_tail),
+        Fault::Restart { node } => front.restart_server(*node),
+        Fault::ShardHandoff { token, to_position } => front.begin_handoff(*token, *to_position),
     }
 }
 

@@ -20,15 +20,6 @@ pub enum Fault {
         /// Drop only `a → b` traffic.
         one_way: bool,
     },
-    /// Skew `node`'s local clock by `offset_us` microseconds (negative =
-    /// behind). Affects only what the node *reads* as wall time — HAT
-    /// guarantees are clock-free, and the harness proves it.
-    SkewClock {
-        /// The node whose clock drifts.
-        node: NodeId,
-        /// Signed drift in microseconds.
-        offset_us: i64,
-    },
     /// Multiply every cross-node latency sample by `factor` (1.0
     /// restores normal service).
     LatencyScale {
@@ -87,16 +78,6 @@ pub trait Nemesis {
 /// Every server of every cluster, in id order.
 fn all_servers(layout: &ClusterLayout) -> Vec<NodeId> {
     layout.servers.iter().flatten().copied().collect()
-}
-
-/// Deterministic per-node spread in `[-max, +max]` (multiplicative
-/// hash of the node id — not the run rng, which faults must not touch).
-fn node_spread(node: NodeId, max: i64) -> i64 {
-    if max == 0 {
-        return 0;
-    }
-    let h = (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
-    (h % (2 * max as u64 + 1)) as i64 - max
 }
 
 /// Rolling single-node isolation: each server in turn is cut off from
@@ -181,40 +162,6 @@ impl Nemesis for Flapping {
             t += self.period;
         }
         out
-    }
-}
-
-/// Per-node clock skew, applied once at the start: each node's local
-/// clock drifts by a deterministic offset in `[-max_us, +max_us]`.
-/// HAT protocols stamp versions with logical `(seq, writer)` pairs, so
-/// every guarantee must survive arbitrary skew — this schedule is the
-/// regression test for anyone tempted to reach for wall clocks.
-#[derive(Debug, Clone)]
-pub struct SkewClocks {
-    /// Maximum absolute drift in microseconds.
-    pub max_us: i64,
-}
-
-impl Nemesis for SkewClocks {
-    fn name(&self) -> String {
-        "clock-skew".into()
-    }
-
-    fn schedule(&self, layout: &ClusterLayout, _horizon: SimDuration) -> Vec<(SimTime, Fault)> {
-        let mut nodes = all_servers(layout);
-        nodes.extend(layout.clients.iter().copied());
-        nodes
-            .into_iter()
-            .map(|node| {
-                (
-                    SimTime::ZERO,
-                    Fault::SkewClock {
-                        node,
-                        offset_us: node_spread(node, self.max_us),
-                    },
-                )
-            })
-            .collect()
     }
 }
 
@@ -396,8 +343,8 @@ impl Nemesis for SplitBrain {
 
 /// Runs several nemeses at once: the union of their schedules, stably
 /// sorted by fire time (ties keep constituent order). This is where the
-/// harness earns its keep — a crash *during* a partition *under* clock
-/// skew is the adversary none of the single-fault tests construct.
+/// harness earns its keep — a crash *during* a partition *under* a
+/// latency spike is the adversary none of the single-fault tests construct.
 pub struct Compose {
     /// The constituent schedule generators.
     pub parts: Vec<Box<dyn Nemesis>>,
@@ -430,11 +377,11 @@ impl Nemesis for Compose {
     }
 }
 
-/// The seven canonical schedules every engine must survive: a clean
+/// The six canonical schedules every engine must survive: a clean
 /// inter-DC split-brain, rolling partitions, a flapping one-way link,
-/// cluster-wide clock skew, crash-restart with torn WAL tails, the
-/// partition/skew/crash/latency faults composed at once, and live
-/// shard handoffs racing the workload. The conformance suite and the
+/// crash-restart with torn WAL tails, the partition/crash/latency
+/// faults composed at once, and live shard handoffs racing the
+/// workload. The conformance suite and the
 /// `exp_nemesis` experiment binary share this catalog, so a schedule
 /// added here is exercised by both.
 pub fn standard_catalog() -> Vec<Box<dyn Nemesis>> {
@@ -447,7 +394,6 @@ pub fn standard_catalog() -> Vec<Box<dyn Nemesis>> {
         Box::new(Flapping {
             period: SimDuration::from_millis(60),
         }),
-        Box::new(SkewClocks { max_us: 500_000 }),
         Box::new(CrashRestart {
             period: SimDuration::from_millis(140),
             downtime: SimDuration::from_millis(50),
@@ -458,7 +404,6 @@ pub fn standard_catalog() -> Vec<Box<dyn Nemesis>> {
                 period: SimDuration::from_millis(160),
                 outage: SimDuration::from_millis(40),
             }),
-            Box::new(SkewClocks { max_us: 250_000 }),
             Box::new(CrashRestart {
                 period: SimDuration::from_millis(200),
                 downtime: SimDuration::from_millis(60),
@@ -505,7 +450,6 @@ mod tests {
                 downtime: SimDuration::from_millis(50),
                 torn_tail: 48,
             }),
-            Box::new(SkewClocks { max_us: 250_000 }),
         ]);
         assert_eq!(n.schedule(&l, h), n.schedule(&l, h));
         assert!(!n.schedule(&l, h).is_empty());
@@ -554,26 +498,5 @@ mod tests {
                 "crash of {node} at {t:?} has no later restart"
             );
         }
-    }
-
-    #[test]
-    fn skew_is_bounded_and_deterministic() {
-        let l = layout();
-        let s = SkewClocks { max_us: 1_000 }.schedule(&l, SimDuration::from_millis(100));
-        for (_, f) in &s {
-            match f {
-                Fault::SkewClock { offset_us, .. } => assert!(offset_us.abs() <= 1_000),
-                other => panic!("unexpected fault {other:?}"),
-            }
-        }
-        // At least two nodes actually drift apart.
-        let offsets: std::collections::BTreeSet<i64> = s
-            .iter()
-            .map(|(_, f)| match f {
-                Fault::SkewClock { offset_us, .. } => *offset_us,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(offsets.len() > 1, "all nodes got the same skew");
     }
 }

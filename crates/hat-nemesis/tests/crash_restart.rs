@@ -77,8 +77,7 @@ fn mid_commit_crash_with_torn_tail_recovers_under_every_engine() {
             // the only open session lives in cluster 0.
             _ => front.layout().replica_in_cluster(&key, 0),
         };
-        front.crash_server(victim);
-        front.tear_wal_tail(victim, TORN_BYTES);
+        front.crash_server(victim, TORN_BYTES);
         front.run_for(SimDuration::from_millis(50));
         front.restart_server(victim);
         front.quiesce();

@@ -16,9 +16,10 @@ use hat_sim::SimDuration;
 const SEED: u64 = 0xBAD_CAFE;
 
 /// The canonical schedules (split-brain, rolling partition, flapping
-/// link, clock skew, crash-restart with torn WAL, the composed storm,
-/// and live handoffs) — shared with `exp_nemesis` via
-/// [`standard_catalog`].
+/// link, crash-restart with torn WAL, the composed storm, and live
+/// handoffs) — shared with `exp_nemesis` via [`standard_catalog`].
+/// Every one of them must leave a mark on every engine: dropped
+/// messages, crashes or completed handoffs.
 fn schedules() -> Vec<Box<dyn hat_nemesis::Nemesis>> {
     standard_catalog()
 }
@@ -32,6 +33,15 @@ fn all_engines_hold_their_advertised_level_under_every_schedule() {
                 ..NemesisOpts::default()
             };
             let r = run(protocol, nemesis.as_ref(), &opts);
+            assert!(
+                r.msgs_dropped_by_partition
+                    + r.crashes
+                    + r.registry.counter_total("hat_server_shard_handoffs_total")
+                    > 0,
+                "[schedule={} seed={:#x}] {protocol:?}: the schedule's faults never took hold",
+                r.schedule,
+                r.seed
+            );
             assert!(
                 r.committed > 0,
                 "[schedule={} seed={:#x}] {protocol:?}: no transaction committed",

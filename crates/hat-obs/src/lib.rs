@@ -30,7 +30,7 @@
 //! and the prober polls stores read-only at sample ticks. Same-seed
 //! runs produce byte-identical series, and an obs-off run is
 //! bit-identical to an obs-on run. The disabled path is a single
-//! `Option` check; the process-wide [`obs_recorded_total`] counter
+//! `Option` check; the per-thread [`obs_recorded_total`] counter
 //! audits that nothing records when disabled (mirroring hat-trace's
 //! `events_recorded_total` audit).
 
@@ -46,22 +46,26 @@ pub use probe::{Stamp, VisibilityTracker};
 pub use registry::{Labels, Metric, MetricsRegistry};
 pub use series::{Cumulative, FaultMark, SeriesPoint, TimeSeries};
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-/// Process-wide count of observations recorded by *any* sink. Tests use
-/// [`obs_recorded_total`] deltas to prove the disabled path records
-/// nothing — an accidentally-enabled sink can't silently perturb a
-/// benchmark without this counter moving.
-static OBS_RECORDED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Observations recorded by *any* sink on this thread. Tests use
+    /// [`obs_recorded_total`] deltas to prove the disabled path records
+    /// nothing — an accidentally-enabled sink can't silently perturb a
+    /// benchmark without this counter moving. Per thread, so a test's
+    /// audit cannot see a sibling test recording concurrently.
+    static OBS_RECORDED: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total observations recorded process-wide (all sinks, ever).
+/// Total observations recorded on the calling thread (all sinks,
+/// ever). A simulated deployment records on the thread driving it.
 pub fn obs_recorded_total() -> u64 {
-    OBS_RECORDED.load(Ordering::Relaxed)
+    OBS_RECORDED.with(Cell::get)
 }
 
 fn bump(n: u64) {
-    OBS_RECORDED.fetch_add(n, Ordering::Relaxed);
+    OBS_RECORDED.with(|c| c.set(c.get() + n));
 }
 
 /// Sampling cadence in sim-microseconds (one series window each).
@@ -320,7 +324,7 @@ mod tests {
         let before = obs_recorded_total();
         sink.counter_add("c", &[("n", "0")], 2);
         sink.counter_add("c", &[("n", "0")], 3);
-        assert!(obs_recorded_total() >= before + 2);
+        assert_eq!(obs_recorded_total(), before + 2);
         assert_eq!(sink.registry().unwrap().counter("c", &[("n", "0")]), 5);
     }
 

@@ -160,8 +160,8 @@ impl TimeSeries {
     }
 
     /// True if every begin mark has a matching later end mark with the
-    /// same label (begin-only marks like clock skew are reported via
-    /// the allowlist argument).
+    /// same label (begin-only marks like shard handoffs are reported
+    /// via the allowlist argument).
     pub fn marks_paired(&self, begin_only_ok: &[&str]) -> bool {
         for (i, m) in self.marks.iter().enumerate() {
             if !m.begin {
@@ -281,13 +281,13 @@ mod tests {
         let mut ts = TimeSeries::default();
         ts.mark(100, true, "partition dc0/dc1");
         ts.mark(500, false, "partition dc0/dc1");
-        ts.mark(600, true, "skew clocks");
-        assert!(ts.marks_paired(&["skew"]));
+        ts.mark(600, true, "handoff token 3 -> position 1");
+        assert!(ts.marks_paired(&["handoff"]));
         assert!(!ts.marks_paired(&[]));
         ts.mark(700, true, "crash node 2");
-        assert!(!ts.marks_paired(&["skew"]));
+        assert!(!ts.marks_paired(&["handoff"]));
         ts.mark(900, false, "crash node 2");
-        assert!(ts.marks_paired(&["skew"]));
+        assert!(ts.marks_paired(&["handoff"]));
     }
 
     #[test]

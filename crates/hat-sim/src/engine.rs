@@ -44,7 +44,6 @@ pub struct Ctx<'a, M> {
     /// Id of the actor being invoked.
     pub self_id: NodeId,
     now: SimTime,
-    clock_offset: i64,
     rng: &'a mut StdRng,
     outbox: Vec<(SimDuration, NodeId, M)>,
     timer_requests: Vec<(SimDuration, TimerId)>,
@@ -55,18 +54,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The node's *local* wall clock: true simulated time shifted by the
-    /// node's clock offset (see [`Engine::set_clock_offset`]). Event
-    /// ordering, timers and service holds always use the true clock
-    /// ([`Ctx::now`]); `local_now` is what a node would report if asked
-    /// for the time — the hook nemesis clock-skew schedules perturb.
-    /// HAT guarantees are clock-free, so skewing this must never change
-    /// a run's outcome.
-    pub fn local_now(&self) -> SimTime {
-        let t = self.now.as_micros() as i64;
-        SimTime(t.saturating_add(self.clock_offset).max(0) as u64)
     }
 
     /// Sends `msg` to `to`. Delivery latency is drawn from the latency
@@ -103,7 +90,6 @@ impl<'a, M> Ctx<'a, M> {
         Ctx {
             self_id,
             now,
-            clock_offset: 0,
             rng,
             outbox: Vec::new(),
             timer_requests: Vec::new(),
@@ -177,16 +163,14 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
-/// Per-node fault bookkeeping: crash state, incarnation, clock skew and
-/// drop counters attributed to the node as message *destination*.
+/// Per-node fault bookkeeping: crash state, incarnation and drop
+/// counters attributed to the node as message *destination*.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeFault {
     crashed: bool,
     /// Incarnation count; bumped on every restart so timers armed by a
     /// previous incarnation never fire into the new one.
     gen: u64,
-    /// Local wall-clock offset in microseconds (may be negative).
-    clock_offset: i64,
     dropped_by_partition: u64,
     dropped_by_crash: u64,
     crashes: u64,
@@ -311,11 +295,9 @@ impl<A: Actor> Engine<A> {
         };
     }
 
-    /// Sets `node`'s local wall-clock offset in microseconds (clock-skew
-    /// fault). Only [`Ctx::local_now`] observes the offset; the true
-    /// event clock is unaffected, so runs stay bit-identical per seed.
-    pub fn set_clock_offset(&mut self, node: NodeId, offset_us: i64) {
-        self.faults[node as usize].clock_offset = offset_us;
+    /// The current latency multiplier (1.0 on a healthy network).
+    pub fn latency_factor(&self) -> f64 {
+        self.latency_factor
     }
 
     /// Fault counters attributed to `node`.
@@ -404,7 +386,6 @@ impl<A: Actor> Engine<A> {
         let mut ctx = Ctx {
             self_id: id,
             now: self.now,
-            clock_offset: self.faults[id as usize].clock_offset,
             rng: &mut self.rng,
             outbox: Vec::new(),
             timer_requests: Vec::new(),
@@ -787,38 +768,6 @@ mod tests {
         e.run_until(SimTime::from_millis(1000));
         assert_eq!(e.actor(0).beeps, 0, "stale timer fired into restart");
         assert_eq!(e.fault_stats(0).crashes, 1);
-    }
-
-    #[test]
-    fn clock_offset_shifts_local_now_only() {
-        struct Sampler {
-            seen: Vec<(SimTime, SimTime)>,
-        }
-        impl Actor for Sampler {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.set_timer(SimDuration::from_millis(50), 1);
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _t: TimerId) {
-                self.seen.push((ctx.now(), ctx.local_now()));
-            }
-        }
-        let mut topo = Topology::new();
-        topo.add_node(Site::new(Region::Virginia, 0));
-        let mut e = Engine::new(
-            EngineConfig::default(),
-            topo,
-            vec![Sampler { seen: vec![] }],
-        );
-        e.set_clock_offset(0, -20_000); // 20ms behind
-        e.run_to_quiescence();
-        let (now, local) = e.actor(0).seen[0];
-        assert_eq!(now, SimTime::from_millis(50), "true clock unskewed");
-        assert_eq!(local, SimTime::from_millis(30), "local clock skewed");
-        // negative offsets clamp at zero rather than underflowing
-        e.set_clock_offset(0, i64::MIN);
-        e.with_actor_ctx(0, |_, ctx| assert_eq!(ctx.local_now(), SimTime::ZERO));
     }
 
     #[test]

@@ -190,11 +190,13 @@ pub enum TraceEventKind {
     },
     Crash,
     Restart,
-    /// A nemesis fault window opened (partition, skew, crash, …).
+    /// A nemesis fault window opened (partition, latency spike or shard
+    /// handoff; crashes and restarts are [`TraceEventKind::Crash`] and
+    /// [`TraceEventKind::Restart`]).
     FaultBegin {
         desc: String,
     },
-    /// A nemesis fault window closed (heal / restart).
+    /// A nemesis fault window closed (partition heal, latency restored).
     FaultEnd {
         desc: String,
     },

@@ -7,7 +7,8 @@
 //!
 //! Like the tracing example, this also asserts the zero-cost-when-off
 //! contract: a second, untelemetered deployment runs the same workload
-//! and the process-wide telemetry counter must not move.
+//! and the telemetry counter must not move (it counts this thread's
+//! recordings, and the simulator runs on it).
 
 use hatdb::core::{ClusterSpec, DeploymentBuilder, ProtocolKind, SessionOptions, SystemConfig};
 use hatdb::obs::obs_recorded_total;

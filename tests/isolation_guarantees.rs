@@ -7,7 +7,7 @@
 use hatdb::core::client::TxnSource;
 use hatdb::core::{
     ClientCmd, ClusterSpec, DeploymentBuilder, Op, ProtocolKind, SessionLevel, SessionOptions,
-    TxnBackend, TxnRecord, TxnSpec,
+    SystemConfig, TxnBackend, TxnRecord, TxnSpec,
 };
 use hatdb::history::{check, IsolationLevel, Phenomenon};
 use hatdb::sim::SimDuration;
@@ -356,13 +356,18 @@ fn ramp_small_closed_loop_plans_are_read_atomic() {
 /// no write-set metadata to tell it `fy` was written too. The history
 /// is fractured but still atomic-view clean. RAMP-F, whose metadata
 /// repairs the later read instead, stays Read Atomic on the same script.
+/// The streaming checker holds RAMP-S to atomic view too: a commit does
+/// not show whether its reads were one batch, so it raises no alarm.
 #[test]
 fn ramp_small_sequential_gets_can_fracture() {
     let script = |protocol: ProtocolKind| {
+        let mut cfg = SystemConfig::new(protocol);
+        cfg.obs.enabled = true;
         let mut front = DeploymentBuilder::new(protocol)
             .seed(60)
             .clusters(ClusterSpec::single_dc(1, 4))
             .sessions_per_cluster(2)
+            .config(cfg)
             .build();
         let writer = front.open_session(SessionOptions::default());
         let reader = front.open_session(SessionOptions::default());
@@ -379,22 +384,25 @@ fn ramp_small_sequential_gets_can_fracture() {
         });
         let fx = front.exec_get(&reader, "fx".into()).unwrap();
         front.commit(&reader).unwrap();
-        (fy, fx, front.take_records())
+        let alarms = front.obs_sink().violations();
+        (fy, fx, front.take_records(), alarms)
     };
-    let (fy, fx, records) = script(ProtocolKind::RampSmall);
+    let (fy, fx, records, alarms) = script(ProtocolKind::RampSmall);
     assert_eq!(fy.as_deref(), Some(&b"old"[..]));
     assert_eq!(fx.as_deref(), Some(&b"new"[..]));
     assert_eq!(fractured_reads(records.clone()), 1);
     let report = check(records, IsolationLevel::MonotonicAtomicView);
     assert!(report.ok(), "{report}");
+    assert_eq!(alarms, 0, "streaming checker false-alarmed on RAMP-S");
 
-    let (_, fx, records) = script(ProtocolKind::RampFast);
+    let (_, fx, records, alarms) = script(ProtocolKind::RampFast);
     assert_eq!(
         fx.as_deref(),
         Some(&b"old"[..]),
         "RAMP-F repairs the later read"
     );
     assert_eq!(fractured_reads(records), 0);
+    assert_eq!(alarms, 0);
 }
 
 /// Negative control pinning the anomaly: engines *without* atomic
