@@ -13,7 +13,7 @@
 use hat_core::{
     ClusterSpec, DeploymentBuilder, Frontend, HatError, ProtocolKind, SessionLevel, SessionOptions,
 };
-use hat_history::{check, IsolationLevel};
+use hat_history::{check, Model};
 use hat_sim::{Partition, PartitionSchedule, SimDuration, SimTime};
 
 fn split_sides(protocol: ProtocolKind, seed: u64) -> (Vec<u32>, Vec<u32>) {
@@ -68,7 +68,7 @@ fn lost_update(protocol: ProtocolKind) {
     sim.run_for(SimDuration::from_secs(60));
     sim.quiesce();
     let final_v = sim.txn(&s0, |t| t.get("x")).unwrap();
-    let report = check(sim.take_records(), IsolationLevel::SnapshotIsolation);
+    let report = check(sim.take_records(), Model::SnapshotIsolation);
     println!(
         "{:10} lost update: final x={} (serial would be 150); SI check: {} violation(s)",
         protocol.label(),
@@ -103,7 +103,7 @@ fn write_skew(protocol: ProtocolKind) {
     sim.run_for(SimDuration::from_secs(60));
     sim.quiesce();
     let (x, y) = sim.txn(&s0, |t| Ok((t.get("x")?, t.get("y")?)));
-    let report = check(sim.take_records(), IsolationLevel::RepeatableRead);
+    let report = check(sim.take_records(), Model::RepeatableRead);
     println!(
         "{:10} write skew: x={:?} y={:?} (constraint: not both 1); RR check: {} violation(s)",
         protocol.label(),

@@ -1,6 +1,7 @@
 //! System configuration: protocol choice and the server service-time
 //! model.
 
+use crate::taxonomy::{Model, Taxonomy};
 use hat_sim::SimDuration;
 
 /// Which concurrency-control / replication protocol the deployment runs.
@@ -40,11 +41,40 @@ pub enum ProtocolKind {
     TwoPhaseLocking,
 }
 
+/// How a transaction fetches its reads — the one input besides the
+/// engine that decides which Table 3 model a history holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadMode {
+    /// The read set is fetched as one batch: a closed-loop plan or a
+    /// one-shot `get_many`.
+    Batched,
+    /// Interactive `get`s, one round trip at a time.
+    Sequential,
+}
+
 impl ProtocolKind {
-    /// True for the Read Atomic (RAMP) family: reader-side repair from
-    /// per-write metadata, two-phase (prepare/commit) writes.
-    pub fn is_ramp(self) -> bool {
-        matches!(self, ProtocolKind::RampFast | ProtocolKind::RampSmall)
+    /// The Table 3 model this engine guarantees for reads fetched by
+    /// `reads` — the only statement of each engine's guarantee; its
+    /// availability class is [`Model::availability`].
+    ///
+    /// RAMP-S is Read Atomic only for a read set fetched as one batch:
+    /// its constant-size metadata cannot name what an *earlier*
+    /// sequential read missed, so sequential reads give atomic view.
+    /// Master linearizes each key, but multi-key transactions neither
+    /// serialize nor buffer writes until commit.
+    pub fn model(self, reads: ReadMode) -> Model {
+        match self {
+            ProtocolKind::Eventual => Model::ReadUncommitted,
+            ProtocolKind::ReadCommitted => Model::ReadCommitted,
+            ProtocolKind::Mav => Model::MonotonicAtomicView,
+            ProtocolKind::RampFast => Model::ReadAtomic,
+            ProtocolKind::RampSmall => match reads {
+                ReadMode::Batched => Model::ReadAtomic,
+                ReadMode::Sequential => Model::MonotonicAtomicView,
+            },
+            ProtocolKind::Master => Model::Linearizability,
+            ProtocolKind::TwoPhaseLocking => Model::OneCopySerializability,
+        }
     }
 
     /// Short label used in experiment output (matches the paper's legend).
@@ -60,20 +90,19 @@ impl ProtocolKind {
         }
     }
 
-    /// Streaming-checker policy for this engine: only phenomena the
-    /// engine's *advertised* isolation level prohibits are checked
-    /// online, mirroring `hat-history`'s `IsolationLevel::prohibited`
-    /// sets. RAMP-F's Read Atomic and 2PL's Serializable prohibit
-    /// fractured reads. RAMP-S is not checked for them: it is Read
-    /// Atomic only for reads fetched as one batch, and a commit does not
-    /// say how its reads were fetched (sequential `get`s on RAMP-S give
-    /// atomic view). Only Serializable prohibits non-monotonic session
-    /// reads (MAV's monotonic *view* still permits per-key read
-    /// regression, Definition 28 vs the MAV cut).
+    /// Streaming-checker policy for this engine: a phenomenon is checked
+    /// online when the engine's model for [`ReadMode::Sequential`] is,
+    /// or implies, the model that prohibits it — Read Atomic for
+    /// fractured reads, Monotonic Reads for session read regression. A
+    /// commit does not say how its reads were fetched, so the weaker
+    /// read mode decides.
     pub fn checker_policy(self) -> hat_obs::CheckerPolicy {
+        let model = self.model(ReadMode::Sequential);
+        let taxonomy = Taxonomy::new();
+        let at_least = |m: Model| model == m || taxonomy.stronger_than(model, m);
         hat_obs::CheckerPolicy {
-            fractured: matches!(self, ProtocolKind::RampFast | ProtocolKind::TwoPhaseLocking),
-            monotonic: self == ProtocolKind::TwoPhaseLocking,
+            fractured: at_least(Model::ReadAtomic),
+            monotonic: at_least(Model::MonotonicReads),
         }
     }
 
@@ -355,12 +384,6 @@ const QUIESCE_ROUNDS: u64 = 5;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ramp_classification() {
-        assert!(ProtocolKind::RampFast.is_ramp() && ProtocolKind::RampSmall.is_ramp());
-        assert!(!ProtocolKind::Mav.is_ramp());
-    }
 
     #[test]
     fn labels_match_paper_legend() {

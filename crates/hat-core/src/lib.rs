@@ -7,13 +7,10 @@
 //!
 //! ## Protocols
 //!
-//! | Kind | Availability | Guarantees (with the right session options) |
-//! |---|---|---|
-//! | [`ProtocolKind::Eventual`] | highly available | Read Uncommitted, eventual convergence |
-//! | [`ProtocolKind::ReadCommitted`] | highly available | Read Committed (write buffering) |
-//! | [`ProtocolKind::Mav`] | highly available | Monotonic Atomic View (Appendix B algorithm) |
-//! | [`ProtocolKind::Master`] | unavailable | per-key linearizability (reads/writes at a master) |
-//! | [`ProtocolKind::TwoPhaseLocking`] | unavailable | one-copy serializability (distributed 2PL) |
+//! Seven engines, from [`ProtocolKind::Eventual`] to
+//! [`ProtocolKind::TwoPhaseLocking`]. [`ProtocolKind::model`] states the
+//! Table 3 model each one guarantees, and through
+//! [`taxonomy::Model::availability`] its availability class.
 //!
 //! Servers and clients are deterministic [`hat_sim::Actor`]s; the same
 //! state machines run under the discrete-event simulator and the threaded
@@ -70,7 +67,7 @@ pub mod txn;
 pub use api::{DeploymentBuilder, SimFrontend};
 pub use client::{Client, ClientCmd, ClientCore, ClientReply, SessionLevel, SessionOptions};
 pub use cluster::{ClusterLayout, ClusterSpec};
-pub use config::{ProtocolKind, RetryPolicy, ServiceModel, SystemConfig};
+pub use config::{ProtocolKind, ReadMode, RetryPolicy, ServiceModel, SystemConfig};
 pub use error::HatError;
 pub use frontend::{Frontend, Session, TxnBackend, TxnCtx};
 pub use messages::{Msg, VersionReq};

@@ -8,7 +8,6 @@
 //! directly as the antichains of the HA + sticky sub-order (sets of
 //! mutually incomparable achievable models).
 
-use std::collections::HashSet;
 use std::fmt;
 
 /// Availability classification of a model (Table 3).
@@ -220,10 +219,9 @@ impl Taxonomy {
     /// Builds the taxonomy (transitive closure of [`EDGES`]).
     pub fn new() -> Self {
         let n = Model::ALL.len();
-        let idx = |m: Model| Model::ALL.iter().position(|x| *x == m).unwrap();
         let mut stronger = vec![vec![false; n]; n];
         for &(a, b) in EDGES {
-            stronger[idx(a)][idx(b)] = true;
+            stronger[Self::idx(a)][Self::idx(b)] = true;
         }
         // Floyd–Warshall closure.
         for k in 0..n {
@@ -280,8 +278,35 @@ impl Taxonomy {
         worst
     }
 
-    /// Counts the antichains (sets of pairwise-incomparable models) of
-    /// the achievable (HA + sticky) sub-order, *excluding* the empty set.
+    /// Every non-empty antichain (set of pairwise-incomparable models)
+    /// of the achievable (HA + sticky) sub-order, each listed in
+    /// [`Model`] order.
+    fn hat_antichains(&self) -> Vec<Vec<Model>> {
+        let achievable: Vec<Model> = Model::ALL
+            .iter()
+            .copied()
+            .filter(|m| m.hat_achievable())
+            .collect();
+        let n = achievable.len();
+        // 2^12 subsets: trivially enumerable.
+        (1u32..(1 << n))
+            .map(|mask| {
+                (0..n)
+                    .filter(|&i| mask & (1 << i) != 0)
+                    .map(|i| achievable[i])
+                    .collect::<Vec<Model>>()
+            })
+            .filter(|members| {
+                members
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &a)| members[i + 1..].iter().all(|&b| self.incomparable(a, b)))
+            })
+            .collect()
+    }
+
+    /// Counts the antichains of the achievable sub-order, *excluding*
+    /// the empty set.
     ///
     /// The paper's Figure 2 caption says the diagram "depicts 144
     /// possible HAT combinations" without defining the counting
@@ -290,72 +315,21 @@ impl Taxonomy {
     /// the `exp_fig2` experiment; the discrepancy is discussed in
     /// EXPERIMENTS.md.
     pub fn count_hat_combinations(&self) -> usize {
-        let achievable: Vec<Model> = Model::ALL
-            .iter()
-            .copied()
-            .filter(|m| m.hat_achievable())
-            .collect();
-        let n = achievable.len();
-        let mut count = 0usize;
-        // 2^11 subsets: trivially enumerable.
-        for mask in 1u32..(1 << n) {
-            let members: Vec<Model> = (0..n)
-                .filter(|&i| mask & (1 << i) != 0)
-                .map(|i| achievable[i])
-                .collect();
-            let antichain = members
-                .iter()
-                .enumerate()
-                .all(|(i, &a)| members[i + 1..].iter().all(|&b| self.incomparable(a, b)));
-            if antichain {
-                count += 1;
-            }
-        }
-        count
+        self.hat_antichains().len()
     }
 
     /// Strongest achievable combinations: maximal antichains of the
-    /// achievable sub-order (e.g. causal + P-CI + MAV).
+    /// achievable sub-order (e.g. causal + P-CI + MAV), sorted.
     pub fn maximal_hat_combinations(&self) -> Vec<Vec<Model>> {
-        let achievable: Vec<Model> = Model::ALL
+        let antichains = self.hat_antichains();
+        let within = |a: &[Model], b: &[Model]| a.iter().all(|m| b.contains(m));
+        let mut maximal: Vec<Vec<Model>> = antichains
             .iter()
-            .copied()
-            .filter(|m| m.hat_achievable())
+            .filter(|a| !antichains.iter().any(|b| a.len() < b.len() && within(a, b)))
+            .cloned()
             .collect();
-        let n = achievable.len();
-        let mut antichains: Vec<HashSet<Model>> = Vec::new();
-        for mask in 1u32..(1 << n) {
-            let members: Vec<Model> = (0..n)
-                .filter(|&i| mask & (1 << i) != 0)
-                .map(|i| achievable[i])
-                .collect();
-            let is_antichain = members
-                .iter()
-                .enumerate()
-                .all(|(i, &a)| members[i + 1..].iter().all(|&b| self.incomparable(a, b)));
-            if is_antichain {
-                antichains.push(members.into_iter().collect());
-            }
-        }
-        // Keep only maximal ones (not a subset of another antichain) and
-        // drop those dominated pointwise.
-        let maximal: Vec<Vec<Model>> = antichains
-            .iter()
-            .filter(|a| {
-                !antichains
-                    .iter()
-                    .any(|b| a.len() < b.len() && a.is_subset(b))
-            })
-            .map(|a| {
-                let mut v: Vec<Model> = a.iter().copied().collect();
-                v.sort();
-                v
-            })
-            .collect();
-        let mut out = maximal;
-        out.sort();
-        out.dedup();
-        out
+        maximal.sort();
+        maximal
     }
 }
 

@@ -1,113 +1,81 @@
-//! Isolation levels as sets of prohibited phenomena (Appendix A.3).
+//! Table 3's models as sets of prohibited phenomena (Appendix A.3).
 
 use crate::dsg::{Dsg, History};
 use crate::phenomena::{self, Phenomenon, Violation};
+use hat_core::taxonomy::Model;
 use hat_core::TxnRecord;
 use std::fmt;
 
-/// Named isolation / consistency levels with formal phenomenon-based
-/// definitions (Definitions 17, 21, 23, 25, 27, 29, 31, 33, 35, 36, 37,
-/// 40, 41).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IsolationLevel {
-    /// PL-1: prohibits G0.
-    ReadUncommitted,
-    /// PL-2: prohibits G0, G1a, G1b, G1c.
-    ReadCommitted,
-    /// Prohibits IMP.
-    ItemCutIsolation,
-    /// Prohibits PMP (and IMP).
-    PredicateCutIsolation,
-    /// Read Committed + OTV prohibited.
-    MonotonicAtomicView,
-    /// Read Atomic (the RAMP paper's guarantee): Read Committed + no
-    /// fractured reads (which subsumes OTV).
-    ReadAtomic,
-    /// Prohibits N-MR.
-    MonotonicReads,
-    /// Prohibits N-MW.
-    MonotonicWrites,
-    /// Prohibits MYR.
-    ReadYourWrites,
-    /// Prohibits MRWD.
-    WritesFollowReads,
-    /// N-MR + N-MW + MYR prohibited.
-    Pram,
-    /// PRAM + MRWD prohibited.
-    Causal,
-    /// G0, G1, PMP, OTV, Lost Update prohibited (Definition 40).
-    SnapshotIsolation,
-    /// G0, G1, Write Skew prohibited (Definition 41).
-    RepeatableRead,
-    /// Everything above.
-    Serializable,
-}
-
-impl IsolationLevel {
-    /// The phenomena this level prohibits.
-    pub fn prohibited(self) -> Vec<Phenomenon> {
-        use Phenomenon::*;
-        match self {
-            IsolationLevel::ReadUncommitted => vec![G0],
-            IsolationLevel::ReadCommitted => vec![G0, G1a, G1b, G1c],
-            IsolationLevel::ItemCutIsolation => vec![Imp],
-            IsolationLevel::PredicateCutIsolation => vec![Imp, Pmp],
-            IsolationLevel::MonotonicAtomicView => vec![G0, G1a, G1b, G1c, Otv],
-            IsolationLevel::ReadAtomic => vec![G0, G1a, G1b, G1c, Otv, FracturedReads],
-            IsolationLevel::MonotonicReads => vec![NonMonotonicReads],
-            IsolationLevel::MonotonicWrites => vec![NonMonotonicWrites],
-            IsolationLevel::ReadYourWrites => vec![MissingYourWrites],
-            IsolationLevel::WritesFollowReads => vec![Mrwd],
-            IsolationLevel::Pram => {
-                vec![NonMonotonicReads, NonMonotonicWrites, MissingYourWrites]
-            }
-            IsolationLevel::Causal => vec![
-                NonMonotonicReads,
-                NonMonotonicWrites,
-                MissingYourWrites,
-                Mrwd,
-            ],
-            IsolationLevel::SnapshotIsolation => {
-                vec![G0, G1a, G1b, G1c, Pmp, Otv, FracturedReads, LostUpdate]
-            }
-            // RR dominates MAV and RA in the Figure 2 lattice, so its
-            // prohibited set includes their phenomena.
-            IsolationLevel::RepeatableRead => {
-                vec![G0, G1a, G1b, G1c, Otv, FracturedReads, WriteSkew]
-            }
-            IsolationLevel::Serializable => vec![
-                G0,
-                G1a,
-                G1b,
-                G1c,
-                Imp,
-                Pmp,
-                Otv,
-                FracturedReads,
-                NonMonotonicReads,
-                NonMonotonicWrites,
-                MissingYourWrites,
-                Mrwd,
-                LostUpdate,
-                WriteSkew,
-            ],
-        }
+/// The phenomena a history must not exhibit to hold `model`
+/// (Definitions 17, 21, 23, 25, 27, 29, 31, 33, 35, 36, 37, 40, 41).
+pub fn prohibited(model: Model) -> &'static [Phenomenon] {
+    use Phenomenon::*;
+    match model {
+        // PL-1.
+        Model::ReadUncommitted => &[G0],
+        // PL-2.
+        Model::ReadCommitted => &[G0, G1a, G1b, G1c],
+        Model::ItemCutIsolation => &[Imp],
+        Model::PredicateCutIsolation => &[Imp, Pmp],
+        // Read Committed + OTV.
+        Model::MonotonicAtomicView => &[G0, G1a, G1b, G1c, Otv],
+        // The RAMP paper's guarantee: no fractured reads (which
+        // subsumes OTV).
+        Model::ReadAtomic => &[G0, G1a, G1b, G1c, Otv, FracturedReads],
+        Model::MonotonicReads => &[NonMonotonicReads],
+        Model::MonotonicWrites => &[NonMonotonicWrites],
+        Model::WritesFollowReads => &[Mrwd],
+        Model::ReadYourWrites => &[MissingYourWrites],
+        Model::Pram => &[NonMonotonicReads, NonMonotonicWrites, MissingYourWrites],
+        Model::Causal => &[
+            NonMonotonicReads,
+            NonMonotonicWrites,
+            MissingYourWrites,
+            Mrwd,
+        ],
+        // Figure 2's CS → MAV edge, plus Table 3's † (Lost Update).
+        Model::CursorStability => &[G0, G1a, G1b, G1c, Otv, LostUpdate],
+        // Definition 40.
+        Model::SnapshotIsolation => &[G0, G1a, G1b, G1c, Pmp, Otv, FracturedReads, LostUpdate],
+        // Definition 41. RR dominates MAV and RA in the Figure 2
+        // lattice, so its set includes their phenomena.
+        Model::RepeatableRead => &[G0, G1a, G1b, G1c, Otv, FracturedReads, WriteSkew],
+        // A recorded history has no real time, so the ⊕ (recency)
+        // rows are checked only for what the record shows.
+        Model::Recency | Model::Safe | Model::Regular | Model::Linearizability => &[G0],
+        // Everything above; Strong-1SR adds only recency.
+        Model::OneCopySerializability | Model::StrongOneCopySerializability => &[
+            G0,
+            G1a,
+            G1b,
+            G1c,
+            Imp,
+            Pmp,
+            Otv,
+            FracturedReads,
+            NonMonotonicReads,
+            NonMonotonicWrites,
+            MissingYourWrites,
+            Mrwd,
+            LostUpdate,
+            WriteSkew,
+        ],
     }
 }
 
 /// Result of checking a history.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// The level checked.
-    pub level: IsolationLevel,
+    /// The model checked.
+    pub level: Model,
     /// Committed transactions examined.
     pub txns_checked: usize,
-    /// Violations of the level's prohibited phenomena.
+    /// Violations of the model's prohibited phenomena.
     pub violations: Vec<Violation>,
 }
 
 impl Report {
-    /// True if the history satisfies the level.
+    /// True if the history holds the model.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
@@ -150,11 +118,11 @@ pub fn detect(phenomenon: Phenomenon, history: &History, dsg: &Dsg) -> Vec<Viola
 }
 
 /// Checks `records` against `level`.
-pub fn check(records: Vec<TxnRecord>, level: IsolationLevel) -> Report {
+pub fn check(records: Vec<TxnRecord>, level: Model) -> Report {
     let history = History::new(records);
     let dsg = Dsg::build(&history);
     let mut violations = Vec::new();
-    for p in level.prohibited() {
+    for &p in prohibited(level) {
         violations.extend(detect(p, &history, &dsg));
     }
     Report {
@@ -201,9 +169,9 @@ mod tests {
 
     #[test]
     fn si_catches_lost_update_but_rc_does_not() {
-        let rc = check(lost_update_history(), IsolationLevel::ReadCommitted);
+        let rc = check(lost_update_history(), Model::ReadCommitted);
         assert!(rc.ok(), "RC permits lost update: {rc}");
-        let si = check(lost_update_history(), IsolationLevel::SnapshotIsolation);
+        let si = check(lost_update_history(), Model::SnapshotIsolation);
         assert!(!si.ok(), "SI prohibits lost update");
         assert!(si
             .violations
@@ -247,12 +215,9 @@ mod tests {
 
     #[test]
     fn read_atomic_catches_backward_fractures_mav_misses() {
-        let mav = check(
-            backward_fracture_history(),
-            IsolationLevel::MonotonicAtomicView,
-        );
+        let mav = check(backward_fracture_history(), Model::MonotonicAtomicView);
         assert!(mav.ok(), "OTV is order-aware and misses this: {mav}");
-        let ra = check(backward_fracture_history(), IsolationLevel::ReadAtomic);
+        let ra = check(backward_fracture_history(), Model::ReadAtomic);
         assert!(!ra.ok(), "Read Atomic prohibits any partial write-set");
         assert!(ra
             .violations
@@ -306,33 +271,112 @@ mod tests {
                 outcome: TxnOutcome::Committed,
             },
         ];
-        let ra = check(h, IsolationLevel::ReadAtomic);
+        let ra = check(h, Model::ReadAtomic);
         assert!(ra.ok(), "{ra}");
     }
 
     #[test]
     fn serializable_prohibits_everything() {
-        let p = IsolationLevel::Serializable.prohibited();
-        assert_eq!(p.len(), 14);
+        assert_eq!(prohibited(Model::OneCopySerializability).len(), 14);
     }
 
     #[test]
     fn report_display_is_readable() {
-        let r = check(lost_update_history(), IsolationLevel::SnapshotIsolation);
+        let r = check(lost_update_history(), Model::SnapshotIsolation);
         let s = r.to_string();
         assert!(s.contains("Lost Update"), "{s}");
     }
 
     #[test]
     fn empty_history_is_clean_everywhere() {
-        for level in [
-            IsolationLevel::ReadUncommitted,
-            IsolationLevel::ReadCommitted,
-            IsolationLevel::MonotonicAtomicView,
-            IsolationLevel::Causal,
-            IsolationLevel::Serializable,
-        ] {
+        for level in Model::ALL {
             assert!(check(Vec::new(), level).ok());
+        }
+    }
+
+    /// Every Table 3 row's phenomenon set, pinned.
+    #[test]
+    fn prohibited_sets_are_pinned_for_every_model() {
+        use Phenomenon::*;
+        let rc = vec![G0, G1a, G1b, G1c];
+        let mav = [&rc[..], &[Otv]].concat();
+        let ra = [&mav[..], &[FracturedReads]].concat();
+        let one_sr = prohibited(Model::OneCopySerializability).to_vec();
+        let expected: Vec<(Model, Vec<Phenomenon>)> = vec![
+            (Model::ReadUncommitted, vec![G0]),
+            (Model::ReadCommitted, rc.clone()),
+            (Model::ItemCutIsolation, vec![Imp]),
+            (Model::PredicateCutIsolation, vec![Imp, Pmp]),
+            (Model::MonotonicAtomicView, mav.clone()),
+            (Model::ReadAtomic, ra.clone()),
+            (Model::MonotonicReads, vec![NonMonotonicReads]),
+            (Model::MonotonicWrites, vec![NonMonotonicWrites]),
+            (Model::WritesFollowReads, vec![Mrwd]),
+            (Model::ReadYourWrites, vec![MissingYourWrites]),
+            (
+                Model::Pram,
+                vec![NonMonotonicReads, NonMonotonicWrites, MissingYourWrites],
+            ),
+            (
+                Model::Causal,
+                vec![
+                    NonMonotonicReads,
+                    NonMonotonicWrites,
+                    MissingYourWrites,
+                    Mrwd,
+                ],
+            ),
+            (Model::CursorStability, [&mav[..], &[LostUpdate]].concat()),
+            (
+                Model::SnapshotIsolation,
+                vec![G0, G1a, G1b, G1c, Pmp, Otv, FracturedReads, LostUpdate],
+            ),
+            (Model::RepeatableRead, [&ra[..], &[WriteSkew]].concat()),
+            (Model::OneCopySerializability, one_sr.clone()),
+            (Model::Recency, vec![G0]),
+            (Model::Safe, vec![G0]),
+            (Model::Regular, vec![G0]),
+            (Model::Linearizability, vec![G0]),
+            (Model::StrongOneCopySerializability, one_sr),
+        ];
+        let models: Vec<Model> = expected.iter().map(|(m, _)| *m).collect();
+        assert_eq!(models, Model::ALL.to_vec());
+        for (model, set) in expected {
+            assert_eq!(prohibited(model), &set[..], "{model}");
+        }
+    }
+
+    /// The streaming checker's policy and the offline checker's sets
+    /// are both derived from `ProtocolKind::model`: they agree on every
+    /// engine, and the policy never checks a phenomenon that either
+    /// read mode's model permits.
+    #[test]
+    fn checker_policy_agrees_with_prohibited_sets() {
+        use hat_core::{ProtocolKind, ReadMode};
+        for kind in ProtocolKind::ALL {
+            let policy = kind.checker_policy();
+            let sequential = prohibited(kind.model(ReadMode::Sequential));
+            assert_eq!(
+                policy.fractured,
+                sequential.contains(&Phenomenon::FracturedReads),
+                "{kind:?}"
+            );
+            assert_eq!(
+                policy.monotonic,
+                sequential.contains(&Phenomenon::NonMonotonicReads),
+                "{kind:?}"
+            );
+            for reads in [ReadMode::Batched, ReadMode::Sequential] {
+                let set = prohibited(kind.model(reads));
+                assert!(
+                    !policy.fractured || set.contains(&Phenomenon::FracturedReads),
+                    "{kind:?} {reads:?}"
+                );
+                assert!(
+                    !policy.monotonic || set.contains(&Phenomenon::NonMonotonicReads),
+                    "{kind:?} {reads:?}"
+                );
+            }
         }
     }
 }

@@ -15,9 +15,9 @@
 //!   observed — the Read Atomic phenomenon of the RAMP follow-up work),
 //!   the session phenomena N-MR, N-MW, MYR and MRWD, plus Lost Update
 //!   and Write Skew.
-//! * [`checker`] — maps named isolation levels to their prohibited
-//!   phenomena (Appendix A definitions 17–41) and checks a history
-//!   against a level.
+//! * [`checker`] — maps taxonomy models ([`Model`], Table 3) to their
+//!   prohibited phenomena (Appendix A definitions 17–41) and checks a
+//!   history against a model.
 //!
 //! The test suites of the workspace use this crate to *prove* that the
 //! protocol implementations provide what Table 3 claims: e.g. MAV
@@ -28,6 +28,7 @@ pub mod checker;
 pub mod dsg;
 pub mod phenomena;
 
-pub use checker::{check, IsolationLevel, Report};
+pub use checker::{check, prohibited, Report};
 pub use dsg::{Dsg, EdgeKind, History};
+pub use hat_core::taxonomy::Model;
 pub use phenomena::{Phenomenon, Violation};

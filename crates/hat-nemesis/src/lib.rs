@@ -9,9 +9,9 @@
 //! committing, then heals the deployment, waits for anti-entropy to
 //! settle, and asserts:
 //!
-//! 1. the engine's **advertised isolation level** still holds over the
-//!    recorded history (`hat-history`'s phenomenon checkers — Table 3
-//!    of the paper, plus the RAMP follow-up's Read Atomic row);
+//! 1. the engine's **advertised Table 3 model** (`ProtocolKind::model`)
+//!    still holds over the recorded history (`hat-history`'s phenomenon
+//!    checkers);
 //! 2. every replica **converges** to the same per-key newest version;
 //! 3. a restarted replica provably serves **WAL-recovered state**
 //!    (`wal_records_replayed > 0`).

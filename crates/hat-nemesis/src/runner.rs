@@ -2,10 +2,10 @@
 
 use crate::schedule::{Fault, Nemesis};
 use hat_core::{
-    format_txn_window, ClusterSpec, DeploymentBuilder, Frontend, HatError, ProtocolKind, Session,
-    SessionOptions, SimFrontend, SystemConfig, TxnId, TxnRecord,
+    format_txn_window, ClusterSpec, DeploymentBuilder, Frontend, HatError, ProtocolKind, ReadMode,
+    Session, SessionOptions, SimFrontend, SystemConfig, TxnId, TxnRecord,
 };
-use hat_history::{check, IsolationLevel};
+use hat_history::{check, Model};
 use hat_obs::{LatencyPercentiles, MetricsRegistry, ObsSink, TimeSeries};
 use hat_sim::{LatencyModel, NodeId, SimDuration, SimTime};
 use hat_storage::{Key, SyncPolicy, VersionStamp};
@@ -59,8 +59,8 @@ pub struct NemesisReport {
     pub unavailable: u64,
     /// Transactions aborted by the system (lock timeouts, validation).
     pub aborted: u64,
-    /// Isolation level the history was checked at.
-    pub level: IsolationLevel,
+    /// Model the history was checked at.
+    pub level: Model,
     /// Phenomenon violations found at that level (must be 0).
     pub violations: usize,
     /// Messages dropped by active partitions, across servers.
@@ -107,21 +107,11 @@ impl NemesisReport {
     }
 }
 
-/// The strongest isolation level each engine's nemesis history must be
-/// clean at — Table 3's advertised guarantees (plus the RAMP follow-up's
-/// Read Atomic row). Mirrors the conformance suite: the nemesis workload
-/// reads multi-key pairs through one-shot `get_many`, so both RAMP
-/// variants are held to full Read Atomic.
-pub fn advertised_level(protocol: ProtocolKind) -> IsolationLevel {
-    match protocol {
-        ProtocolKind::Eventual => IsolationLevel::ReadUncommitted,
-        ProtocolKind::ReadCommitted => IsolationLevel::ReadCommitted,
-        ProtocolKind::Mav => IsolationLevel::MonotonicAtomicView,
-        ProtocolKind::RampFast => IsolationLevel::ReadAtomic,
-        ProtocolKind::RampSmall => IsolationLevel::ReadAtomic,
-        ProtocolKind::Master => IsolationLevel::ReadUncommitted,
-        ProtocolKind::TwoPhaseLocking => IsolationLevel::Serializable,
-    }
+/// The model each engine's nemesis history must be clean at. The
+/// nemesis workload reads multi-key pairs through one-shot `get_many`,
+/// so it holds every engine to its [`ReadMode::Batched`] model.
+pub fn advertised_level(protocol: ProtocolKind) -> Model {
+    protocol.model(ReadMode::Batched)
 }
 
 /// Deterministic workload key names whose masters stripe round-robin

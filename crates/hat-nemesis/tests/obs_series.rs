@@ -5,7 +5,7 @@
 //! heal — and the whole telemetry pipeline must stay deterministic and
 //! quiet (no streaming-checker false alarms) across the catalog.
 
-use hat_core::ProtocolKind;
+use hat_core::{ProtocolKind, ReadMode};
 use hat_nemesis::{run, NemesisOpts, SplitBrain};
 
 const SEED: u64 = 0xBAD_CAFE;
@@ -57,30 +57,27 @@ fn split_brain_availability_split_is_visible_per_window() {
         );
         let inside = r.series.writes_committed_in(begin + SLACK_US, end);
         let after = r.series.writes_committed_in(end, u64::MAX);
-        match protocol {
-            // §6: serializability and linearizable master reads cannot
-            // be HAT — with every workload pair's masters straddling
-            // the cut, not one write commits inside the window...
-            ProtocolKind::Master | ProtocolKind::TwoPhaseLocking => {
-                assert_eq!(
-                    inside, 0,
-                    "[seed={SEED:#x}] {protocol:?}: wrote through a total partition"
-                );
-                // ...but the engine recovers once the partition heals.
-                assert!(
-                    after > 0,
-                    "[seed={SEED:#x}] {protocol:?}: no write committed after the heal"
-                );
-            }
+        // §6: serializability and linearizable master reads cannot
+        // be HAT — with every workload pair's masters straddling the
+        // cut, not one write commits inside the window...
+        if !protocol.model(ReadMode::Batched).hat_achievable() {
+            assert_eq!(
+                inside, 0,
+                "[seed={SEED:#x}] {protocol:?}: wrote through a total partition"
+            );
+            // ...but the engine recovers once the partition heals.
+            assert!(
+                after > 0,
+                "[seed={SEED:#x}] {protocol:?}: no write committed after the heal"
+            );
+        } else {
             // The HAT engines keep committing writes throughout.
-            _ => {
-                assert!(
-                    inside > 0,
-                    "[seed={SEED:#x}] {protocol:?}: HAT engine starved inside the \
-                     partition (series {:?})",
-                    r.series.points.len()
-                );
-            }
+            assert!(
+                inside > 0,
+                "[seed={SEED:#x}] {protocol:?}: HAT engine starved inside the \
+                 partition (series {:?})",
+                r.series.points.len()
+            );
         }
         assert_eq!(
             r.stream_violations, 0,

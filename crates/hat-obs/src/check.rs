@@ -15,9 +15,9 @@
 //! and the first hit can dump the trace window immediately.
 //!
 //! Which checks apply is per-engine policy ([`CheckerPolicy`]): only
-//! engines whose advertised isolation level *prohibits* a phenomenon
-//! are checked for it (MAV legitimately permits non-monotonic reads,
-//! eventual/RC legitimately permit fractured reads).
+//! engines whose Table 3 model *prohibits* a phenomenon are checked for
+//! it (MAV legitimately permits non-monotonic reads, eventual/RC
+//! legitimately permit fractured reads).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -46,12 +46,14 @@ pub struct CommitObs {
 /// floors, kept.
 pub(crate) const CHECKER_WINDOW: usize = 256;
 
-/// Which streaming checks an engine is subject to.
+/// Which streaming checks an engine is subject to. hat-core derives it
+/// from the engine's Table 3 model (`ProtocolKind::checker_policy`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckerPolicy {
-    /// Check fractured reads (Read Atomic and stronger).
+    /// Check fractured reads (models that are or imply Read Atomic).
     pub fractured: bool,
-    /// Check session read monotonicity (serializable engines).
+    /// Check session read monotonicity (models that are or imply
+    /// Monotonic Reads).
     pub monotonic: bool,
 }
 

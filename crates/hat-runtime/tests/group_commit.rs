@@ -17,9 +17,10 @@ use bytes::Bytes;
 use hat_core::client::TxnSource;
 use hat_core::{
     engine_for, ClusterLayout, ClusterSpec, DeploymentBuilder, Msg, Node, Op, OpRecord,
-    ProtocolKind, Server, SystemConfig, Timestamp, TraceEvent, TraceEventKind, TraceSink, TxnSpec,
+    ProtocolKind, ReadMode, Server, SystemConfig, Timestamp, TraceEvent, TraceEventKind, TraceSink,
+    TxnSpec,
 };
-use hat_history::{check, IsolationLevel};
+use hat_history::check;
 use hat_runtime::node_loop::{run_node, Envelope, Router};
 use hat_runtime::{Runtime, RuntimeConfig};
 use hat_sim::{Ctx, Engine, NetHop, NodeId, SimDuration, SimTime};
@@ -490,10 +491,10 @@ fn wal_dir(tag: &str) -> PathBuf {
 /// show it: at one sync per put their batch would not be one round.
 #[test]
 fn durable_deployment_shares_syncs_and_loses_no_acknowledged_write() {
-    for (kind, level) in [
-        (ProtocolKind::ReadCommitted, IsolationLevel::ReadCommitted),
-        (ProtocolKind::Eventual, IsolationLevel::ReadUncommitted),
-        (ProtocolKind::Master, IsolationLevel::ReadUncommitted),
+    for kind in [
+        ProtocolKind::ReadCommitted,
+        ProtocolKind::Eventual,
+        ProtocolKind::Master,
     ] {
         let dir = wal_dir(&format!("{kind:?}"));
         let (drivers, all_done) = plans(150);
@@ -557,7 +558,7 @@ fn durable_deployment_shares_syncs_and_loses_no_acknowledged_write() {
             }
         }
         assert_eq!(writes, CLIENTS * 150 * 2, "{kind:?}");
-        let report = check(records, level);
+        let report = check(records, kind.model(ReadMode::Batched));
         assert!(report.ok(), "{kind:?}: {report}");
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example bank_audit`
 
 use hatdb::core::{ClusterSpec, DeploymentBuilder, HatError, ProtocolKind, SessionOptions};
-use hatdb::history::{check, IsolationLevel};
+use hatdb::history::{check, Model};
 use hatdb::sim::{Partition, PartitionSchedule, SimDuration, SimTime};
 use hatdb::Frontend;
 
@@ -93,7 +93,7 @@ fn lost_update_is_unpreventable() {
     front.quiesce();
     let final_bal = front.txn(&teller_va, |t| t.get("acct:bob")).unwrap();
     println!("  serial balance would be 150; converged balance = {final_bal}");
-    let report = check(front.take_records(), IsolationLevel::SnapshotIsolation);
+    let report = check(front.take_records(), Model::SnapshotIsolation);
     println!(
         "  Adya checker (SI level): {} Lost Update violation(s) detected",
         report.violations.len()

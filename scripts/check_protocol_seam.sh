@@ -8,8 +8,10 @@
 # ProtocolEngine (server half) and ClientProtocol (client half). The
 # client core, the server, the frontends and the threaded runtime may
 # name the ProtocolKind *type* — to carry it to the registry — but never
-# a variant, a classification helper or a comparison on it. Test modules
-# (everything from `#[cfg(test)]` down) are exempt.
+# a variant, its guarantee (`.model(`, the Table 3 model) or a
+# comparison on it; `checker_policy()` is how api.rs hands the model to
+# the streaming checker. Test modules (everything from `#[cfg(test)]`
+# down) are exempt.
 #
 # `sync_data` / `sync_all` are called in crates/hat-storage/src/wal.rs and
 # nowhere else: Store::persist, the durability barrier, stays the only
@@ -36,7 +38,7 @@ files=(
     crates/hat-core/src/frontend.rs
     crates/hat-runtime/src/*.rs
 )
-pattern='ProtocolKind::|\.is_ramp\(\)|\.protocol[[:space:]]*(==|!=)|match[[:space:]].*\.protocol[[:space:]]*\{'
+pattern='ProtocolKind::|\.model\(|\.protocol[[:space:]]*(==|!=)|match[[:space:]].*\.protocol[[:space:]]*\{'
 
 status=0
 for f in "${files[@]}"; do

@@ -51,7 +51,7 @@
 //! Histories recorded by any run feed straight into the anomaly checker:
 //!
 //! ```
-//! use hatdb::history::{check, IsolationLevel};
+//! use hatdb::history::{check, Model};
 //! use hatdb::{ClusterSpec, DeploymentBuilder, Frontend, ProtocolKind, SessionOptions};
 //!
 //! let mut front = DeploymentBuilder::new(ProtocolKind::ReadCommitted)
@@ -64,7 +64,7 @@
 //! let v = front.txn(&session, |t| t.get("greeting"));
 //! assert_eq!(v.as_deref(), Some("hello"));
 //!
-//! let report = check(front.take_records(), IsolationLevel::ReadCommitted);
+//! let report = check(front.take_records(), Model::ReadCommitted);
 //! assert!(report.ok());
 //! ```
 

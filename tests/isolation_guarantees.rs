@@ -9,7 +9,7 @@ use hatdb::core::{
     ClientCmd, ClusterSpec, DeploymentBuilder, Op, ProtocolKind, SessionLevel, SessionOptions,
     SystemConfig, TxnBackend, TxnRecord, TxnSpec,
 };
-use hatdb::history::{check, IsolationLevel, Phenomenon};
+use hatdb::history::{check, Model, Phenomenon};
 use hatdb::sim::SimDuration;
 use hatdb::{Frontend, Session};
 
@@ -17,7 +17,7 @@ use hatdb::{Frontend, Session};
 /// (a transaction observing a partial write-set), order-free over each
 /// transaction's read set. Runs over any engine's recorded history.
 fn fractured_reads(records: Vec<TxnRecord>) -> usize {
-    check(records, IsolationLevel::ReadAtomic)
+    check(records, Model::ReadAtomic)
         .violations
         .into_iter()
         .filter(|v| v.phenomenon == Phenomenon::FracturedReads)
@@ -68,7 +68,7 @@ fn sticky_none() -> SessionOptions {
 fn read_committed_histories_are_rc_clean() {
     for seed in [1, 2, 3] {
         let records = workload(ProtocolKind::ReadCommitted, sticky_none(), seed);
-        let report = check(records, IsolationLevel::ReadCommitted);
+        let report = check(records, Model::ReadCommitted);
         assert!(report.ok(), "seed {seed}: {report}");
         assert!(report.txns_checked > 40);
     }
@@ -78,7 +78,7 @@ fn read_committed_histories_are_rc_clean() {
 fn eventual_histories_are_ru_clean() {
     for seed in [4, 5] {
         let records = workload(ProtocolKind::Eventual, sticky_none(), seed);
-        let report = check(records, IsolationLevel::ReadUncommitted);
+        let report = check(records, Model::ReadUncommitted);
         assert!(report.ok(), "seed {seed}: {report}");
     }
 }
@@ -87,7 +87,7 @@ fn eventual_histories_are_ru_clean() {
 fn mav_histories_prohibit_otv() {
     for seed in [6, 7, 8] {
         let records = workload(ProtocolKind::Mav, sticky_none(), seed);
-        let report = check(records, IsolationLevel::MonotonicAtomicView);
+        let report = check(records, Model::MonotonicAtomicView);
         assert!(report.ok(), "seed {seed}: {report}");
     }
 }
@@ -100,7 +100,7 @@ fn item_cut_sessions_prohibit_imp() {
     };
     for seed in [9, 10] {
         let records = workload(ProtocolKind::ReadCommitted, session, seed);
-        let report = check(records, IsolationLevel::ItemCutIsolation);
+        let report = check(records, Model::ItemCutIsolation);
         assert!(report.ok(), "seed {seed}: {report}");
     }
 }
@@ -114,10 +114,10 @@ fn monotonic_sessions_give_pram_minus_wfr() {
     for seed in [11, 12] {
         let records = workload(ProtocolKind::Mav, session, seed);
         for level in [
-            IsolationLevel::MonotonicReads,
-            IsolationLevel::ReadYourWrites,
-            IsolationLevel::MonotonicWrites,
-            IsolationLevel::Pram,
+            Model::MonotonicReads,
+            Model::ReadYourWrites,
+            Model::MonotonicWrites,
+            Model::Pram,
         ] {
             let report = check(records.clone(), level);
             assert!(report.ok(), "seed {seed} {level:?}: {report}");
@@ -139,10 +139,10 @@ fn monotonic_sessions_hold_over_ramp_engines() {
         for seed in [11, 12] {
             let records = workload(protocol, session, seed);
             for level in [
-                IsolationLevel::MonotonicReads,
-                IsolationLevel::ReadYourWrites,
-                IsolationLevel::MonotonicWrites,
-                IsolationLevel::Pram,
+                Model::MonotonicReads,
+                Model::ReadYourWrites,
+                Model::MonotonicWrites,
+                Model::Pram,
             ] {
                 let report = check(records.clone(), level);
                 assert!(report.ok(), "{protocol:?} seed {seed} {level:?}: {report}");
@@ -159,7 +159,7 @@ fn causal_sessions_over_mav_are_causal_clean() {
     };
     for seed in [13, 14] {
         let records = workload(ProtocolKind::Mav, session, seed);
-        let report = check(records, IsolationLevel::Causal);
+        let report = check(records, Model::Causal);
         assert!(report.ok(), "seed {seed}: {report}");
     }
 }
@@ -294,7 +294,7 @@ fn detector_separates_read_atomic_from_mav() {
     for seed in 40..44u64 {
         let report = check(
             fracture_probe(ProtocolKind::Mav, seed),
-            IsolationLevel::MonotonicAtomicView,
+            Model::MonotonicAtomicView,
         );
         assert!(report.ok(), "seed {seed}: {report}");
     }
@@ -344,7 +344,7 @@ fn ramp_small_closed_loop_plans_are_read_atomic() {
             records.iter().filter(|r| r.committed()).count() > 100,
             "seed {seed}: too few txns"
         );
-        let report = check(records, IsolationLevel::ReadAtomic);
+        let report = check(records, Model::ReadAtomic);
         assert!(report.ok(), "seed {seed}: {report}");
     }
 }
@@ -391,7 +391,7 @@ fn ramp_small_sequential_gets_can_fracture() {
     assert_eq!(fy.as_deref(), Some(&b"old"[..]));
     assert_eq!(fx.as_deref(), Some(&b"new"[..]));
     assert_eq!(fractured_reads(records.clone()), 1);
-    let report = check(records, IsolationLevel::MonotonicAtomicView);
+    let report = check(records, Model::MonotonicAtomicView);
     assert!(report.ok(), "{report}");
     assert_eq!(alarms, 0, "streaming checker false-alarmed on RAMP-S");
 
@@ -447,7 +447,7 @@ fn master_histories_are_serializable_for_single_key_txns() {
     }
     let v = front.txn(&sessions[0], |t| t.get("ctr"));
     assert_eq!(v.as_deref(), Some("20"), "no increments lost");
-    let report = check(front.take_records(), IsolationLevel::Serializable);
+    let report = check(front.take_records(), Model::OneCopySerializability);
     assert!(report.ok(), "{report}");
 }
 
@@ -474,7 +474,7 @@ fn twopl_histories_are_fully_serializable() {
             });
         }
     }
-    let report = check(front.take_records(), IsolationLevel::Serializable);
+    let report = check(front.take_records(), Model::OneCopySerializability);
     assert!(report.ok(), "{report}");
 }
 

@@ -4,12 +4,12 @@
 //! The same read/write/commit script runs against all seven built-in
 //! engines (eventual, RC, MAV, RAMP-Fast, RAMP-Small, master, 2PL) —
 //! through the *simulator* frontend and through the *threaded* frontend
-//! — and each recorded history is checked against the per-level anomaly
-//! expectations from `hat-history` (Table 3's advertised guarantees,
-//! plus the RAMP follow-up's Read Atomic row). The script is written
-//! once, against `impl Frontend`, which is the point: HAT guarantees
-//! are client-observable properties independent of the execution
-//! substrate.
+//! — and each recorded history is checked against the engine's Table 3
+//! model (`ProtocolKind::model`) with `hat-history`'s phenomenon sets.
+//! The README's engine table is checked against the same models. The
+//! script is written once, against `impl Frontend`, which is the point:
+//! HAT guarantees are client-observable properties independent of the
+//! execution substrate.
 //!
 //! The suite also proves the engine layer is actually pluggable: a stub
 //! extra engine — server half *and* client half — defined entirely in
@@ -18,11 +18,12 @@
 //! client core (or any other crate) required.
 
 use hatdb::core::protocol::{ClientProtocol, ProtocolEngine, Step};
+use hatdb::core::taxonomy::Availability;
 use hatdb::core::{
-    ClientCore, ClusterSpec, DeploymentBuilder, Msg, ProtocolKind, SessionLevel, SessionOptions,
-    TxnOutcome, TxnRecord,
+    ClientCore, ClusterSpec, DeploymentBuilder, Msg, ProtocolKind, ReadMode, SessionLevel,
+    SessionOptions, TxnOutcome, TxnRecord,
 };
-use hatdb::history::{check, IsolationLevel};
+use hatdb::history::{check, Model};
 use hatdb::sim::Ctx;
 use hatdb::sim::{Partition, PartitionSchedule, SimDuration, SimTime};
 use hatdb::storage::Key;
@@ -91,50 +92,25 @@ fn run_protocol_threaded(protocol: ProtocolKind, seed: u64) -> Vec<TxnRecord> {
     records
 }
 
-/// The anomaly expectation for each engine: the strongest isolation
-/// level (in hat-history's phenomenon terms) the engine's histories must
-/// be clean at, per Table 3 (plus the RAMP follow-up's RA row).
-fn expected_level(protocol: ProtocolKind, threaded: bool) -> IsolationLevel {
-    match protocol {
-        ProtocolKind::Eventual => IsolationLevel::ReadUncommitted,
-        ProtocolKind::ReadCommitted => IsolationLevel::ReadCommitted,
-        ProtocolKind::Mav => IsolationLevel::MonotonicAtomicView,
-        // RAMP-Fast advertises Read Atomic outright: write-set metadata
-        // lets interactive reads repair fractures in both directions.
-        ProtocolKind::RampFast => IsolationLevel::ReadAtomic,
-        // Interactive (sequential) RAMP-Small repairs only forward — its
-        // constant-size metadata cannot name what an *earlier* read
-        // missed — so its unconditional guarantee is the order-aware
-        // atomic view; full RA needs one-shot reads (`get_many`, proven
-        // in tests/isolation_guarantees.rs). The deterministic sim runs
-        // at these pinned seeds are fully RA-clean and we assert that;
-        // the real-time threaded runs assert the unconditional level.
-        ProtocolKind::RampSmall => {
-            if threaded {
-                IsolationLevel::MonotonicAtomicView
-            } else {
-                IsolationLevel::ReadAtomic
-            }
-        }
-        // Per-key masters linearize single-key access, but multi-key
-        // transactions neither serialize nor buffer writes until commit
-        // (op-time puts are visible early), so Read Uncommitted is the
-        // honest cross-key isolation claim.
-        ProtocolKind::Master => IsolationLevel::ReadUncommitted,
-        ProtocolKind::TwoPhaseLocking => IsolationLevel::Serializable,
-    }
-}
-
+/// Both backends hold every engine to its sequential-read model: the
+/// script reads through interactive `get`s.
 #[test]
 fn all_engines_meet_their_advertised_level() {
     for protocol in ProtocolKind::ALL {
+        let level = protocol.model(ReadMode::Sequential);
         for seed in [21u64, 22] {
             let records = run_protocol_sim(protocol, seed);
             assert!(
                 records.iter().filter(|r| r.committed()).count() >= 30,
                 "{protocol:?} seed {seed}: too few committed txns"
             );
-            let level = expected_level(protocol, false);
+            // Sequential RAMP-S repairs only forward, so atomic view is
+            // its unconditional guarantee; the deterministic runs at
+            // these pinned seeds are fully Read Atomic as well.
+            if protocol == ProtocolKind::RampSmall {
+                let report = check(records.clone(), Model::ReadAtomic);
+                assert!(report.ok(), "RAMP-S seed {seed} violates RA: {report}");
+            }
             let report = check(records, level);
             assert!(
                 report.ok(),
@@ -155,11 +131,53 @@ fn all_engines_conform_on_the_threaded_frontend() {
             records.iter().filter(|r| r.committed()).count() >= 30,
             "{protocol:?} threaded: too few committed txns"
         );
-        let level = expected_level(protocol, true);
+        let level = protocol.model(ReadMode::Sequential);
         let report = check(records, level);
         assert!(
             report.ok(),
             "{protocol:?} threaded violates {level:?}: {report}"
+        );
+    }
+}
+
+/// The README's "Built-in engines" table names each engine's model, for
+/// both read modes, and its availability class as `ProtocolKind::model`
+/// states them.
+#[test]
+fn readme_engine_table_matches_the_models() {
+    let readme = include_str!("../README.md");
+    let table = readme
+        .split("### Built-in engines")
+        .nth(1)
+        .expect("README has the engine table");
+    for protocol in ProtocolKind::ALL {
+        let head = format!("| `{}` |", protocol.label());
+        let row = table
+            .lines()
+            .find(|l| l.starts_with(&head))
+            .unwrap_or_else(|| panic!("no README row for {}", protocol.label()));
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let level: Vec<&str> = cells[2]
+            .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+            .collect();
+        for reads in [ReadMode::Batched, ReadMode::Sequential] {
+            let acronym = protocol.model(reads).acronym();
+            assert!(
+                level.contains(&acronym),
+                "README level cell for {} does not name {acronym}: {row}",
+                protocol.label()
+            );
+        }
+        let class = match protocol.model(ReadMode::Batched).availability() {
+            Availability::HighlyAvailable => "HA",
+            Availability::Sticky => "sticky",
+            Availability::Unavailable(_) => "unavailable",
+        };
+        assert_eq!(
+            cells[4],
+            class,
+            "README availability of {}",
+            protocol.label()
         );
     }
 }
@@ -171,19 +189,19 @@ fn all_engines_conform_on_the_threaded_frontend() {
 fn stronger_engines_are_clean_at_weaker_levels() {
     let records = run_protocol_sim(ProtocolKind::TwoPhaseLocking, 23);
     for level in [
-        IsolationLevel::ReadUncommitted,
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::MonotonicAtomicView,
-        IsolationLevel::Serializable,
+        Model::ReadUncommitted,
+        Model::ReadCommitted,
+        Model::MonotonicAtomicView,
+        Model::OneCopySerializability,
     ] {
         let report = check(records.clone(), level);
         assert!(report.ok(), "2PL violates {level:?}: {report}");
     }
     let records = run_protocol_sim(ProtocolKind::Mav, 24);
     for level in [
-        IsolationLevel::ReadUncommitted,
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::MonotonicAtomicView,
+        Model::ReadUncommitted,
+        Model::ReadCommitted,
+        Model::MonotonicAtomicView,
     ] {
         let report = check(records.clone(), level);
         assert!(report.ok(), "MAV violates {level:?}: {report}");
@@ -192,10 +210,10 @@ fn stronger_engines_are_clean_at_weaker_levels() {
     // histories are clean at every weaker level too.
     let records = run_protocol_sim(ProtocolKind::RampFast, 25);
     for level in [
-        IsolationLevel::ReadUncommitted,
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::MonotonicAtomicView,
-        IsolationLevel::ReadAtomic,
+        Model::ReadUncommitted,
+        Model::ReadCommitted,
+        Model::MonotonicAtomicView,
+        Model::ReadAtomic,
     ] {
         let report = check(records.clone(), level);
         assert!(report.ok(), "RAMP-F violates {level:?}: {report}");
@@ -211,7 +229,7 @@ fn harness_detects_level_mismatches() {
     let mut any_violation = false;
     for seed in 0..30u64 {
         let records = run_protocol_sim(ProtocolKind::Eventual, 400 + seed);
-        if !check(records, IsolationLevel::Serializable).ok() {
+        if !check(records, Model::OneCopySerializability).ok() {
             any_violation = true;
             break;
         }
@@ -436,6 +454,6 @@ fn stub_sixth_engine_plugs_in_without_server_changes() {
     assert_eq!(front.session_metrics(&s0).msg_rounds, 1);
 
     let records = front.take_records();
-    let report = check(records, IsolationLevel::ReadUncommitted);
+    let report = check(records, Model::ReadUncommitted);
     assert!(report.ok(), "{report}");
 }

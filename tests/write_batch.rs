@@ -16,7 +16,7 @@ use hatdb::core::{
     ClientCmd, ClientReply, ClusterSpec, DeploymentBuilder, Msg, Node, Op, OpRecord, ProtocolKind,
     SystemConfig, TxnRecord, TxnSpec,
 };
-use hatdb::history::{check, IsolationLevel};
+use hatdb::history::{check, Model};
 use hatdb::sim::{Actor, Ctx, NodeId, SimTime};
 use hatdb::storage::Key;
 use hatdb::trace::{OpKind, TraceEventKind, TraceSink};
@@ -338,7 +338,7 @@ fn write_through_plans_send_their_write_set_as_one_round() {
             let expected_reads: Vec<Option<&[u8]>> =
                 case.reads.iter().map(|r| r.map(str::as_bytes)).collect();
             assert_eq!(read_values, expected_reads, "{who}: the plan's reads");
-            let report = check(records, IsolationLevel::ReadUncommitted);
+            let report = check(records, Model::ReadUncommitted);
             assert!(report.ok(), "{who}: {report}");
         }
     }
