@@ -4,8 +4,8 @@
 //! partition schedules — everything about a deployment that is *not* the
 //! execution substrate. `build()` yields a [`SimFrontend`] (discrete-event
 //! simulator); `build_threaded()` from `hat-runtime` consumes the same
-//! builder and yields a `RuntimeFrontend` (one OS thread per node). Both
-//! implement [`Frontend`], so workloads are written once.
+//! builder and yields a `hat_runtime::Runtime` (one OS thread per node).
+//! Both implement [`Frontend`], so workloads are written once.
 //!
 //! Under the simulator, transactions run synchronously from the caller's
 //! point of view: each operation is started on the client actor as a

@@ -11,8 +11,8 @@
 //!
 //! * [`crate::SimFrontend`] — the deterministic discrete-event simulator
 //!   (built by [`crate::DeploymentBuilder::build`]);
-//! * `hat_runtime::RuntimeFrontend` — one OS thread per node with real
-//!   channels (built by `build_threaded` from `hat-runtime`).
+//! * `hat_runtime::Runtime` — one OS thread per node with real channels
+//!   (built by `build_threaded` from `hat-runtime`).
 //!
 //! The conformance suite runs the *same* scripts through both.
 //!

@@ -215,28 +215,22 @@ pub enum Msg {
 
     // ---- server → server ----
     /// Anti-entropy: a batch of versions for the receiving replica's
-    /// partition, starting at the sender's log index `from_index`.
+    /// partition, covering the sender's log up to `upto` (exclusive).
+    /// An ordinary batch is the unacked suffix itself, so `upto` is its
+    /// start plus its length; a badly lagging peer instead gets one
+    /// compacted catch-up batch — the latest version of each key written
+    /// in the lag window, closed over transaction timestamps so
+    /// multi-key transactions arrive whole (MAV sibling counting and
+    /// RAMP promotion stay correct) — shorter than the range it covers.
     /// Entries are shared handles into the sender's
     /// [`crate::protocol::replication::ReplicationLog`] — batching a
     /// retransmission clones `Arc`s, not records (the throughput hot
     /// path: an unacked suffix is re-batched every anti-entropy tick).
+    /// Applying either is idempotent; the receiver acks `upto`.
     Replicate {
-        /// Absolute index of the first record in the sender's log.
-        from_index: u64,
-        /// `(key, version)` pairs to install.
-        writes: Vec<(Key, SharedRecord)>,
-    },
-    /// Delta-compressed anti-entropy catch-up for a badly lagging peer:
-    /// instead of replaying every log entry above the peer's watermark,
-    /// the sender ships one compacted batch — the latest version of each
-    /// key written in the lag window, closed over transaction timestamps
-    /// so multi-key transactions arrive whole (MAV sibling counting and
-    /// RAMP promotion stay correct). Applying it is idempotent; the
-    /// receiver acks `upto` directly.
-    ReplicateDelta {
         /// Log position (exclusive) the batch catches the peer up to.
         upto: u64,
-        /// Compacted `(key, version)` pairs, in log order.
+        /// `(key, version)` pairs to install, in log order.
         writes: Vec<(Key, SharedRecord)>,
     },
     /// Anti-entropy acknowledgement: the receiver has applied the
@@ -335,22 +329,6 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// True for messages a client sends to a server.
-    pub fn is_request(&self) -> bool {
-        matches!(
-            self,
-            Msg::Get { .. }
-                | Msg::GetTs { .. }
-                | Msg::GetVersion { .. }
-                | Msg::Scan { .. }
-                | Msg::Put { .. }
-                | Msg::CommitBatch { .. }
-                | Msg::Lock { .. }
-                | Msg::Unlock { .. }
-                | Msg::LockCheck { .. }
-        )
-    }
-
     /// Short stable label for tracing (the variant name).
     pub fn label(&self) -> &'static str {
         match self {
@@ -372,7 +350,6 @@ impl Msg {
             Msg::CommitBatchResp { .. } => "CommitBatchResp",
             Msg::LockResp { .. } => "LockResp",
             Msg::Replicate { .. } => "Replicate",
-            Msg::ReplicateDelta { .. } => "ReplicateDelta",
             Msg::ReplicateAck { .. } => "ReplicateAck",
             Msg::RecoverReq => "RecoverReq",
             Msg::RecoverResp { .. } => "RecoverResp",
@@ -427,9 +404,7 @@ impl Msg {
             Msg::PutResp { .. } => TS + 4,
             Msg::CommitBatchResp { ops, .. } => TS + 4 * ops.len() as u64,
             Msg::LockResp { .. } => 2 * TS + 4,
-            Msg::Replicate { writes, .. } | Msg::ReplicateDelta { writes, .. } => {
-                8 + versions(writes)
-            }
+            Msg::Replicate { writes, .. } => 8 + versions(writes),
             Msg::ReplicateAck { .. } => 8,
             Msg::RecoverReq => 1,
             Msg::RecoverResp { writes } => versions(writes),
@@ -442,94 +417,5 @@ impl Msg {
             Msg::ShardTransferAck { .. } => 12,
             Msg::WrongShard { key, .. } => TS + 4 + key.len() as u64 + 4,
         }
-    }
-
-    /// True for server-to-server traffic.
-    pub fn is_replication(&self) -> bool {
-        matches!(
-            self,
-            Msg::Replicate { .. }
-                | Msg::ReplicateDelta { .. }
-                | Msg::ReplicateAck { .. }
-                | Msg::RecoverReq
-                | Msg::RecoverResp { .. }
-                | Msg::Notify { .. }
-                | Msg::NotifySummary { .. }
-                | Msg::BeginHandoff { .. }
-                | Msg::ShardTransfer { .. }
-                | Msg::ShardTransferAck { .. }
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification() {
-        let get = Msg::Get {
-            txn: Timestamp::new(1, 1),
-            op: 0,
-            key: Key::from("x"),
-            required: Timestamp::INITIAL,
-        };
-        assert!(get.is_request());
-        assert!(!get.is_replication());
-        let n = Msg::Notify {
-            ts: Timestamp::new(1, 1),
-            key: Key::from("x"),
-        };
-        assert!(n.is_replication());
-        assert!(!n.is_request());
-        let resp = Msg::PutResp {
-            txn: Timestamp::new(1, 1),
-            op: 0,
-        };
-        assert!(!resp.is_request());
-        assert!(!resp.is_replication());
-        let ramp_reqs = [
-            Msg::GetTs {
-                txn: Timestamp::new(1, 1),
-                op: 0,
-                key: Key::from("x"),
-            },
-            Msg::GetVersion {
-                txn: Timestamp::new(1, 1),
-                op: 0,
-                key: Key::from("x"),
-                req: VersionReq::Exact(Timestamp::new(2, 1)),
-            },
-        ];
-        for m in ramp_reqs {
-            assert!(m.is_request() && !m.is_replication(), "{m:?}");
-        }
-        let batch = Msg::CommitBatch {
-            txn: Timestamp::new(1, 1),
-            ts: Timestamp::new(1, 1),
-            marks: vec![(0, Key::from("x")), (1, Key::from("y"))],
-        };
-        assert!(batch.is_request() && !batch.is_replication());
-        let delta = Msg::ReplicateDelta {
-            upto: 7,
-            writes: Vec::new(),
-        };
-        assert!(delta.is_replication() && !delta.is_request());
-        let transfer = Msg::ShardTransfer {
-            token: 3,
-            from_seq: 0,
-            writes: Vec::new(),
-        };
-        assert!(transfer.is_replication() && !transfer.is_request());
-        assert!(Msg::ShardTransferAck { token: 3, upto: 1 }.is_replication());
-        assert!(Msg::BeginHandoff { token: 3, to: 1 }.is_replication());
-        let nack = Msg::WrongShard {
-            txn: Timestamp::new(1, 1),
-            op: 0,
-            key: Key::from("x"),
-            owner: 2,
-        };
-        // a routing NACK is a response, not a request or replication
-        assert!(!nack.is_request() && !nack.is_replication());
     }
 }

@@ -62,7 +62,7 @@ const HANDOFF_CHUNK: usize = 256;
 /// put on the wire).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
-    /// Anti-entropy batches sent (`Replicate` + `ReplicateDelta`).
+    /// Anti-entropy batches sent (`Replicate`).
     pub replication_msgs: u64,
     /// Approximate serialized bytes of those batches (keys + records).
     pub replication_bytes: u64,
@@ -498,14 +498,15 @@ impl Server {
                     self.stats.catchup_batches += 1;
                     self.note_replication_batch(&writes);
                     self.trace_anti_entropy(ctx.now(), peer, &writes, true);
-                    ctx.send(peer, Msg::ReplicateDelta { upto, writes });
+                    ctx.send(peer, Msg::Replicate { upto, writes });
                 }
             } else {
                 let (from_index, writes) = self.repl.batch_for(i);
                 if !writes.is_empty() {
                     self.note_replication_batch(&writes);
                     self.trace_anti_entropy(ctx.now(), peer, &writes, false);
-                    ctx.send(peer, Msg::Replicate { from_index, writes });
+                    let upto = from_index + writes.len() as u64;
+                    ctx.send(peer, Msg::Replicate { upto, writes });
                 }
             }
         }
@@ -604,12 +605,7 @@ impl Server {
             } => self.handle_lock(ctx, from, txn, op, key, exclusive),
             Msg::Unlock { txn, keys } => self.handle_unlock(ctx, txn, keys),
             Msg::LockCheck { txn, op, key } => self.handle_lock_check(ctx, from, txn, op, key),
-            Msg::Replicate { from_index, writes } => {
-                self.handle_replicate(ctx, from, from_index, writes)
-            }
-            Msg::ReplicateDelta { upto, writes } => {
-                self.handle_replicate_delta(ctx, from, upto, writes)
-            }
+            Msg::Replicate { upto, writes } => self.handle_replicate(ctx, from, upto, writes),
             Msg::ReplicateAck { upto } => {
                 if let Some(i) = self.peers.iter().position(|&p| p == from) {
                     self.repl.ack(i, upto);
@@ -800,27 +796,9 @@ impl Server {
         }
     }
 
+    /// Applies an anti-entropy batch (an unacked suffix or a compacted
+    /// catch-up, alike) and acknowledges the log position it covers.
     fn handle_replicate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        from_index: u64,
-        writes: Vec<(Key, SharedRecord)>,
-    ) {
-        let upto = from_index + writes.len() as u64;
-        let hold = self.apply_replicated_batch(ctx, writes);
-        // Acknowledge once applied: the sender's cursor advances and the
-        // batch is never re-sent (unless this ack is lost — then the
-        // receiver just applies the duplicates idempotently).
-        ctx.send_after(hold, from, Msg::ReplicateAck { upto });
-    }
-
-    /// Delta-compressed catch-up: the batch covers the sender's log up to
-    /// `upto`, compacted to surviving versions. Application is the same
-    /// idempotent path as [`Server::handle_replicate`]; only the ack
-    /// position is explicit (the batch is shorter than the range it
-    /// covers).
-    fn handle_replicate_delta(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
@@ -828,9 +806,14 @@ impl Server {
         writes: Vec<(Key, SharedRecord)>,
     ) {
         let hold = self.apply_replicated_batch(ctx, writes);
+        // Acknowledge once applied: the sender's cursor advances and the
+        // batch is never re-sent (unless this ack is lost — then the
+        // receiver just applies the duplicates idempotently).
         ctx.send_after(hold, from, Msg::ReplicateAck { upto });
     }
 
+    /// Installs replicated versions (an anti-entropy batch or a handoff
+    /// chunk) and returns the service hold for the batch.
     fn apply_replicated_batch(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -1007,13 +990,7 @@ impl Server {
         }
         self.tokens_acquired.insert(token);
         let upto = from_seq + writes.len() as u64;
-        let cost = self.config.service.replicate(writes.len());
-        for (key, record) in writes {
-            self.note_handoff_write(&key, &record);
-            let (engine, mut view) = self.engine_view();
-            engine.apply_replicated_write(&mut view, ctx, key, record);
-        }
-        let hold = self.service(ctx.now(), cost);
+        let hold = self.apply_replicated_batch(ctx, writes);
         ctx.send_after(hold, from, Msg::ShardTransferAck { token, upto });
     }
 

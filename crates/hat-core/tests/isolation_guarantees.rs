@@ -1,6 +1,6 @@
 //! Guarantee-preservation tests for the PR-6 performance machinery:
 //! group commit (`Msg::CommitBatch`) and delta-compressed anti-entropy
-//! catch-up (`Msg::ReplicateDelta`) are *optimizations* — every engine's
+//! catch-up (a compacted `Msg::Replicate`) are *optimizations* — every engine's
 //! advertised isolation level must be exactly what it was with per-key
 //! commit markers and per-record replay. These tests drive partition /
 //! heal schedules that build more than `MAX_BATCH` entries of
@@ -21,7 +21,7 @@ use hat_storage::{Key, Record, SharedRecord};
 
 /// The largest replication lag (unacknowledged log entries) any server
 /// holds for a peer. Above `MAX_BATCH`, the next anti-entropy push to
-/// that peer is one compacted `ReplicateDelta`.
+/// that peer is one compacted catch-up `Replicate`.
 fn max_lag(front: &SimFrontend) -> u64 {
     front
         .layout()

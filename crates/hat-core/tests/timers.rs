@@ -8,11 +8,10 @@ use hat_core::{
     ClientCmd, ClusterSpec, DeploymentBuilder, Frontend, HatError, Msg, Node, Op, ProtocolKind,
     SessionOptions, TxnBackend, TxnSpec,
 };
-use hat_sim::{Actor, Ctx, NetHop, NodeId, SimDuration, SimTime, TimerId};
+use hat_sim::{Actor, Ctx, Event, EventQueue, NetHop, NodeId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// An endless closed loop of small mixed transactions over eight keys,
@@ -36,12 +35,6 @@ impl TxnSource for Cycle {
     }
 }
 
-enum Due {
-    Start,
-    Deliver { from: NodeId, msg: Msg },
-    Timer(TimerId),
-}
-
 /// Drives one closed-loop client of every engine through 10 000 request
 /// rounds, each answered one virtual hop later, on a loop of its own
 /// over `Ctx::detached` (no `hat_sim::Engine`). A one-timer-per-request
@@ -61,15 +54,9 @@ fn answered_rounds_keep_at_most_two_timers_live() {
             .build_parts();
         let client = layout.clients[0];
         let mut rng = StdRng::seed_from_u64(3);
-        let mut queue: BTreeMap<(u64, u64), (NodeId, Due)> = BTreeMap::new();
-        let mut seq = 0u64;
-        let mut push = |queue: &mut BTreeMap<_, _>, at: u64, to: NodeId, due: Due| {
-            seq += 1;
-            queue.insert((at, seq), (to, due));
-        };
-        for id in 0..nodes.len() as NodeId {
-            push(&mut queue, 0, id, Due::Start);
-        }
+        let mut queue: EventQueue<Msg> = EventQueue::new();
+        // Every node starts at time 0, in id order, before any event.
+        let mut starts = 0..nodes.len() as NodeId;
         let (mut armed, mut fired, mut most_live) = (0u64, 0u64, 0u64);
         let rounds = |nodes: &[Node]| {
             nodes[client as usize]
@@ -79,16 +66,26 @@ fn answered_rounds_keep_at_most_two_timers_live() {
                 .msg_rounds
         };
         while rounds(&nodes) < ROUNDS {
-            let ((at, _), (to, due)) = queue.pop_first().expect("servers keep timers armed");
-            assert!(at < 3_600_000_000, "{kind:?}: client stalled");
+            let (at, to, event) = match starts.next() {
+                Some(id) => (SimTime::ZERO, id, None),
+                None => {
+                    let (at, event) = queue.pop().expect("servers keep timers armed");
+                    let to = match event {
+                        Event::Deliver { to, .. } => to,
+                        Event::TimerFire { node, .. } => node,
+                    };
+                    (at, to, Some(event))
+                }
+            };
+            assert!(at.as_micros() < 3_600_000_000, "{kind:?}: client stalled");
             let node = &mut nodes[to as usize];
-            let mut ctx = Ctx::detached(to, SimTime(at), &mut rng);
-            match due {
-                Due::Start => node.on_start(&mut ctx),
-                Due::Deliver { from, msg } => node.on_message(&mut ctx, from, msg),
-                Due::Timer(tag) => {
+            let mut ctx = Ctx::detached(to, at, &mut rng);
+            match event {
+                None => node.on_start(&mut ctx),
+                Some(Event::Deliver { from, msg, .. }) => node.on_message(&mut ctx, from, msg),
+                Some(Event::TimerFire { timer, .. }) => {
                     fired += u64::from(to == client);
-                    node.on_timer(&mut ctx, tag)
+                    node.on_timer(&mut ctx, timer)
                 }
             }
             let (sends, timers) = ctx.into_outputs();
@@ -97,11 +94,20 @@ fn answered_rounds_keep_at_most_two_timers_live() {
                 most_live = most_live.max(armed - fired);
             }
             for (hold, dest, msg) in sends {
-                let due = Due::Deliver { from: to, msg };
-                push(&mut queue, at + hold.as_micros() + HOP_US, dest, due);
+                let event = Event::Deliver {
+                    to: dest,
+                    from: to,
+                    msg,
+                };
+                queue.push(at + hold + SimDuration::from_micros(HOP_US), event);
             }
-            for (delay, tag) in timers {
-                push(&mut queue, at + delay.as_micros(), to, Due::Timer(tag));
+            for (delay, timer) in timers {
+                let event = Event::TimerFire {
+                    node: to,
+                    timer,
+                    gen: 0,
+                };
+                queue.push(at + delay, event);
             }
         }
         let metrics = &nodes[client as usize].as_client().unwrap().metrics;

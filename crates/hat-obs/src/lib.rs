@@ -130,29 +130,6 @@ impl ObsSink {
         s.lock().unwrap().registry.counter_add(name, labels, delta);
     }
 
-    /// Sets a registry gauge (no-op when disabled).
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let Some(s) = &self.inner else { return };
-        bump(1);
-        s.lock().unwrap().registry.gauge_set(name, labels, v);
-    }
-
-    /// Records into a registry histogram (no-op when disabled).
-    pub fn hist_record(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let Some(s) = &self.inner else { return };
-        bump(1);
-        s.lock().unwrap().registry.hist_record(name, labels, v);
-    }
-
-    /// Applies `f` to the registry — the hook `ClientMetrics` /
-    /// `ServerStats` exposition uses at end of run (no-op when
-    /// disabled).
-    pub fn with_registry(&self, f: impl FnOnce(&mut MetricsRegistry)) {
-        let Some(s) = &self.inner else { return };
-        bump(1);
-        f(&mut s.lock().unwrap().registry);
-    }
-
     /// Feeds one committed transaction to the visibility probe sampler
     /// and the streaming checker. Returns `Some(violation)` only for
     /// the **first** violation this sink ever sees (further ones are
@@ -295,13 +272,10 @@ mod tests {
         let sink = ObsSink::disabled();
         let before = obs_recorded_total();
         sink.counter_add("c", &[], 1);
-        sink.gauge_set("g", &[], 1.0);
-        sink.hist_record("h", &[], 1.0);
         sink.fault_begin(0, "x");
         sink.fault_end(1, "x");
         sink.sample(10, Cumulative::default());
         sink.drive_probes(0, |_, _, _| true);
-        sink.with_registry(|_| panic!("must not run when disabled"));
         assert!(sink
             .observe_commit(&CommitObs {
                 at_us: 0,
@@ -315,6 +289,9 @@ mod tests {
         assert!(!sink.sample_due(u64::MAX));
         assert!(sink.series().is_none());
         assert!(sink.registry().is_none());
+        assert!(sink.staleness().is_none());
+        assert_eq!(sink.violations(), 0);
+        assert!(!sink.is_enabled());
         assert_eq!(obs_recorded_total(), before);
     }
 

@@ -8,17 +8,22 @@
 //! for real. Service-time holds and modelled network latency become
 //! actual delays on the delivery schedule.
 //!
-//! Two ways to drive it:
+//! One type, [`Runtime`], is the running deployment, with two entry
+//! points that build it the same way:
 //!
-//! * **Closed-loop** ([`Runtime::spawn`]): driver-mode clients replay
-//!   `TxnSource` plans; metrics and histories are collected at shutdown.
-//! * **Interactive** ([`BuildThreaded::build_threaded`]): a
-//!   [`RuntimeFrontend`] injects transaction operations into client
-//!   threads over command channels, exposing the same backend-agnostic
-//!   [`hat_core::Frontend`] surface as the simulator — the conformance
-//!   suite runs identical scripts against both.
+//! * [`Runtime::spawn`], for closed loops: driver-mode clients replay
+//!   `TxnSource` plans, and [`Runtime::shutdown`] collects metrics and
+//!   histories.
+//! * [`BuildThreaded::build_threaded`], named like the simulator's
+//!   `build()`: interactive transactions go into client threads over
+//!   command channels through the backend-agnostic
+//!   [`hat_core::Frontend`] surface — the conformance suite runs
+//!   identical scripts against both backends.
+//!
+//! Every client has its command port either way, and dropping a
+//! `Runtime` stops and joins its threads.
 
 pub mod node_loop;
 pub mod runtime;
 
-pub use runtime::{BuildThreaded, Runtime, RuntimeConfig, RuntimeFrontend};
+pub use runtime::{BuildThreaded, Runtime, RuntimeConfig};

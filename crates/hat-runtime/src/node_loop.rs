@@ -1,35 +1,35 @@
 //! Per-node event loop: a thread owning one [`Node`].
 //!
-//! Client nodes can optionally carry an *interactive port*: the
-//! transport of the one command path both backends share. A
-//! `RuntimeFrontend` sends [`ClientCmd`]s (begin / get / put / scan /
-//! commit …) into the running thread and gets [`ClientReply`]s back, so
-//! the threaded runtime is drivable through the same
-//! [`hat_core::Frontend`] surface as the simulator instead of only
-//! replaying canned `TxnSource` plans. What a command does is the
-//! client's own code — `Client::start_cmd`, then `Client::finish_cmd`
-//! once the client is idle — exactly as under the simulator; the loop
-//! adds only the transport and a wall-clock deadline, at which it
-//! abandons the transaction and replies `Failed(Unavailable)`.
+//! Every client node carries an *interactive port*: the transport of the
+//! one command path both backends share. The [`crate::Runtime`] sends
+//! [`ClientCmd`]s (begin / get / put / scan / commit …) into the running
+//! thread and gets [`ClientReply`]s back, so the threaded runtime is
+//! drivable through the same [`hat_core::Frontend`] surface as the
+//! simulator, not only by canned `TxnSource` plans. What a command does
+//! is the client's own code — `Client::start_cmd`, then
+//! `Client::finish_cmd` once the client is idle — exactly as under the
+//! simulator; the loop adds only the transport and a wall-clock deadline,
+//! at which it abandons the transaction and replies `Failed(Unavailable)`.
 //!
 //! One pass of the loop delivers everything due (messages and timers
-//! from one heap), runs the durability barrier, serves the interactive
-//! port, and then waits for more. **Park policy:** it first polls the
-//! inbox in a short bounded spin, yielding the core between polls, and
-//! only then blocks in `recv_timeout` until the heap's head is due; the
-//! spin ends early once that head is due or the inbox is disconnected.
-//! A request/reply hop is a few microseconds of work; a futex sleep plus
-//! wake-up per hop costs more than the handlers themselves.
-//! **Timer rule:** the heap has no cancel, so actors keep it small
+//! from one [`EventQueue`], the simulator's queue, here keyed by
+//! wall-clock microseconds since the runtime's epoch), runs the
+//! durability barrier, serves the interactive port, and then waits for
+//! more. **Park policy:** it first polls the inbox in a short bounded
+//! spin, yielding the core between polls, and only then blocks in
+//! `recv_timeout` until the queue's head is due; the spin ends early once
+//! that head is due or the inbox is disconnected. A request/reply hop is
+//! a few microseconds of work; a futex sleep plus wake-up per hop costs
+//! more than the handlers themselves.
+//! **Timer rule:** the queue has no cancel, so actors keep it small
 //! themselves: a client keeps one live timer per deadline purpose (its
 //! round's retry, its protocol half's own) rather than one per request,
 //! and servers arm one periodic timer per task.
 
 use hat_core::{ClientCmd, ClientReply, HatError, Msg, Node, TraceEventKind, TraceSink};
-use hat_sim::{Actor, Ctx, NodeId, SimTime, TimerId};
+use hat_sim::{Actor, Ctx, Event, EventQueue, NodeId, SimDuration, SimTime, TimerId};
 use rand::rngs::StdRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 pub enum Envelope {
     /// A network message in flight: deliver `msg` from `from` at `at`.
     Net {
-        /// Wall-clock delivery deadline.
-        at: Instant,
+        /// Delivery time, in microseconds since the runtime's epoch.
+        at: SimTime,
         /// Sender node.
         from: NodeId,
         /// Payload.
@@ -68,35 +68,6 @@ pub struct InteractivePort {
     pub op_deadline: Duration,
 }
 
-#[derive(Debug)]
-enum Due {
-    Deliver { from: NodeId, msg: Msg },
-    Timer(TimerId),
-}
-
-struct Scheduled {
-    at: Instant,
-    seq: u64,
-    due: Due,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// Routing information shared by all node threads.
 pub struct Router {
     /// Per-node inboxes.
@@ -109,9 +80,92 @@ pub struct Router {
 
 impl Router {
     /// Delay for a send.
-    pub fn delay(&self, from: NodeId, to: NodeId) -> Duration {
-        Duration::from_micros(self.delay_us[from as usize][to as usize])
+    pub fn delay(&self, from: NodeId, to: NodeId) -> SimDuration {
+        SimDuration::from_micros(self.delay_us[from as usize][to as usize])
     }
+}
+
+/// Wall-clock time since `epoch`, as the microsecond [`SimTime`] the
+/// node threads schedule on.
+pub fn since(epoch: Instant) -> SimTime {
+    SimTime(epoch.elapsed().as_micros() as u64)
+}
+
+/// One node thread's schedule: its queue of messages and timers, and
+/// what it needs to route and trace the outputs of its handlers.
+struct Sched<'a> {
+    id: NodeId,
+    queue: EventQueue<Msg>,
+    router: &'a Router,
+    trace: &'a TraceSink,
+    epoch: Instant,
+}
+
+impl Sched<'_> {
+    fn now(&self) -> SimTime {
+        since(self.epoch)
+    }
+
+    /// True once the queue's head is due.
+    fn head_due(&self) -> bool {
+        self.queue.peek_time().is_some_and(|t| t <= self.now())
+    }
+
+    /// Sends each message after its hold plus the link delay, and queues
+    /// each timer.
+    fn dispatch(
+        &mut self,
+        sends: Vec<(SimDuration, NodeId, Msg)>,
+        timers: Vec<(SimDuration, TimerId)>,
+    ) {
+        let (id, now) = (self.id, self.now());
+        for (hold, to, msg) in sends {
+            if self.trace.is_enabled() {
+                self.trace.record(
+                    now.as_micros(),
+                    id,
+                    TraceEventKind::MsgSend {
+                        from: id,
+                        to,
+                        label: msg.label(),
+                        bytes: msg.approx_bytes(),
+                    },
+                );
+            }
+            let at = now + hold + self.router.delay(id, to);
+            // A full inbox or a disconnected peer behaves like a lossy
+            // network — HAT protocols tolerate both.
+            let _ = self.router.inboxes[to as usize].send(Envelope::Net { at, from: id, msg });
+        }
+        for (delay, timer) in timers {
+            let event = Event::TimerFire {
+                node: id,
+                timer,
+                gen: 0,
+            };
+            self.queue.push(now + delay, event);
+        }
+    }
+
+    /// Queues an inbox arrival: a message by its delivery time, a command
+    /// behind the commands already waiting.
+    fn enqueue(&mut self, env: Envelope, cmds: &mut Cmds) {
+        match env {
+            Envelope::Net { at, from, msg } => {
+                let to = self.id;
+                self.queue.push(at, Event::Deliver { to, from, msg });
+            }
+            Envelope::Cmd(seq, cmd) => cmds.queued.push_back((seq, cmd)),
+        }
+    }
+}
+
+/// A client's interactive commands: the one in flight (its sequence and
+/// deadline) and those queued behind it.
+#[derive(Default)]
+struct Cmds {
+    in_flight: Option<(u64, Instant)>,
+    queued: VecDeque<(u64, ClientCmd)>,
 }
 
 /// Runs one node until `stop` is set. Returns the node (with its final
@@ -128,24 +182,19 @@ pub fn run_node(
     interactive: Option<InteractivePort>,
     trace: TraceSink,
 ) -> Node {
-    let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // The command in flight (its sequence and deadline), and those queued
-    // behind it.
-    let mut in_flight: Option<(u64, Instant)> = None;
-    let mut cmd_queue: VecDeque<(u64, ClientCmd)> = VecDeque::new();
+    let mut sched = Sched {
+        id,
+        queue: EventQueue::new(),
+        router: &router,
+        trace: &trace,
+        epoch,
+    };
+    let mut cmds = Cmds::default();
 
-    let now_sim = |epoch: Instant| SimTime(epoch.elapsed().as_micros() as u64);
-
-    // on_start
-    {
-        let mut ctx = Ctx::detached(id, now_sim(epoch), &mut rng);
-        node.on_start(&mut ctx);
-        let (sends, timers) = ctx.into_outputs();
-        dispatch_outputs(
-            id, sends, timers, &router, &mut heap, &mut seq, &trace, epoch,
-        );
-    }
+    let mut ctx = Ctx::detached(id, sched.now(), &mut rng);
+    node.on_start(&mut ctx);
+    let (sends, timers) = ctx.into_outputs();
+    sched.dispatch(sends, timers);
 
     loop {
         // Deliver everything due, as one group commit: this loop runs
@@ -157,17 +206,17 @@ pub fn run_node(
         // released in order once the barrier has covered the pass. The
         // batch is whatever queued up while the previous sync was in
         // flight; a node on a volatile store never holds anything.
-        let now = Instant::now();
+        let now = sched.now();
         let mut held = Vec::new();
         let mut holding = false;
-        while heap.peek().map(|Reverse(s)| s.at <= now).unwrap_or(false) {
-            let Reverse(s) = heap.pop().unwrap();
-            let mut ctx = Ctx::detached(id, now_sim(epoch), &mut rng).deferring_barrier();
-            match s.due {
-                Due::Deliver { from, msg } => {
+        while sched.queue.peek_time().is_some_and(|t| t <= now) {
+            let (_, event) = sched.queue.pop().expect("the head was peeked");
+            let mut ctx = Ctx::detached(id, sched.now(), &mut rng).deferring_barrier();
+            match event {
+                Event::Deliver { from, msg, .. } => {
                     if trace.is_enabled() {
                         trace.record(
-                            now_sim(epoch).as_micros(),
+                            ctx.now().as_micros(),
                             id,
                             TraceEventKind::MsgRecv {
                                 from,
@@ -179,47 +228,24 @@ pub fn run_node(
                     }
                     node.on_message(&mut ctx, from, msg)
                 }
-                Due::Timer(tag) => node.on_timer(&mut ctx, tag),
+                Event::TimerFire { timer, .. } => node.on_timer(&mut ctx, timer),
             }
             let (mut sends, timers) = ctx.into_outputs();
             holding = holding || node.needs_flush();
             if holding {
                 held.append(&mut sends);
             }
-            dispatch_outputs(
-                id, sends, timers, &router, &mut heap, &mut seq, &trace, epoch,
-            );
+            sched.dispatch(sends, timers);
         }
         // A failed barrier drops what it was holding back: the server
         // then looks unreachable instead of acknowledging writes it may
         // lose (`ServerStats::wal_flush_failures` counts these).
         if holding && node.flush().is_ok() {
-            dispatch_outputs(
-                id,
-                held,
-                Vec::new(),
-                &router,
-                &mut heap,
-                &mut seq,
-                &trace,
-                epoch,
-            );
+            sched.dispatch(held, Vec::new());
         }
         // interactive port: answer a finished command, start queued ones
         if let Some(port) = &interactive {
-            service_interactive(
-                &mut node,
-                id,
-                port,
-                &mut in_flight,
-                &mut cmd_queue,
-                &router,
-                &mut heap,
-                &mut seq,
-                &mut rng,
-                epoch,
-                &trace,
-            );
+            service_interactive(&mut node, port, &mut cmds, &mut sched, &mut rng);
         }
         if stop.load(Ordering::Relaxed) {
             break;
@@ -227,35 +253,25 @@ pub fn run_node(
         // Wait for the next due event or an incoming envelope; command
         // arrivals wake the recv immediately (shared inbox). Spin before
         // parking (the park policy in the module doc).
-        let first = match spin_recv(&rx, &heap) {
+        let first = match spin_recv(&rx, &sched) {
             Some(env) => Ok(env),
             None => {
                 let idle_cap = Duration::from_millis(5);
-                let timeout = heap
-                    .peek()
-                    .map(|Reverse(s)| s.at.saturating_duration_since(Instant::now()))
+                let timeout = sched
+                    .queue
+                    .peek_time()
+                    .map(|t| Duration::from_micros((t - sched.now()).as_micros()))
                     .unwrap_or(idle_cap)
                     .min(idle_cap);
                 rx.recv_timeout(timeout)
             }
         };
-        let mut enqueue = |env: Envelope, seq: &mut u64| match env {
-            Envelope::Net { at, from, msg } => {
-                *seq += 1;
-                heap.push(Reverse(Scheduled {
-                    at,
-                    seq: *seq,
-                    due: Due::Deliver { from, msg },
-                }));
-            }
-            Envelope::Cmd(cmd_seq, cmd) => cmd_queue.push_back((cmd_seq, cmd)),
-        };
         match first {
             Ok(env) => {
-                enqueue(env, &mut seq);
+                sched.enqueue(env, &mut cmds);
                 // drain whatever else is queued without blocking
                 while let Ok(env) = rx.try_recv() {
-                    enqueue(env, &mut seq);
+                    sched.enqueue(env, &mut cmds);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -280,17 +296,17 @@ const SPIN_POLLS: u32 = 64;
 
 /// The bounded spin before parking: polls the inbox, yielding the core
 /// between polls, and returns the first envelope to arrive. Gives up
-/// after [`SPIN_POLLS`] polls, or as soon as the heap's head is due (the
+/// after [`SPIN_POLLS`] polls, or as soon as the queue's head is due (the
 /// loop has work of its own) or the inbox is disconnected (the blocking
 /// receive reports it).
-fn spin_recv(rx: &Receiver<Envelope>, heap: &BinaryHeap<Reverse<Scheduled>>) -> Option<Envelope> {
+fn spin_recv(rx: &Receiver<Envelope>, sched: &Sched<'_>) -> Option<Envelope> {
     for _ in 0..SPIN_POLLS {
         match rx.try_recv() {
             Ok(env) => return Some(env),
             Err(TryRecvError::Disconnected) => return None,
             Err(TryRecvError::Empty) => {}
         }
-        if heap.peek().is_some_and(|Reverse(s)| s.at <= Instant::now()) {
+        if sched.head_due() {
             return None;
         }
         std::thread::yield_now();
@@ -302,31 +318,24 @@ fn spin_recv(rx: &Receiver<Envelope>, heap: &BinaryHeap<Reverse<Scheduled>>) -> 
 /// client is idle, or abandons it at its deadline, then starts queued
 /// commands one at a time (the frontend issues one operation and blocks
 /// on its reply).
-#[allow(clippy::too_many_arguments)]
 fn service_interactive(
     node: &mut Node,
-    id: NodeId,
     port: &InteractivePort,
-    in_flight: &mut Option<(u64, Instant)>,
-    cmd_queue: &mut VecDeque<(u64, ClientCmd)>,
-    router: &Router,
-    heap: &mut BinaryHeap<Reverse<Scheduled>>,
-    seq: &mut u64,
+    cmds: &mut Cmds,
+    sched: &mut Sched<'_>,
     rng: &mut StdRng,
-    epoch: Instant,
-    trace: &TraceSink,
 ) {
     let client = node.as_client_mut().expect("interactive port on a client");
-    while in_flight.is_some() || !cmd_queue.is_empty() {
-        let mut ctx = Ctx::detached(id, SimTime(epoch.elapsed().as_micros() as u64), rng);
-        let reply = match *in_flight {
+    while cmds.in_flight.is_some() || !cmds.queued.is_empty() {
+        let mut ctx = Ctx::detached(sched.id, sched.now(), rng);
+        let reply = match cmds.in_flight {
             Some((cmd_seq, _)) if !client.busy() => {
-                *in_flight = None;
+                cmds.in_flight = None;
                 Some((cmd_seq, client.finish_cmd(&mut ctx)))
             }
             Some((_, deadline)) if Instant::now() < deadline => break,
             Some((cmd_seq, _)) => {
-                *in_flight = None;
+                cmds.in_flight = None;
                 // Abandoning releases any held 2PL locks (unlock messages
                 // go out here).
                 client.abandon(&mut ctx);
@@ -334,58 +343,18 @@ fn service_interactive(
                 Some((cmd_seq, ClientReply::Failed(unavailable)))
             }
             None => {
-                let (cmd_seq, cmd) = cmd_queue.pop_front().expect("the loop checked");
+                let (cmd_seq, cmd) = cmds.queued.pop_front().expect("the loop checked");
                 let reply = client.start_cmd(&mut ctx, cmd);
                 if reply.is_none() {
-                    *in_flight = Some((cmd_seq, Instant::now() + port.op_deadline));
+                    cmds.in_flight = Some((cmd_seq, Instant::now() + port.op_deadline));
                 }
                 reply.map(|reply| (cmd_seq, reply))
             }
         };
         let (sends, timers) = ctx.into_outputs();
-        dispatch_outputs(id, sends, timers, router, heap, seq, trace, epoch);
+        sched.dispatch(sends, timers);
         if let Some(reply) = reply {
             let _ = port.reply_tx.send(reply);
         }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch_outputs(
-    id: NodeId,
-    sends: Vec<(hat_sim::SimDuration, NodeId, Msg)>,
-    timers: Vec<(hat_sim::SimDuration, TimerId)>,
-    router: &Router,
-    heap: &mut BinaryHeap<Reverse<Scheduled>>,
-    seq: &mut u64,
-    trace: &TraceSink,
-    epoch: Instant,
-) {
-    let now = Instant::now();
-    for (hold, to, msg) in sends {
-        if trace.is_enabled() {
-            trace.record(
-                epoch.elapsed().as_micros() as u64,
-                id,
-                TraceEventKind::MsgSend {
-                    from: id,
-                    to,
-                    label: msg.label(),
-                    bytes: msg.approx_bytes(),
-                },
-            );
-        }
-        let at = now + Duration::from_micros(hold.as_micros()) + router.delay(id, to);
-        // A full inbox or a disconnected peer behaves like a lossy
-        // network — HAT protocols tolerate both.
-        let _ = router.inboxes[to as usize].send(Envelope::Net { at, from: id, msg });
-    }
-    for (delay, tag) in timers {
-        *seq += 1;
-        heap.push(Reverse(Scheduled {
-            at: now + Duration::from_micros(delay.as_micros()),
-            seq: *seq,
-            due: Due::Timer(tag),
-        }));
     }
 }

@@ -1,7 +1,8 @@
-//! The threaded runtime: spawn, run, collect — and the interactive
-//! [`RuntimeFrontend`] implementing [`hat_core::Frontend`].
+//! The threaded runtime: one [`Runtime`] handle per deployment, spawned
+//! by [`Runtime::spawn`] or [`BuildThreaded::build_threaded`] and driven
+//! through [`hat_core::Frontend`].
 
-use crate::node_loop::{run_node, Envelope, InteractivePort, Router};
+use crate::node_loop::{run_node, since, Envelope, InteractivePort, Router};
 use hat_core::{
     ClientCmd, ClientMetrics, ClientReply, ClusterLayout, DeploymentBuilder, Frontend, HatError,
     Node, Session, SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
@@ -10,8 +11,8 @@ use hat_obs::ObsSink;
 use hat_sim::{LatencyModel, NodeId, SimDuration, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,123 +44,100 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A running threaded deployment.
+/// A running threaded deployment, one OS thread per node. Driver-mode
+/// clients (installed via [`DeploymentBuilder::drivers`]) run their
+/// closed loops on their own; every client also has a command port, so
+/// interactive transactions run through [`Frontend`] and block the
+/// caller until the client's network round resolves — the same
+/// synchronous surface [`hat_core::SimFrontend`] offers over virtual
+/// time. Dropping the handle stops and joins every thread;
+/// [`Runtime::shutdown`] does too, and hands the nodes back.
 pub struct Runtime {
     handles: Vec<JoinHandle<Node>>,
     stop: Arc<AtomicBool>,
-    clients: Vec<NodeId>,
     started: Instant,
+    router: Arc<Router>,
+    ports: Vec<FrontPort>,
+    opened: usize,
+    layout: Arc<ClusterLayout>,
+    config: Arc<SystemConfig>,
     trace: TraceSink,
     obs: ObsSink,
-    router: Arc<Router>,
-    layout: Arc<ClusterLayout>,
+    latency_scale: f64,
+    op_deadline: Duration,
 }
 
-/// The frontend's per-client handle into a node thread. Commands go
-/// into the node's regular inbox (waking its blocked `recv`); replies
-/// are correlated by sequence number so a reply that arrives after its
-/// command timed out is discarded instead of being mistaken for the
-/// next command's reply.
+/// The frontend's per-client reply channel. Commands go into the
+/// node's regular inbox (so their arrival wakes its blocked `recv`);
+/// replies are correlated by sequence number so a reply that arrives
+/// after its command timed out is discarded instead of being mistaken
+/// for the next command's reply.
 struct FrontPort {
-    cmd_tx: Sender<Envelope>,
     reply_rx: Receiver<(u64, ClientReply)>,
-    next_seq: std::sync::atomic::AtomicU64,
+    next_seq: AtomicU64,
 }
 
 impl Runtime {
     /// Spawns every node of `builder`'s deployment on its own thread.
-    /// Clients must be driver-mode (installed via
-    /// [`DeploymentBuilder::drivers`]) to make progress; for interactive
-    /// transactions use [`BuildThreaded::build_threaded`] instead.
     pub fn spawn(builder: DeploymentBuilder, config: RuntimeConfig) -> Runtime {
-        Self::spawn_parts(builder, config, false).0
-    }
-
-    /// Shared spawn path. With `interactive`, every client node gets a
-    /// command/reply port returned alongside the runtime.
-    fn spawn_parts(
-        builder: DeploymentBuilder,
-        config: RuntimeConfig,
-        interactive: bool,
-    ) -> (
-        Runtime,
-        Vec<FrontPort>,
-        Arc<ClusterLayout>,
-        Arc<SystemConfig>,
-        Duration,
-    ) {
         let (_engine_cfg, topology, nodes, layout, sys, trace, obs) = builder.build_parts();
-        let clients = layout.clients.clone();
         let n = topology.len();
-
-        let mut inboxes = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::<Envelope>();
-            inboxes.push(tx);
-            receivers.push(rx);
-        }
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let delay_us = build_delays(&topology, config.latency_scale);
         let router = Arc::new(Router { inboxes, delay_us });
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
+        // The frontend's roundtrip timeout is this same deadline plus
+        // slack — deriving both from one value keeps the "node replies
+        // or abandons before the frontend gives up" invariant.
         let op_deadline = config
             .op_deadline
             .unwrap_or_else(|| Duration::from_micros(sys.op_deadline.as_micros()));
 
-        let mut ports = Vec::new();
         let mut node_ports: Vec<Option<InteractivePort>> = (0..n).map(|_| None).collect();
-        if interactive {
-            for &c in &clients {
-                let (reply_tx, reply_rx) = channel::<(u64, ClientReply)>();
+        let ports = layout
+            .clients
+            .iter()
+            .map(|&c| {
+                let (reply_tx, reply_rx) = channel();
                 node_ports[c as usize] = Some(InteractivePort {
                     reply_tx,
                     op_deadline,
                 });
-                ports.push(FrontPort {
-                    // Commands share the node's inbox so their arrival
-                    // wakes the event loop immediately.
-                    cmd_tx: router.inboxes[c as usize].clone(),
+                FrontPort {
                     reply_rx,
-                    next_seq: std::sync::atomic::AtomicU64::new(0),
-                });
-            }
-        }
+                    next_seq: AtomicU64::new(0),
+                }
+            })
+            .collect();
 
-        let mut handles = Vec::with_capacity(n);
-        for (i, node) in nodes.into_iter().enumerate() {
-            let rx = receivers.remove(0);
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            let rng = StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
-            let id = i as NodeId;
-            let port = node_ports[i].take();
-            let node_trace = trace.clone();
-            handles.push(
+        let threads = nodes.into_iter().zip(receivers).zip(node_ports);
+        let handles = threads
+            .enumerate()
+            .map(|(i, ((node, rx), port))| {
+                let (router, stop, trace) = (Arc::clone(&router), Arc::clone(&stop), trace.clone());
+                let rng = StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
+                let id = i as NodeId;
                 std::thread::Builder::new()
                     .name(format!("hat-node-{i}"))
-                    .spawn(move || {
-                        run_node(node, id, rx, router, stop, rng, started, port, node_trace)
-                    })
-                    .expect("spawn node thread"),
-            );
-        }
-        (
-            Runtime {
-                handles,
-                stop,
-                clients,
-                started,
-                trace,
-                obs,
-                router,
-                layout: Arc::clone(&layout),
-            },
+                    .spawn(move || run_node(node, id, rx, router, stop, rng, started, port, trace))
+                    .expect("spawn node thread")
+            })
+            .collect();
+        Runtime {
+            handles,
+            stop,
+            started,
+            router,
             ports,
+            opened: 0,
             layout,
-            sys,
+            config: sys,
+            trace,
+            obs,
+            latency_scale: config.latency_scale,
             op_deadline,
-        )
+        }
     }
 
     /// Starts a live handoff of ring token `token` to the server at
@@ -173,7 +151,7 @@ impl Runtime {
             (to_position as usize) < self.layout.shards_per_cluster(),
             "position {to_position} out of range"
         );
-        let at = Instant::now();
+        let at = since(self.started);
         for cluster in &self.layout.servers {
             let to = cluster[to_position as usize];
             for &s in cluster {
@@ -186,20 +164,33 @@ impl Runtime {
         }
     }
 
-    /// Lets the deployment run for `d` of wall-clock time.
+    /// Lets the deployment run for `d` of wall-clock time. A caller
+    /// holding a `Runtime` reaches the trait's `SimDuration` form as
+    /// [`Frontend::run_for`].
     pub fn run_for(&self, d: Duration) {
         std::thread::sleep(d);
     }
 
-    /// Elapsed wall-clock time since spawn.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
+    /// The cluster layout.
+    pub fn layout(&self) -> &ClusterLayout {
+        &self.layout
+    }
+
+    /// The deployment configuration.
+    pub fn config(&self) -> &SystemConfig {
+        &self.config
     }
 
     /// The deployment-wide trace sink (no-op unless
     /// `SystemConfig::trace` was set on the builder's configuration).
     pub fn trace_sink(&self) -> &TraceSink {
         &self.trace
+    }
+
+    /// Snapshot of the structured trace so far, ordered by
+    /// `(time, sequence)`. Empty when tracing is disabled.
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
+        self.trace.events()
     }
 
     /// The deployment-wide observability sink (no-op unless
@@ -214,16 +205,16 @@ impl Runtime {
 
     /// Stops all nodes and collects them. Returns `(nodes, aggregated
     /// client metrics, all transaction records)`.
-    pub fn shutdown(self) -> (Vec<Node>, ClientMetrics, Vec<TxnRecord>) {
+    pub fn shutdown(mut self) -> (Vec<Node>, ClientMetrics, Vec<TxnRecord>) {
         self.stop.store(true, Ordering::Relaxed);
         let mut nodes: Vec<Node> = self
             .handles
-            .into_iter()
+            .drain(..)
             .map(|h| h.join().expect("node thread panicked"))
             .collect();
         let mut metrics = ClientMetrics::default();
         let mut records = Vec::new();
-        for &c in &self.clients {
+        for &c in &self.layout.clients {
             if let Some(client) = nodes[c as usize].as_client_mut() {
                 metrics.merge(&client.metrics);
                 records.extend(client.take_records());
@@ -231,84 +222,6 @@ impl Runtime {
         }
         records.sort_by_key(|r| (r.session, r.session_seq));
         (nodes, metrics, records)
-    }
-}
-
-/// Extension trait giving [`DeploymentBuilder`] a threaded-backend
-/// `build`, mirroring `build()` for the simulator: the same deployment
-/// description, executed on one OS thread per node with interactive
-/// sessions injected over command channels.
-pub trait BuildThreaded {
-    /// Builds the deployment on the threaded backend.
-    fn build_threaded(self, config: RuntimeConfig) -> RuntimeFrontend;
-}
-
-impl BuildThreaded for DeploymentBuilder {
-    fn build_threaded(self, config: RuntimeConfig) -> RuntimeFrontend {
-        let latency_scale = config.latency_scale;
-        // The frontend's roundtrip timeout is this same deadline plus
-        // slack — deriving both from one value keeps the "node replies
-        // or abandons before the frontend gives up" invariant.
-        let (rt, ports, layout, sys, op_deadline) = Runtime::spawn_parts(self, config, true);
-        RuntimeFrontend {
-            rt: Some(rt),
-            ports,
-            layout,
-            config: sys,
-            latency_scale,
-            op_deadline,
-            opened: 0,
-        }
-    }
-}
-
-/// The threaded-runtime [`Frontend`]: interactive transactions are
-/// injected into client threads over command channels and block the
-/// caller until the client's network round resolves — the same
-/// synchronous surface [`hat_core::SimFrontend`] offers over virtual
-/// time.
-pub struct RuntimeFrontend {
-    rt: Option<Runtime>,
-    ports: Vec<FrontPort>,
-    layout: Arc<ClusterLayout>,
-    config: Arc<SystemConfig>,
-    latency_scale: f64,
-    op_deadline: Duration,
-    opened: usize,
-}
-
-impl RuntimeFrontend {
-    /// The cluster layout.
-    pub fn layout(&self) -> &ClusterLayout {
-        &self.layout
-    }
-
-    /// The deployment configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// Stops all node threads and returns `(nodes, aggregated client
-    /// metrics, all transaction records)`.
-    pub fn shutdown(mut self) -> (Vec<Node>, ClientMetrics, Vec<TxnRecord>) {
-        self.rt.take().expect("runtime running").shutdown()
-    }
-
-    /// The deployment-wide trace sink (no-op unless
-    /// `SystemConfig::trace` was set on the builder's configuration).
-    pub fn trace_sink(&self) -> &TraceSink {
-        self.rt.as_ref().expect("runtime running").trace_sink()
-    }
-
-    /// Snapshot of the structured trace so far, ordered by
-    /// `(time, sequence)`. Empty when tracing is disabled.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace_sink().events()
-    }
-
-    /// The deployment-wide observability sink; see [`Runtime::obs_sink`].
-    pub fn obs_sink(&self) -> &ObsSink {
-        self.rt.as_ref().expect("runtime running").obs_sink()
     }
 
     /// Fallible [`Frontend::session_metrics`]: reports an unreachable or
@@ -329,10 +242,9 @@ impl RuntimeFrontend {
     /// discarding stale replies whose command already timed out.
     fn roundtrip(&self, idx: usize, cmd: ClientCmd) -> Result<ClientReply, HatError> {
         let port = &self.ports[idx];
-        let seq = port
-            .next_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if port.cmd_tx.send(Envelope::Cmd(seq, cmd)).is_err() {
+        let seq = port.next_seq.fetch_add(1, Ordering::Relaxed);
+        let inbox = &self.router.inboxes[self.layout.clients[idx] as usize];
+        if inbox.send(Envelope::Cmd(seq, cmd)).is_err() {
             return Err(HatError::Unavailable { key: None });
         }
         // The node abandons and replies on its own op deadline; the
@@ -352,38 +264,42 @@ impl RuntimeFrontend {
             }
         }
     }
-
-    /// Starts a live handoff of ring token `token` to the server at
-    /// `to_position` of each cluster (see [`Runtime::begin_handoff`]).
-    pub fn begin_handoff(&self, token: u32, to_position: u32) {
-        self.rt
-            .as_ref()
-            .expect("runtime running")
-            .begin_handoff(token, to_position);
-    }
 }
 
-impl Drop for RuntimeFrontend {
+impl Drop for Runtime {
     fn drop(&mut self) {
-        if let Some(mut rt) = self.rt.take() {
-            // Swallow node-thread panics here: panicking inside drop
-            // while already unwinding would abort the process and mask
-            // the root cause (use `shutdown()` to observe them).
-            rt.stop.store(true, Ordering::Relaxed);
-            for h in rt.handles.drain(..) {
-                let _ = h.join();
-            }
+        // Swallow node-thread panics here: panicking inside drop while
+        // already unwinding would abort the process and mask the root
+        // cause (use `shutdown()` to observe them).
+        self.stop.store(true, Ordering::Relaxed);
+        for h in self.handles.drain(..) {
+            let _ = h.join();
         }
     }
 }
 
-impl TxnBackend for RuntimeFrontend {
+/// Extension trait giving [`DeploymentBuilder`] a threaded-backend
+/// `build`, mirroring `build()` for the simulator: the same deployment
+/// description, executed on one OS thread per node.
+pub trait BuildThreaded {
+    /// Builds the deployment on the threaded backend
+    /// ([`Runtime::spawn`]).
+    fn build_threaded(self, config: RuntimeConfig) -> Runtime;
+}
+
+impl BuildThreaded for DeploymentBuilder {
+    fn build_threaded(self, config: RuntimeConfig) -> Runtime {
+        Runtime::spawn(self, config)
+    }
+}
+
+impl TxnBackend for Runtime {
     fn exec(&mut self, session: &Session, cmd: ClientCmd) -> Result<ClientReply, HatError> {
         self.roundtrip(session.index() as usize, cmd)
     }
 }
 
-impl Frontend for RuntimeFrontend {
+impl Frontend for Runtime {
     fn open_session(&mut self, opts: SessionOptions) -> Session {
         assert!(
             self.opened < self.ports.len(),
@@ -496,6 +412,30 @@ mod tests {
                 ]))
             }
         }
+    }
+
+    /// A source with no transactions that reports being dropped, which
+    /// happens once its client's thread has been joined.
+    struct DropSignal(std::sync::mpsc::Sender<()>);
+    impl TxnSource for DropSignal {
+        fn next_txn(&mut self, _: &mut StdRng) -> Option<hat_core::TxnSpec> {
+            None
+        }
+    }
+    impl Drop for DropSignal {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    #[test]
+    fn dropping_the_runtime_joins_its_threads() {
+        let (tx, rx) = channel();
+        let builder = DeploymentBuilder::new(ProtocolKind::Eventual)
+            .clusters(ClusterSpec::single_dc(1, 1))
+            .drivers(vec![Box::new(DropSignal(tx))]);
+        drop(Runtime::spawn(builder, RuntimeConfig::default()));
+        assert!(rx.try_recv().is_ok(), "a node thread outlived its runtime");
     }
 
     fn drivers(count: usize, txns: u64) -> Vec<Box<dyn TxnSource>> {

@@ -447,7 +447,7 @@ fn a_failed_barrier_drops_the_passs_held_sends() {
     let nodes = run_threaded(nodes, &sink, |router| {
         router.inboxes[id as usize]
             .send(Envelope::Net {
-                at: Instant::now(),
+                at: SimTime::ZERO,
                 from: client,
                 msg: put_to("x"),
             })

@@ -28,6 +28,11 @@
 # crates/hat-core/src/client/ and nowhere else: both backends run every
 # operation as a ClientCmd through Client::start_cmd / finish_cmd, so no
 # backend can grow a per-operation path of its own again.
+#
+# Outside test modules, `BinaryHeap` is named in crates/hat-sim/src/event.rs
+# and nowhere else in crates/*/src or src/: the simulator and the threaded
+# runtime's node threads both schedule on hat_sim::EventQueue (ordered by
+# time, then insertion), so no second scheduler can grow beside it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,4 +73,12 @@ if hits=$(grep -rnE '\b(issue_read|issue_read_many|issue_write|issue_scan|start_
     echo "$hits" >&2
     status=1
 fi
+while IFS= read -r f; do
+    [ "$f" = crates/hat-sim/src/event.rs ] && continue
+    if hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'BinaryHeap'); then
+        echo "$f names BinaryHeap outside crates/hat-sim/src/event.rs:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done < <(find crates/*/src src -name '*.rs' | sort)
 exit $status

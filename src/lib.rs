@@ -24,7 +24,8 @@
 //! transactions against it, and a [`Session`] carries its own
 //! [`SessionOptions`]. `build()` executes on the simulator
 //! ([`core::SimFrontend`]); `build_threaded()` (from [`runtime`])
-//! executes the identical deployment on one OS thread per node.
+//! executes the identical deployment on one OS thread per node (a
+//! [`Runtime`]).
 //!
 //! ## Quickstart
 //!
@@ -81,4 +82,4 @@ pub use hat_core::{
     ClusterSpec, DeploymentBuilder, Frontend, HatError, ProtocolEngine, ProtocolKind, RetryPolicy,
     Session, SessionLevel, SessionOptions, SimFrontend, TxnCtx,
 };
-pub use hat_runtime::{BuildThreaded, RuntimeConfig, RuntimeFrontend};
+pub use hat_runtime::{BuildThreaded, Runtime, RuntimeConfig};

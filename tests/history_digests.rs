@@ -361,7 +361,7 @@ fn check_column(column: usize, run: impl Fn(ProtocolKind) -> Vec<TxnRecord>) {
 fn on_both_backends(
     kind: ProtocolKind,
     sim: fn(&mut hatdb::SimFrontend) -> Vec<TxnRecord>,
-    threaded: fn(&mut hatdb::RuntimeFrontend) -> Vec<TxnRecord>,
+    threaded: fn(&mut hatdb::Runtime) -> Vec<TxnRecord>,
 ) -> Vec<TxnRecord> {
     let on_sim = sim(&mut single_dc(kind).build());
     let on_threads = threaded(&mut single_dc(kind).build_threaded(RuntimeConfig::default()));
