@@ -29,9 +29,10 @@ fn main() {
     let count = t.count_hat_combinations();
     println!("# achievable (HA + sticky) combination count");
     println!(
-        "non-empty antichains of the 11 achievable models: {count} \
-         (paper caption: \"144 possible HAT combinations\"; the paper does \
-         not state its counting convention — see EXPERIMENTS.md)"
+        "non-empty antichains of the 12 achievable models (Read Atomic \
+         included): {count} (paper caption: \"144 possible HAT \
+         combinations\", under a counting convention the paper does not \
+         state)"
     );
     println!();
 

@@ -26,13 +26,55 @@ use crate::server::Server;
 use crate::txn::TxnRecord;
 use hat_obs::ObsSink;
 use hat_sim::{
-    Engine, EngineConfig, LatencyModel, NodeId, Partition, PartitionSchedule, SimDuration, SimTime,
-    Topology,
+    Engine, EngineConfig, LatencyModel, NetHop, NodeId, Partition, PartitionSchedule, SimDuration,
+    SimTime, Topology,
 };
 use hat_storage::{DurableStore, Key, MemStore, Store, SyncPolicy, VersionStamp, Wal};
 use hat_trace::{DropReason, TraceEvent, TraceEventKind, TraceSink};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The one translation of network hops into trace events, installed on
+/// every engine of both backends when tracing is on. Network-level events
+/// come from the substrate, not the actors: the engine reports every
+/// send, delivery and drop, recorded under the sender (the receiver for a
+/// delivery or a crash drop). The hook is rng-neutral, so enabling it
+/// cannot perturb a seeded run.
+pub fn net_tracer(sink: TraceSink) -> impl FnMut(SimTime, NodeId, NodeId, &Msg, NetHop) {
+    move |t, from, to, msg, hop| {
+        let kind = match hop {
+            NetHop::Send => TraceEventKind::MsgSend {
+                from,
+                to,
+                label: msg.label(),
+                bytes: msg.approx_bytes(),
+            },
+            NetHop::Deliver => TraceEventKind::MsgRecv {
+                from,
+                to,
+                label: msg.label(),
+                bytes: msg.approx_bytes(),
+            },
+            NetHop::DropPartition => TraceEventKind::MsgDrop {
+                from,
+                to,
+                label: msg.label(),
+                reason: DropReason::Partition,
+            },
+            NetHop::DropCrash => TraceEventKind::MsgDrop {
+                from,
+                to,
+                label: msg.label(),
+                reason: DropReason::Crashed,
+            },
+        };
+        let node = match hop {
+            NetHop::Deliver | NetHop::DropCrash => to,
+            NetHop::Send | NetHop::DropPartition => from,
+        };
+        sink.record(t.as_micros(), node, kind);
+    }
+}
 
 /// Builder for a HAT deployment, parameterized by protocol and — at
 /// `build` time — by execution backend.
@@ -183,44 +225,7 @@ impl DeploymentBuilder {
             self.try_build_parts()?;
         let mut engine = Engine::new(engine_config, topology, actors);
         if trace.is_enabled() {
-            // Network-level events come from the substrate, not the
-            // actors: the engine reports every send/deliver/drop and the
-            // closure translates them into trace vocabulary. The hook is
-            // rng-neutral, so enabling it cannot perturb a seeded run.
-            let sink = trace.clone();
-            engine.set_net_tracer(move |t, from, to, msg: &Msg, hop| {
-                let kind = match hop {
-                    hat_sim::NetHop::Send => TraceEventKind::MsgSend {
-                        from,
-                        to,
-                        label: msg.label(),
-                        bytes: msg.approx_bytes(),
-                    },
-                    hat_sim::NetHop::Deliver => TraceEventKind::MsgRecv {
-                        from,
-                        to,
-                        label: msg.label(),
-                        bytes: msg.approx_bytes(),
-                    },
-                    hat_sim::NetHop::DropPartition => TraceEventKind::MsgDrop {
-                        from,
-                        to,
-                        label: msg.label(),
-                        reason: DropReason::Partition,
-                    },
-                    hat_sim::NetHop::DropCrash => TraceEventKind::MsgDrop {
-                        from,
-                        to,
-                        label: msg.label(),
-                        reason: DropReason::Crashed,
-                    },
-                };
-                let node = match hop {
-                    hat_sim::NetHop::Deliver | hat_sim::NetHop::DropCrash => to,
-                    _ => from,
-                };
-                sink.record(t.as_micros(), node, kind);
-            });
+            engine.set_net_tracer(net_tracer(trace.clone()));
         }
         Ok(SimFrontend {
             engine,

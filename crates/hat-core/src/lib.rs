@@ -64,7 +64,7 @@ pub mod taxonomy;
 pub mod timestamp;
 pub mod txn;
 
-pub use api::{DeploymentBuilder, SimFrontend};
+pub use api::{net_tracer, DeploymentBuilder, SimFrontend};
 pub use client::{Client, ClientCmd, ClientCore, ClientReply, SessionLevel, SessionOptions};
 pub use cluster::{ClusterLayout, ClusterSpec};
 pub use config::{ProtocolKind, ReadMode, RetryPolicy, ServiceModel, SystemConfig};

@@ -49,18 +49,6 @@ impl Node {
             Node::Server(_) => None,
         }
     }
-
-    /// True while the node holds a write its durability barrier has not
-    /// covered (see [`Server::needs_flush`]); never true of a client.
-    pub fn needs_flush(&self) -> bool {
-        self.as_server().is_some_and(Server::needs_flush)
-    }
-
-    /// Runs the node's durability barrier (see [`Server::flush`]); a
-    /// client has nothing to make durable.
-    pub fn flush(&mut self) -> hat_storage::error::Result<()> {
-        self.as_server_mut().map_or(Ok(()), Server::flush)
-    }
 }
 
 impl Actor for Node {
@@ -85,5 +73,17 @@ impl Actor for Node {
             Node::Server(s) => s.on_timer(ctx, timer),
             Node::Client(c) => c.on_timer(ctx, timer),
         }
+    }
+
+    /// True while the node holds a write its durability barrier has not
+    /// covered (see [`Server::needs_flush`]); never true of a client.
+    fn needs_flush(&self) -> bool {
+        self.as_server().is_some_and(Server::needs_flush)
+    }
+
+    /// Runs the node's durability barrier (see [`Server::flush`]); a
+    /// client has nothing to make durable.
+    fn flush(&mut self) -> bool {
+        self.as_server_mut().is_none_or(|s| s.flush().is_ok())
     }
 }

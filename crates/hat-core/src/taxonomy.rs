@@ -308,12 +308,12 @@ impl Taxonomy {
     /// Counts the antichains of the achievable sub-order, *excluding*
     /// the empty set.
     ///
-    /// The paper's Figure 2 caption says the diagram "depicts 144
-    /// possible HAT combinations" without defining the counting
-    /// convention; with our (semantically faithful) edge set the
-    /// non-empty antichain count is 182. Both numbers are reported by
-    /// the `exp_fig2` experiment; the discrepancy is discussed in
-    /// EXPERIMENTS.md.
+    /// Over the 12 achievable models — the paper's 11 plus the RAMP
+    /// follow-up's Read Atomic — and this module's edge set, the
+    /// non-empty antichains number 239. The paper's Figure 2 caption says
+    /// the diagram "depicts 144 possible HAT combinations" under a
+    /// counting convention the paper does not state, so the two numbers
+    /// are not expected to agree; `exp_fig2` prints both.
     pub fn count_hat_combinations(&self) -> usize {
         self.hat_antichains().len()
     }

@@ -2,13 +2,13 @@
 //! by [`Runtime::spawn`] or [`BuildThreaded::build_threaded`] and driven
 //! through [`hat_core::Frontend`].
 
-use crate::node_loop::{run_node, since, Envelope, InteractivePort, Router};
+use crate::node_loop::{run_node, Envelope, InteractivePort, Router};
 use hat_core::{
     ClientCmd, ClientMetrics, ClientReply, ClusterLayout, DeploymentBuilder, Frontend, HatError,
     Node, Session, SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
 };
 use hat_obs::ObsSink;
-use hat_sim::{LatencyModel, NodeId, SimDuration, Topology};
+use hat_sim::{LatencyModel, Link, NodeId, SimDuration, SimTime, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -151,15 +151,12 @@ impl Runtime {
             (to_position as usize) < self.layout.shards_per_cluster(),
             "position {to_position} out of range"
         );
-        let at = since(self.started);
+        let at = SimTime::elapsed(self.started);
         for cluster in &self.layout.servers {
             let to = cluster[to_position as usize];
             for &s in cluster {
-                let _ = self.router.inboxes[s as usize].send(Envelope::Net {
-                    at,
-                    from: s,
-                    msg: hat_core::Msg::BeginHandoff { token, to },
-                });
+                let msg = hat_core::Msg::BeginHandoff { token, to };
+                self.router.send(at, s, s, msg);
             }
         }
     }

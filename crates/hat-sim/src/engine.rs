@@ -8,6 +8,14 @@
 //! — exactly the fault model assumed by the paper's availability
 //! definitions (a partitioned server never hears from the other side, and
 //! nothing tells the sender).
+//!
+//! The same engine is the threaded runtime's node loop; its constructor
+//! picks the clock. [`Engine::new`] is the simulator: virtual time jumps
+//! from event to event and the engine holds every node of the topology.
+//! [`Engine::wall`] runs on the wall clock and holds some of the nodes:
+//! [`Engine::run_due`] delivers whatever has fallen due as one pass under
+//! one durability barrier, every hop takes its [`Link`]'s fixed delay,
+//! and sends to the nodes it does not hold leave through that link.
 
 use crate::event::{Event, EventQueue};
 use crate::latency::LatencyModel;
@@ -16,6 +24,8 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Tag identifying a timer to the actor that set it. Tags are chosen by
 /// the actor (they need not be unique); a periodic task typically reuses
@@ -37,6 +47,30 @@ pub trait Actor {
 
     /// Invoked when a timer set through [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _timer: TimerId) {}
+
+    /// True while the actor holds a write its durability barrier has not
+    /// covered. Only a wall-clock engine asks: from the first handler of
+    /// a pass that leaves an actor so, it holds back every send until
+    /// [`Actor::flush`] has covered the pass.
+    fn needs_flush(&self) -> bool {
+        false
+    }
+
+    /// Runs the actor's durability barrier. Returns `false` if it
+    /// failed: the engine then drops the sends it was holding back.
+    fn flush(&mut self) -> bool {
+        true
+    }
+}
+
+/// A wall-clock engine's way out (see [`Engine::wall`]): the fixed delay
+/// of every hop it routes, and the road to the nodes it does not hold.
+pub trait Link<M> {
+    /// One-way delay of a hop from `from` to `to`.
+    fn delay(&self, from: NodeId, to: NodeId) -> SimDuration;
+
+    /// Hands `msg` to whatever holds `to`, for delivery at `at`.
+    fn send(&self, at: SimTime, from: NodeId, to: NodeId, msg: M);
 }
 
 /// The actor's handle to the simulation during a callback.
@@ -82,8 +116,8 @@ impl<'a, M> Ctx<'a, M> {
         self.rng
     }
 
-    /// Builds a detached context for external runtimes (e.g. the
-    /// threaded runtime): the caller supplies the clock and RNG and
+    /// Builds a detached context for harnesses that call an actor
+    /// without an [`Engine`]: the caller supplies the clock and RNG and
     /// collects the outputs with [`Ctx::into_outputs`] after the actor
     /// callback returns.
     pub fn detached(self_id: NodeId, now: SimTime, rng: &'a mut StdRng) -> Self {
@@ -210,11 +244,20 @@ pub enum NetHop {
 /// rng use: it observes, it must never perturb determinism.
 pub type NetTracer<M> = Box<dyn FnMut(SimTime, NodeId, NodeId, &M, NetHop)>;
 
+/// What makes an engine a wall-clock engine (see [`Engine::wall`]).
+struct Wall<M> {
+    epoch: Instant,
+    link: Arc<dyn Link<M>>,
+}
+
 /// The simulation engine: owns the actors, the clock, the event queue and
 /// the network model.
 pub struct Engine<A: Actor> {
     topology: Topology,
     actors: Vec<A>,
+    /// Node id of `actors[0]`: the engine holds the nodes
+    /// `first..first + actors.len()`.
+    first: NodeId,
     queue: EventQueue<A::Msg>,
     now: SimTime,
     rng: StdRng,
@@ -226,6 +269,15 @@ pub struct Engine<A: Actor> {
     latency_factor: f64,
     started: bool,
     net_tracer: Option<NetTracer<A::Msg>>,
+    wall: Option<Wall<A::Msg>>,
+    /// True while [`Engine::run_due`] runs a pass: its handlers leave
+    /// the durability barrier to the pass.
+    in_pass: bool,
+    /// From the pass's first handler that leaves its actor
+    /// [`Actor::needs_flush`] on, the sends the pass holds back, by
+    /// sender.
+    #[allow(clippy::type_complexity)]
+    held: Option<Vec<(NodeId, Vec<(SimDuration, NodeId, A::Msg)>)>>,
 }
 
 impl<A: Actor> Engine<A> {
@@ -245,6 +297,7 @@ impl<A: Actor> Engine<A> {
         Engine {
             topology,
             actors,
+            first: 0,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng,
@@ -254,6 +307,33 @@ impl<A: Actor> Engine<A> {
             latency_factor: 1.0,
             started: false,
             net_tracer: None,
+            wall: None,
+            in_pass: false,
+            held: None,
+        }
+    }
+
+    /// Creates an engine on the wall clock that holds `actors` as the
+    /// nodes `first..first + actors.len()`: the threaded runtime's node
+    /// loop. Time is the microseconds elapsed since `epoch`, and events
+    /// fall due as it passes ([`Engine::run_due`] delivers them). Every
+    /// hop takes `link`'s delay, so no latency is sampled and `rng` is
+    /// the actors' alone; a send to a node this engine does not hold
+    /// leaves through `link`.
+    pub fn wall(
+        epoch: Instant,
+        first: NodeId,
+        actors: Vec<A>,
+        rng: StdRng,
+        link: Arc<dyn Link<A::Msg>>,
+    ) -> Self {
+        Engine {
+            faults: vec![NodeFault::default(); actors.len()],
+            actors,
+            first,
+            rng,
+            wall: Some(Wall { epoch, link }),
+            ..Engine::new(EngineConfig::default(), Topology::new(), Vec::new())
         }
     }
 
@@ -267,9 +347,18 @@ impl<A: Actor> Engine<A> {
         self.net_tracer = Some(Box::new(tracer));
     }
 
-    /// Current simulated time.
+    /// Current time: simulated, or the wall clock's on a wall-clock
+    /// engine.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.wall
+            .as_ref()
+            .map_or(self.now, |wall| SimTime::elapsed(wall.epoch))
+    }
+
+    /// Reads the wall clock into `now` on a wall-clock engine; simulated
+    /// time moves only with the events.
+    fn tick(&mut self) {
+        self.now = self.now();
     }
 
     /// Network statistics so far.
@@ -300,9 +389,19 @@ impl<A: Actor> Engine<A> {
         self.latency_factor
     }
 
+    /// Index of node `id` among the actors this engine holds.
+    fn slot(&self, id: NodeId) -> usize {
+        (id - self.first) as usize
+    }
+
+    /// True if this engine holds node `id`.
+    fn holds(&self, id: NodeId) -> bool {
+        id >= self.first && self.slot(id) < self.actors.len()
+    }
+
     /// Fault counters attributed to `node`.
     pub fn fault_stats(&self, node: NodeId) -> NodeFaultStats {
-        let f = &self.faults[node as usize];
+        let f = &self.faults[self.slot(node)];
         NodeFaultStats {
             dropped_by_partition: f.dropped_by_partition,
             dropped_by_crash: f.dropped_by_crash,
@@ -313,7 +412,7 @@ impl<A: Actor> Engine<A> {
     /// True while `node` is crashed (between [`Engine::crash`] and
     /// [`Engine::restart_with`]).
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.faults[node as usize].crashed
+        self.faults[self.slot(node)].crashed
     }
 
     /// Crashes `node`: from now until restart, messages addressed to it
@@ -325,7 +424,8 @@ impl<A: Actor> Engine<A> {
     /// # Panics
     /// Panics if `node` is already crashed.
     pub fn crash(&mut self, node: NodeId) {
-        let f = &mut self.faults[node as usize];
+        let slot = self.slot(node);
+        let f = &mut self.faults[slot];
         assert!(!f.crashed, "node {node} is already crashed");
         f.crashed = true;
         f.crashes += 1;
@@ -339,11 +439,12 @@ impl<A: Actor> Engine<A> {
     /// # Panics
     /// Panics if `node` is not crashed.
     pub fn restart_with(&mut self, node: NodeId, actor: A) {
-        let f = &mut self.faults[node as usize];
+        let slot = self.slot(node);
+        let f = &mut self.faults[slot];
         assert!(f.crashed, "restart_with requires a crashed node");
         f.crashed = false;
         f.gen += 1;
-        self.actors[node as usize] = actor;
+        self.actors[slot] = actor;
         if self.started {
             self.invoke(node, |actor, ctx| actor.on_start(ctx));
         }
@@ -356,13 +457,19 @@ impl<A: Actor> Engine<A> {
 
     /// Immutable access to an actor.
     pub fn actor(&self, id: NodeId) -> &A {
-        &self.actors[id as usize]
+        &self.actors[self.slot(id)]
     }
 
     /// Mutable access to an actor (for inspection or test injection
     /// between runs; mutations take effect before the next event).
     pub fn actor_mut(&mut self, id: NodeId) -> &mut A {
-        &mut self.actors[id as usize]
+        let slot = self.slot(id);
+        &mut self.actors[slot]
+    }
+
+    /// Consumes the engine, returning the actors it holds.
+    pub fn into_actors(self) -> Vec<A> {
+        self.actors
     }
 
     /// The node topology.
@@ -375,30 +482,37 @@ impl<A: Actor> Engine<A> {
             return;
         }
         self.started = true;
-        for id in 0..self.actors.len() as NodeId {
+        for id in self.first..self.first + self.actors.len() as NodeId {
             self.invoke(id, |actor, ctx| actor.on_start(ctx));
         }
     }
 
-    /// Runs a single actor callback, then routes its outputs.
+    /// Runs a single actor callback, then routes its outputs — or, in a
+    /// pass that is holding, holds its sends.
     fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
-        let gen = self.faults[id as usize].gen;
+        self.tick();
+        let slot = self.slot(id);
+        let gen = self.faults[slot].gen;
         let mut ctx = Ctx {
             self_id: id,
             now: self.now,
             rng: &mut self.rng,
             outbox: Vec::new(),
             timer_requests: Vec::new(),
-            barrier_deferred: false,
+            barrier_deferred: self.in_pass,
         };
-        f(&mut self.actors[id as usize], &mut ctx);
+        f(&mut self.actors[slot], &mut ctx);
         let Ctx {
             outbox,
             timer_requests,
             ..
         } = ctx;
-        for (hold, to, msg) in outbox {
-            self.route(id, to, msg, hold);
+        if self.in_pass && (self.held.is_some() || self.actors[slot].needs_flush()) {
+            self.held.get_or_insert_with(Vec::new).push((id, outbox));
+        } else {
+            for (hold, to, msg) in outbox {
+                self.route(id, to, msg, hold);
+            }
         }
         for (delay, tag) in timer_requests {
             self.queue.push(
@@ -417,7 +531,10 @@ impl<A: Actor> Engine<A> {
         let release = self.now + hold;
         if self.config.partitions.blocks(from, to, release) {
             self.stats.dropped += 1;
-            self.faults[to as usize].dropped_by_partition += 1;
+            if self.holds(to) {
+                let slot = self.slot(to);
+                self.faults[slot].dropped_by_partition += 1;
+            }
             if let Some(t) = self.net_tracer.as_mut() {
                 t(self.now, from, to, &msg, NetHop::DropPartition);
             }
@@ -426,7 +543,9 @@ impl<A: Actor> Engine<A> {
         if let Some(t) = self.net_tracer.as_mut() {
             t(self.now, from, to, &msg, NetHop::Send);
         }
-        let latency = if from == to {
+        let latency = if let Some(wall) = &self.wall {
+            wall.link.delay(from, to)
+        } else if from == to {
             SimDuration::from_micros((self.config.latency.local_rtt_ms * 500.0) as u64)
         } else {
             let a = self.topology.site(from);
@@ -438,8 +557,12 @@ impl<A: Actor> Engine<A> {
                 sampled
             }
         };
-        self.queue
-            .push(release + latency, Event::Deliver { to, from, msg });
+        if self.holds(to) {
+            self.enqueue(release + latency, from, to, msg);
+        } else {
+            let wall = self.wall.as_ref().expect("a simulator holds every node");
+            wall.link.send(release + latency, from, to, msg);
+        }
     }
 
     /// Invokes a callback on actor `id` with a full [`Ctx`], outside of
@@ -457,6 +580,12 @@ impl<A: Actor> Engine<A> {
         out.expect("callback always runs")
     }
 
+    /// Queues `msg` from `from` for the held node `to` at `at`: how a send
+    /// that left another engine through its [`Link`] arrives.
+    pub fn enqueue(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: A::Msg) {
+        self.queue.push(at, Event::Deliver { to, from, msg });
+    }
+
     /// Processes the next event, if any. Returns `false` when the queue is
     /// exhausted.
     pub fn step(&mut self) -> bool {
@@ -466,6 +595,13 @@ impl<A: Actor> Engine<A> {
         };
         debug_assert!(time >= self.now, "time must not run backwards");
         self.now = time;
+        self.fire(event);
+        true
+    }
+
+    /// Delivers a message or fires a timer, unless a crash swallows it.
+    fn fire(&mut self, event: Event<A::Msg>) {
+        self.tick();
         match event {
             Event::Deliver { to, from, msg } => {
                 // A message in flight toward a crashed node is lost at
@@ -473,13 +609,14 @@ impl<A: Actor> Engine<A> {
                 // is gone). Messages sent before the crash but arriving
                 // after a restart are delivered — that's a delayed
                 // packet, which real networks produce too.
-                if self.faults[to as usize].crashed {
+                let slot = self.slot(to);
+                if self.faults[slot].crashed {
                     self.stats.dropped += 1;
-                    self.faults[to as usize].dropped_by_crash += 1;
+                    self.faults[slot].dropped_by_crash += 1;
                     if let Some(t) = self.net_tracer.as_mut() {
                         t(self.now, from, to, &msg, NetHop::DropCrash);
                     }
-                    return true;
+                    return;
                 }
                 self.stats.delivered += 1;
                 if let Some(t) = self.net_tracer.as_mut() {
@@ -491,13 +628,46 @@ impl<A: Actor> Engine<A> {
                 // Timers die with their incarnation: swallowed while the
                 // node is down, and never delivered to a later
                 // incarnation (the restart's `on_start` arms its own).
-                if self.faults[node as usize].crashed || self.faults[node as usize].gen != gen {
-                    return true;
+                let fault = self.faults[self.slot(node)];
+                if fault.crashed || fault.gen != gen {
+                    return;
                 }
                 self.invoke(node, |actor, ctx| actor.on_timer(ctx, timer));
             }
         }
-        true
+    }
+
+    /// Runs one pass on the wall clock: delivers every message and fires
+    /// every timer due by now, as one group commit. The pass runs the
+    /// actors' durability barrier once, in place of every handler running
+    /// its own. Sends queued while the actors are clean leave as they are
+    /// produced; from the first handler that leaves an actor holding an
+    /// unsynced write they are held — read replies and replication
+    /// pushes too, they can expose the write — and released in order once
+    /// the barrier has covered the pass. Timers are never held. The batch
+    /// is whatever fell due while the previous barrier was in flight;
+    /// actors on a volatile store never hold anything.
+    pub fn run_due(&mut self) {
+        self.ensure_started();
+        let now = self.now();
+        self.in_pass = true;
+        while self.queue.peek_time().is_some_and(|t| t <= now) {
+            let (_, event) = self.queue.pop().expect("the head was peeked");
+            self.fire(event);
+        }
+        self.in_pass = false;
+        // A failed barrier drops what it was holding back: the actor then
+        // looks unreachable instead of acknowledging writes it may lose.
+        if let Some(held) = self.held.take() {
+            if self.actors.iter_mut().all(A::flush) {
+                self.tick();
+                for (from, sends) in held {
+                    for (hold, to, msg) in sends {
+                        self.route(from, to, msg, hold);
+                    }
+                }
+            }
+        }
     }
 
     /// Runs until the queue is empty or simulated time would exceed
@@ -535,6 +705,7 @@ mod tests {
     use crate::latency::Region;
     use crate::partition::Partition;
     use crate::topology::Site;
+    use rand::Rng;
 
     /// A ping-pong actor: node 0 starts, each node replies up to `budget`
     /// times, recording delivery times.
@@ -816,5 +987,151 @@ mod tests {
         assert_eq!(engine.now(), SimTime::from_millis(1));
         engine.run_until(SimTime::from_secs(10));
         assert!(!engine.actor(1).deliveries.is_empty());
+    }
+
+    /// What a wall-clock test engine's link and actor saw, in order.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        /// A send left through the link: `(at, from, to, msg)`.
+        Sent(SimTime, NodeId, NodeId, u32),
+        /// The actor ran its barrier, with this outcome.
+        Flush(bool),
+    }
+
+    type Log = Arc<std::sync::Mutex<Vec<Seen>>>;
+
+    /// A link whose every hop takes `DELAY` and which records each send.
+    struct Recorder(Log);
+
+    const DELAY: SimDuration = SimDuration::from_micros(500);
+    const HOLD: SimDuration = SimDuration::from_micros(300);
+    /// A node no test engine holds.
+    const REMOTE: NodeId = 9;
+
+    impl Link<u32> for Recorder {
+        fn delay(&self, _from: NodeId, _to: NodeId) -> SimDuration {
+            DELAY
+        }
+        fn send(&self, at: SimTime, from: NodeId, to: NodeId, msg: u32) {
+            self.0.lock().unwrap().push(Seen::Sent(at, from, to, msg));
+        }
+    }
+
+    /// A node with a toy barrier: message `m` is answered with `m` to
+    /// [`REMOTE`] after [`HOLD`]; an odd `m` is a write, which leaves the
+    /// node dirty until a flush succeeds, and arms timer `m`.
+    struct Durable {
+        log: Log,
+        flush_ok: bool,
+        dirty: bool,
+        /// `(now, barrier deferred)` at each message.
+        handled: Vec<(SimTime, bool)>,
+        fired: Vec<TimerId>,
+    }
+
+    impl Actor for Durable {
+        type Msg = u32;
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, m: u32) {
+            self.handled.push((ctx.now(), ctx.barrier_deferred()));
+            if m % 2 == 1 {
+                self.dirty = true;
+                ctx.set_timer(SimDuration::ZERO, m.into());
+            }
+            ctx.send_after(HOLD, REMOTE, m);
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, timer: TimerId) {
+            self.fired.push(timer);
+        }
+
+        fn needs_flush(&self) -> bool {
+            self.dirty
+        }
+
+        fn flush(&mut self) -> bool {
+            self.log.lock().unwrap().push(Seen::Flush(self.flush_ok));
+            self.dirty &= !self.flush_ok;
+            self.flush_ok
+        }
+    }
+
+    /// A wall-clock engine holding one [`Durable`] as node 0, with
+    /// messages `msgs` from [`REMOTE`] already due.
+    fn wall_engine(flush_ok: bool, msgs: &[u32]) -> (Engine<Durable>, Log) {
+        let log = Log::default();
+        let node = Durable {
+            log: Arc::clone(&log),
+            flush_ok,
+            dirty: false,
+            handled: Vec::new(),
+            fired: Vec::new(),
+        };
+        let link = Arc::new(Recorder(Arc::clone(&log)));
+        let rng = StdRng::seed_from_u64(5);
+        let mut engine = Engine::wall(Instant::now(), 0, vec![node], rng, link);
+        for &m in msgs {
+            engine.enqueue(SimTime::ZERO, REMOTE, 0, m);
+        }
+        (engine, log)
+    }
+
+    #[test]
+    fn a_pass_holds_sends_from_its_first_dirty_handler_until_its_flush() {
+        // 0 is a read, 1 a write, 2 a read that could expose the write.
+        let (mut engine, log) = wall_engine(true, &[0, 1, 2]);
+        engine.run_due();
+        let seen = log.lock().unwrap();
+        assert!(
+            matches!(
+                seen[..],
+                [
+                    Seen::Sent(_, 0, REMOTE, 0),
+                    Seen::Flush(true),
+                    Seen::Sent(_, 0, REMOTE, 1),
+                    Seen::Sent(_, 0, REMOTE, 2),
+                ]
+            ),
+            "one barrier, after the clean send and before the rest: {seen:?}"
+        );
+        let node = engine.actor(0);
+        assert!(node.handled.iter().all(|&(_, deferred)| deferred));
+        assert!(!node.dirty);
+        // Outside a pass the actor runs its own barrier.
+        engine.with_actor_ctx(0, |_, ctx| assert!(!ctx.barrier_deferred()));
+    }
+
+    #[test]
+    fn a_failed_flush_drops_the_held_sends_and_keeps_the_timers() {
+        let (mut engine, log) = wall_engine(false, &[0, 1, 2]);
+        engine.run_due();
+        while engine.actor(0).fired.is_empty() {
+            engine.run_due();
+        }
+        assert_eq!(engine.actor(0).fired, vec![1]);
+        let seen = log.lock().unwrap();
+        assert!(
+            matches!(
+                seen[..],
+                [Seen::Sent(_, 0, REMOTE, 0), Seen::Flush(false), ..]
+            ),
+            "{seen:?}"
+        );
+        let sent = seen.iter().filter(|s| matches!(s, Seen::Sent(..))).count();
+        assert_eq!(sent, 1, "a held send leaked: {seen:?}");
+    }
+
+    #[test]
+    fn a_send_to_a_node_the_engine_does_not_hold_takes_the_link() {
+        let (mut engine, log) = wall_engine(true, &[4]);
+        engine.run_due();
+        let (now, _) = engine.actor(0).handled[0];
+        assert_eq!(
+            log.lock().unwrap()[..],
+            [Seen::Sent(now + HOLD + DELAY, 0, REMOTE, 4)]
+        );
+        // Nothing was sampled: the rng is where the seed left it.
+        let drawn: u64 = engine.rng.gen();
+        assert_eq!(drawn, StdRng::seed_from_u64(5).gen::<u64>());
     }
 }

@@ -15,7 +15,9 @@
 //! * [`topology`] — sites (region + availability zone) and node placement.
 //! * [`engine`] — the simulation engine: actors exchange messages and
 //!   timers; delivery latency is drawn from the latency model and messages
-//!   crossing an active partition are dropped.
+//!   crossing an active partition are dropped. Built on the wall clock
+//!   instead ([`Engine::wall`]), the same engine is each node thread of
+//!   the threaded runtime.
 //!
 //! Everything is deterministic given a seed: two runs with identical
 //! configuration produce identical histories, which the test suite relies
@@ -31,7 +33,7 @@ pub mod time;
 pub mod topology;
 
 pub use engine::{
-    Actor, Ctx, Engine, EngineConfig, NetHop, NetStats, NetTracer, NodeFaultStats, TimerId,
+    Actor, Ctx, Engine, EngineConfig, Link, NetHop, NetStats, NetTracer, NodeFaultStats, TimerId,
 };
 pub use event::{Event, EventQueue};
 pub use latency::{LatencyModel, LinkClass, Region, RegionPair, ALL_REGIONS};

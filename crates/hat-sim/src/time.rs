@@ -6,6 +6,7 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::time::Instant;
 
 /// An instant in simulated time, in microseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -42,6 +43,12 @@ impl SimTime {
     /// This instant expressed in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
+    }
+
+    /// Wall-clock time elapsed since `epoch`: the clock of an engine
+    /// built by [`crate::Engine::wall`].
+    pub fn elapsed(epoch: Instant) -> Self {
+        SimTime(epoch.elapsed().as_micros() as u64)
     }
 
     /// Duration elapsed since `earlier`, saturating to zero.

@@ -33,6 +33,15 @@
 # and nowhere else in crates/*/src or src/: the simulator and the threaded
 # runtime's node threads both schedule on hat_sim::EventQueue (ordered by
 # time, then insertion), so no second scheduler can grow beside it.
+#
+# Outside test modules, `Ctx::detached(` is called in
+# crates/hat-sim/src/engine.rs and nowhere else in crates/*/src or src/:
+# hat_sim::Engine is the only library code that calls actor callbacks. The
+# simulator and every threaded-runtime node thread (a wall-clock Engine)
+# share its delivery, timer, routing and tracing, so no second dispatch
+# loop can grow beside it. Tests and the bench's inline harness
+# (bench/src/inline.rs, outside this script's reach) may still drive an
+# actor by hand.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,9 +83,14 @@ if hits=$(grep -rnE '\b(issue_read|issue_read_many|issue_write|issue_scan|start_
     status=1
 fi
 while IFS= read -r f; do
-    [ "$f" = crates/hat-sim/src/event.rs ] && continue
-    if hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'BinaryHeap'); then
+    body=$(sed '/#\[cfg(test)\]/,$d' "$f")
+    if [ "$f" != crates/hat-sim/src/event.rs ] && hits=$(grep -n 'BinaryHeap' <<<"$body"); then
         echo "$f names BinaryHeap outside crates/hat-sim/src/event.rs:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+    if [ "$f" != crates/hat-sim/src/engine.rs ] && hits=$(grep -n 'Ctx::detached(' <<<"$body"); then
+        echo "$f calls an actor outside crates/hat-sim/src/engine.rs:" >&2
         echo "$hits" >&2
         status=1
     fi
