@@ -125,7 +125,7 @@ pub fn bottom() -> SharedRecord {
 }
 
 /// Wire bytes of a record's sibling (write-set) metadata — the quantity
-/// Figure 4 plots and `exp_ramp` compares across engines.
+/// Figure 4 plots and `hat-experiments ramp` compares across engines.
 pub fn sibling_bytes(record: &Record) -> u64 {
     record.siblings.iter().map(|s| 4 + s.len() as u64).sum()
 }

@@ -23,7 +23,7 @@ pub struct ClientMetrics {
     /// Client→server message rounds issued (every request round trip
     /// the client waits on: reads, timestamp reads, version fetches,
     /// write/commit phases, scans, locks). The coordination-cost
-    /// denominator for comparing protocols in `exp_ramp`.
+    /// denominator for comparing protocols in `hat-experiments ramp`.
     pub msg_rounds: u64,
     /// Second-round repair fetches (RAMP-Fast fracture repairs; 0 for
     /// engines without reader-side repair). RAMP-Small's unconditional

@@ -187,7 +187,7 @@ impl RampCore {
     /// one read's service time — the release happens inside another
     /// request's apply, but the read itself is not free (without the
     /// hold, repair latencies under contention would be understated in
-    /// exactly the comparison `exp_ramp` makes).
+    /// exactly the comparison `hat-experiments ramp` makes).
     fn release_parked(
         &mut self,
         view: &ServerView<'_>,

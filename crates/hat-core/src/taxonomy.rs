@@ -313,7 +313,7 @@ impl Taxonomy {
     /// non-empty antichains number 239. The paper's Figure 2 caption says
     /// the diagram "depicts 144 possible HAT combinations" under a
     /// counting convention the paper does not state, so the two numbers
-    /// are not expected to agree; `exp_fig2` prints both.
+    /// are not expected to agree; `hat-experiments fig2` prints both.
     pub fn count_hat_combinations(&self) -> usize {
         self.hat_antichains().len()
     }

@@ -4,6 +4,9 @@
 //! YCSB drivers, runs for a simulated duration, and reports throughput
 //! and latency aggregates — the series plotted in Figures 3–6.
 
+use std::fmt::Display;
+
+use crate::report::Table;
 use hat_core::client::TxnSource;
 use hat_core::{ClusterSpec, DeploymentBuilder, Frontend, ProtocolKind, SystemConfig};
 use hat_sim::SimDuration;
@@ -26,28 +29,11 @@ pub struct YcsbRunConfig {
     pub seed: u64,
 }
 
-impl YcsbRunConfig {
-    /// The paper's §6.3 defaults on a given deployment: 100k keys, 1 KB
-    /// values, 8 ops/txn, 50% reads.
-    pub fn paper_defaults(protocol: ProtocolKind, spec: ClusterSpec, clients: usize) -> Self {
-        YcsbRunConfig {
-            protocol,
-            spec,
-            clients,
-            ycsb: YcsbConfig::default(),
-            duration: SimDuration::from_secs(2),
-            seed: 0xEC2,
-        }
-    }
-}
-
 /// Aggregated result of one run.
 #[derive(Debug, Clone)]
 pub struct YcsbRunResult {
     /// Protocol measured.
     pub protocol: ProtocolKind,
-    /// Client count.
-    pub clients: usize,
     /// Committed transactions per simulated second.
     pub throughput_tps: f64,
     /// Committed operations per simulated second.
@@ -62,8 +48,6 @@ pub struct YcsbRunResult {
     pub p99_latency_ms: f64,
     /// 99.9th percentile transaction latency, ms.
     pub p999_latency_ms: f64,
-    /// Maximum observed transaction latency, ms.
-    pub max_latency_ms: f64,
     /// Transactions committed in the window.
     pub committed: u64,
     /// Client→server message rounds issued (coordination cost).
@@ -96,7 +80,6 @@ pub fn run_ycsb(cfg: &YcsbRunConfig) -> YcsbRunResult {
     let p = m.commit_percentiles();
     YcsbRunResult {
         protocol: cfg.protocol,
-        clients: cfg.clients,
         throughput_tps: m.committed as f64 / secs,
         throughput_ops: m.committed as f64 * ops_per_txn / secs,
         mean_latency_ms: m.txn_latency_ms.mean(),
@@ -104,7 +87,6 @@ pub fn run_ycsb(cfg: &YcsbRunConfig) -> YcsbRunResult {
         p95_latency_ms: m.txn_latency_ms.quantile(0.95).min(p.max),
         p99_latency_ms: p.p99,
         p999_latency_ms: p.p999,
-        max_latency_ms: p.max,
         committed: m.committed,
         msg_rounds: m.msg_rounds,
         repair_rounds: m.repair_rounds,
@@ -112,25 +94,116 @@ pub fn run_ycsb(cfg: &YcsbRunConfig) -> YcsbRunResult {
     }
 }
 
-/// Formats a result as an aligned table row.
-pub fn row(r: &YcsbRunResult) -> String {
-    format!(
-        "{:10} {:>8} {:>12.0} {:>12.0} {:>12.2} {:>12.2}",
-        r.protocol.label(),
-        r.clients,
-        r.throughput_tps,
-        r.throughput_ops,
-        r.mean_latency_ms,
-        r.p95_latency_ms
-    )
+/// Every protocol run at every point of one axis: the loop behind
+/// Figures 3–6 and the RAMP comparison.
+pub struct Sweep<T> {
+    /// The axis' name, the first column of [`Sweep::table`].
+    pub axis: &'static str,
+    /// The axis' points.
+    pub points: Vec<T>,
+    /// `results[point][protocol]`, in the order the protocols were given.
+    pub results: Vec<Vec<YcsbRunResult>>,
 }
 
-/// Table header matching [`row`].
-pub fn header() -> String {
-    format!(
-        "{:10} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "protocol", "clients", "txn/s", "ops/s", "mean ms", "p95 ms"
-    )
+impl<T: Copy> Sweep<T> {
+    /// Runs the sweep. Each run starts from the paper's §6.3 defaults — two
+    /// five-server clusters (Virginia + Oregon), 128 clients, 100 000 keys,
+    /// 1 KB values, 8 operations per transaction, 50% reads, a 2 s window —
+    /// halved to a 1 s window under `smoke` (shorter windows hide the
+    /// anti-entropy storm and change the figures' verdicts); `tweak` then
+    /// sets the point.
+    pub fn run(
+        axis: &'static str,
+        points: &[T],
+        protocols: &[ProtocolKind],
+        smoke: bool,
+        tweak: impl Fn(&mut YcsbRunConfig, T),
+    ) -> Sweep<T> {
+        let run = |point, protocol| {
+            let mut cfg = YcsbRunConfig {
+                protocol,
+                spec: ClusterSpec::va_or(5),
+                clients: 128,
+                ycsb: YcsbConfig::default(),
+                duration: SimDuration::from_millis(if smoke { 1000 } else { 2000 }),
+                seed: 0xEC2,
+            };
+            tweak(&mut cfg, point);
+            run_ycsb(&cfg)
+        };
+        let results = points
+            .iter()
+            .map(|&point| protocols.iter().map(|&p| run(point, p)).collect())
+            .collect();
+        Sweep {
+            axis,
+            points: points.to_vec(),
+            results,
+        }
+    }
+
+    /// `f` of protocol `p`'s result at every point.
+    pub fn column(&self, p: usize, f: impl Fn(&YcsbRunResult) -> f64) -> Vec<f64> {
+        self.results.iter().map(|row| f(&row[p])).collect()
+    }
+}
+
+impl<T: Display> Sweep<T> {
+    /// One row per (point, protocol) with every metric of the run, and
+    /// throughput relative to the point's first protocol (eventual, in the
+    /// figures) and to the protocol's own first point.
+    pub fn table(&self, title: impl Into<String>) -> Table {
+        let first = format!("vs {}", self.results[0][0].protocol.label());
+        let mut table = Table::new(
+            title,
+            &[
+                (self.axis, 10),
+                ("protocol", -8),
+                ("txn/s", 7),
+                ("ops/s", 7),
+                ("mean ms", 8),
+                ("p50 ms", 8),
+                ("p95 ms", 8),
+                ("p99 ms", 8),
+                ("p999 ms", 8),
+                ("rounds/tx", 9),
+                ("meta B/tx", 9),
+                ("repairs", 7),
+                ("commits", 7),
+                (&first, 11),
+                ("vs first", 8),
+            ],
+        );
+        for (point, row) in self.points.iter().zip(&self.results) {
+            let reference = row[0].throughput_tps;
+            for (r, first) in row.iter().zip(&self.results[0]) {
+                let per_txn = |v: u64| v as f64 / r.committed.max(1) as f64;
+                let rel = if reference > 0.0 {
+                    r.throughput_tps / reference
+                } else {
+                    0.0
+                };
+                table.rows.push(vec![
+                    point.to_string(),
+                    r.protocol.label().to_string(),
+                    format!("{:.0}", r.throughput_tps),
+                    format!("{:.0}", r.throughput_ops),
+                    format!("{:.2}", r.mean_latency_ms),
+                    format!("{:.2}", r.p50_latency_ms),
+                    format!("{:.2}", r.p95_latency_ms),
+                    format!("{:.2}", r.p99_latency_ms),
+                    format!("{:.2}", r.p999_latency_ms),
+                    format!("{:.2}", per_txn(r.msg_rounds)),
+                    format!("{:.1}", per_txn(r.metadata_bytes)),
+                    r.repair_rounds.to_string(),
+                    r.committed.to_string(),
+                    format!("{:.0}%", rel * 100.0),
+                    format!("{:.2}x", r.throughput_tps / first.throughput_tps.max(1.0)),
+                ]);
+            }
+        }
+        table
+    }
 }
 
 #[cfg(test)]

@@ -382,7 +382,7 @@ impl Nemesis for Compose {
 /// crash-restart with torn WAL tails, the partition/crash/latency
 /// faults composed at once, and live shard handoffs racing the
 /// workload. The conformance suite and the
-/// `exp_nemesis` experiment binary share this catalog, so a schedule
+/// `hat-experiments nemesis` sweep share this catalog, so a schedule
 /// added here is exercised by both.
 pub fn standard_catalog() -> Vec<Box<dyn Nemesis>> {
     vec![

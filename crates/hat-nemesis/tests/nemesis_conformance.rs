@@ -17,7 +17,7 @@ const SEED: u64 = 0xBAD_CAFE;
 
 /// The canonical schedules (split-brain, rolling partition, flapping
 /// link, crash-restart with torn WAL, the composed storm, and live
-/// handoffs) — shared with `exp_nemesis` via [`standard_catalog`].
+/// handoffs) — shared with `hat-experiments nemesis` via [`standard_catalog`].
 /// Every one of them must leave a mark on every engine: dropped
 /// messages, crashes or completed handoffs.
 fn schedules() -> Vec<Box<dyn hat_nemesis::Nemesis>> {

@@ -11,7 +11,7 @@
 //!   (histograms rendered summary-style with `quantile` labels plus
 //!   `_sum`/`_count`), for eyeballing and for the CI parser check;
 //! - [`MetricsRegistry::to_json`] — a hand-rolled JSON snapshot, the
-//!   machine-readable form `exp_nemesis --json` embeds.
+//!   machine-readable form `hat-experiments nemesis --json` embeds.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

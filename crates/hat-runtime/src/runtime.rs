@@ -5,7 +5,7 @@
 use crate::node_loop::{run_node, Envelope, InteractivePort, Router};
 use hat_core::{
     ClientCmd, ClientMetrics, ClientReply, ClusterLayout, DeploymentBuilder, Frontend, HatError,
-    Node, Session, SessionOptions, SystemConfig, TraceEvent, TraceSink, TxnBackend, TxnRecord,
+    Node, Session, SessionOptions, SystemConfig, TraceSink, TxnBackend, TxnRecord,
 };
 use hat_obs::ObsSink;
 use hat_sim::{LatencyModel, Link, NodeId, SimDuration, SimTime, Topology};
@@ -184,12 +184,6 @@ impl Runtime {
         &self.trace
     }
 
-    /// Snapshot of the structured trace so far, ordered by
-    /// `(time, sequence)`. Empty when tracing is disabled.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.events()
-    }
-
     /// The deployment-wide observability sink (no-op unless
     /// `SystemConfig::obs` was enabled on the builder's configuration).
     /// The threaded runtime shares the client-fed pieces — the metrics
@@ -219,13 +213,6 @@ impl Runtime {
         }
         records.sort_by_key(|r| (r.session, r.session_seq));
         (nodes, metrics, records)
-    }
-
-    /// Fallible [`Frontend::session_metrics`]: reports an unreachable or
-    /// wedged client thread as [`HatError::Unavailable`] instead of
-    /// panicking.
-    pub fn try_session_metrics(&self, session: &Session) -> Result<ClientMetrics, HatError> {
-        self.metrics_of(session.index() as usize)
     }
 
     fn metrics_of(&self, idx: usize) -> Result<ClientMetrics, HatError> {
@@ -327,10 +314,10 @@ impl Frontend for Runtime {
     }
 
     fn session_metrics(&self, session: &Session) -> ClientMetrics {
-        // An unreachable node yields empty metrics rather than a panic:
-        // callers that must distinguish a dead thread from an idle one
-        // use `try_session_metrics`, whose error says which it was.
-        self.try_session_metrics(session).unwrap_or_default()
+        // An unreachable or wedged client thread yields empty metrics
+        // rather than a panic.
+        self.metrics_of(session.index() as usize)
+            .unwrap_or_default()
     }
 
     fn aggregate_metrics(&self) -> ClientMetrics {

@@ -23,8 +23,8 @@
 //!
 //! The crate is dependency-free on purpose: `hat-sim` and `hat-storage`
 //! stay trace-agnostic (they expose generic hooks instead), while
-//! `hat-core`, `hat-runtime`, `hat-nemesis`, and `hat-bench` link this
-//! crate directly.
+//! `hat-core` links this crate directly and re-exports its types to the
+//! crates above it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

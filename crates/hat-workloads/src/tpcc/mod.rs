@@ -5,7 +5,7 @@
 //! argues that four of the five are well served by HATs while New-Order's
 //! sequential ID assignment (and Delivery's idempotence requirement)
 //! inherently need unavailable coordination. The test suite and the
-//! `exp_tpcc` experiment reproduce each claim:
+//! `hat-experiments tpcc` experiment reproduce each claim:
 //!
 //! * Payment is monotonic (increment-only) and commutes: YTD sums
 //!   converge under any HAT protocol (Consistency Condition 1 holds

@@ -126,7 +126,7 @@ fn coordination_has_a_price() {
         v.unwrap(),
         elapsed
     );
-    // ... and under a partition 2PL simply blocks (see exp_impossibility)
+    // ... and under a partition 2PL simply blocks (see `hat-experiments impossibility`)
     let _ = HatError::Unavailable { key: None };
 }
 

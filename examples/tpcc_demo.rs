@@ -98,6 +98,6 @@ fn main() {
 
     println!();
     println!(
-        "TPC-C conditions hold under MAV on both backends (see exp_tpcc for partition anomalies)"
+        "TPC-C conditions hold under MAV on both backends (see `hat-experiments tpcc` for partition anomalies)"
     );
 }
