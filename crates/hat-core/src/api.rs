@@ -4,7 +4,8 @@
 //! partition schedules — everything about a deployment that is *not* the
 //! execution substrate. `build()` yields a [`SimFrontend`] (discrete-event
 //! simulator); `build_threaded()` from `hat-runtime` consumes the same
-//! builder and yields a `hat_runtime::Runtime` (one OS thread per node).
+//! builder and yields a `hat_runtime::Runtime` (a pool of worker threads,
+//! at most one per core).
 //! Both implement [`Frontend`], so workloads are written once.
 //!
 //! Under the simulator, transactions run synchronously from the caller's

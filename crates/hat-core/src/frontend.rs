@@ -11,8 +11,9 @@
 //!
 //! * [`crate::SimFrontend`] — the deterministic discrete-event simulator
 //!   (built by [`crate::DeploymentBuilder::build`]);
-//! * `hat_runtime::Runtime` — one OS thread per node with real channels
-//!   (built by `build_threaded` from `hat-runtime`).
+//! * `hat_runtime::Runtime` — a pool of worker threads, at most one per
+//!   core, with real channels between them (built by `build_threaded`
+//!   from `hat-runtime`).
 //!
 //! The conformance suite runs the *same* scripts through both.
 //!

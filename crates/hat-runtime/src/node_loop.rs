@@ -1,19 +1,21 @@
-//! Per-node thread: a wall-clock [`hat_sim::Engine`] holding one [`Node`].
+//! A worker thread: a wall-clock [`hat_sim::Engine`] holding a contiguous
+//! range of [`Node`]s.
 //!
 //! The engine, built by [`Engine::wall`], is the simulator's event loop
 //! on the wall clock (microseconds since the runtime's epoch): it
-//! delivers messages and fires timers as they fall due, runs the node's
-//! durability barrier once per pass (group commit), and sends to every
-//! other node through the [`Router`] after the hop's mean delay. This
-//! module adds the inbox, the park policy and the interactive port: the
+//! delivers messages and fires timers as they fall due, runs its nodes'
+//! durability barriers once per pass (group commit), queues a send to a
+//! node it holds on its own queue, and sends to every other node through
+//! the [`Router`] after the hop's mean delay. This module adds the
+//! worker's inbox, the park policy and the interactive ports: the
 //! transport of the command path both backends share. The
 //! [`crate::Runtime`] sends [`ClientCmd`]s in and gets [`ClientReply`]s
-//! back; the thread runs each through `Client::start_cmd` and
+//! back; the worker runs each through `Client::start_cmd` and
 //! `Client::finish_cmd` exactly as the simulator does, adding only a
 //! wall-clock deadline at which it abandons the transaction and replies
 //! `Failed(Unavailable)`.
 //!
-//! **Park policy:** after each pass a thread polls its inbox in a short
+//! **Park policy:** after each pass a worker polls its inbox in a short
 //! bounded spin, yielding the core between polls, and only then blocks in
 //! `recv_timeout` until the queue's head is due; the spin ends early once
 //! that head is due or the inbox is disconnected. A request/reply hop is
@@ -33,30 +35,35 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything a node thread can receive on its inbox. Interactive
-/// commands share the inbox with network traffic so their arrival wakes
-/// the blocked `recv` immediately (`std::sync::mpsc` has no `select`);
-/// a separate command channel would only be noticed on poll ticks.
+/// Everything a worker can receive on its inbox. Interactive commands
+/// share the inbox with network traffic so their arrival wakes the
+/// blocked `recv` immediately (`std::sync::mpsc` has no `select`); a
+/// separate command channel would only be noticed on poll ticks.
 #[derive(Debug)]
 pub enum Envelope {
-    /// A network message in flight: deliver `msg` from `from` at `at`.
+    /// A network message in flight: deliver `msg` from `from` to `to` at
+    /// `at`.
     Net {
         /// Delivery time, in microseconds since the runtime's epoch.
         at: SimTime,
         /// Sender node.
         from: NodeId,
+        /// Receiving node, one the worker holds.
+        to: NodeId,
         /// Payload.
         msg: Msg,
     },
-    /// An interactive command from the frontend, with its correlation
-    /// sequence number.
-    Cmd(u64, ClientCmd),
+    /// An interactive command from the frontend: the client it is for,
+    /// its correlation sequence number and the command.
+    Cmd(NodeId, u64, ClientCmd),
 }
 
-/// The interactive port handed to client threads: commands arrive on the
-/// node's inbox ([`Envelope::Cmd`]), and each reply carries its command's
-/// sequence number (see the runtime's reply channel).
+/// A client's interactive port: commands arrive on its worker's inbox
+/// ([`Envelope::Cmd`]), and each reply carries its command's sequence
+/// number (see the runtime's reply channel).
 pub struct InteractivePort {
+    /// The client node this port serves.
+    pub client: NodeId,
     /// Replies to the frontend, tagged with the command's sequence.
     pub reply_tx: Sender<(u64, ClientReply)>,
     /// Wall-clock deadline for one operation/commit before the node
@@ -64,10 +71,10 @@ pub struct InteractivePort {
     pub op_deadline: Duration,
 }
 
-/// Routing information shared by all node threads: every node engine's
+/// Routing information shared by all workers: every worker engine's
 /// [`Link`].
 pub struct Router {
-    /// Per-node inboxes.
+    /// Per-node inboxes: each node's entry is its worker's inbox.
     pub inboxes: Vec<Sender<Envelope>>,
     /// One-way delivery delay applied to `(from, to)` sends, in
     /// microseconds (precomputed from the latency model means — the
@@ -83,7 +90,7 @@ impl Link<Msg> for Router {
     fn send(&self, at: SimTime, from: NodeId, to: NodeId, msg: Msg) {
         // A full inbox or a disconnected peer behaves like a lossy
         // network — HAT protocols tolerate both.
-        let _ = self.inboxes[to as usize].send(Envelope::Net { at, from, msg });
+        let _ = self.inboxes[to as usize].send(Envelope::Net { at, from, to, msg });
     }
 }
 
@@ -95,29 +102,31 @@ struct Cmds {
     queued: VecDeque<(u64, ClientCmd)>,
 }
 
-/// Runs one node until `stop` is set. Returns the node (with its final
-/// state, metrics and histories).
+/// Runs the nodes `first..first + nodes.len()` on one engine until `stop`
+/// is set, serving each of `ports` (one per interactive client among
+/// them). Returns the nodes, in id order, with their final state,
+/// metrics and histories.
 #[allow(clippy::too_many_arguments)]
 pub fn run_node(
-    node: Node,
-    id: NodeId,
+    nodes: Vec<Node>,
+    first: NodeId,
     rx: Receiver<Envelope>,
     router: Arc<Router>,
     stop: Arc<AtomicBool>,
     rng: StdRng,
     epoch: Instant,
-    interactive: Option<InteractivePort>,
+    ports: Vec<InteractivePort>,
     trace: TraceSink,
-) -> Node {
-    let mut engine = Engine::wall(epoch, id, vec![node], rng, router);
+) -> Vec<Node> {
+    let mut engine = Engine::wall(epoch, first, nodes, rng, router);
     if trace.is_enabled() {
         engine.set_net_tracer(net_tracer(trace));
     }
-    let mut cmds = Cmds::default();
+    let mut cmds: Vec<_> = ports.into_iter().map(|p| (p, Cmds::default())).collect();
     loop {
         engine.run_due();
-        if let Some(port) = &interactive {
-            cmds.serve(&mut engine, id, port);
+        for (port, client) in &mut cmds {
+            client.serve(&mut engine, port);
         }
         if stop.load(Ordering::Relaxed) {
             break;
@@ -130,27 +139,35 @@ pub fn run_node(
         };
         for env in first.into_iter().chain(rx.try_iter()) {
             match env {
-                Envelope::Net { at, from, msg } => engine.enqueue(at, from, id, msg),
-                Envelope::Cmd(seq, cmd) => cmds.queued.push_back((seq, cmd)),
+                Envelope::Net { at, from, to, msg } => engine.enqueue(at, from, to, msg),
+                Envelope::Cmd(client, seq, cmd) => {
+                    let port = cmds.iter_mut().find(|(port, _)| port.client == client);
+                    let (_, cmds) = port.expect("a command for a client this worker serves");
+                    cmds.queued.push_back((seq, cmd));
+                }
             }
         }
     }
-    let mut node = engine.into_actors().remove(0);
-    // Every pass ends with the barrier, so this normally finds a clean
-    // node; it is the guarantee that whoever receives the node back never
+    let mut nodes = engine.into_actors();
+    // Every pass ends with the barrier, so this normally finds clean
+    // nodes; it is the guarantee that whoever receives a node back never
     // holds an unsynced write. A failure is counted by the node and has
     // no send left to drop.
-    node.flush();
-    node
+    for node in &mut nodes {
+        node.flush();
+    }
+    nodes
 }
 
-/// Inbox polls a node makes, yielding its core between them, before it
-/// parks. Yielding rather than busy-waiting matters: nodes usually
-/// outnumber cores, and the peer that will answer may need this one.
-/// Long enough to cover a request/reply hop on a loaded box (16, 64 and
-/// 256 polls measure alike on `rt-mixed-mem`; 64 is best of the three
-/// on `rt-mixed-durable`), short enough that an idle node soon parks.
-const SPIN_POLLS: u32 = 64;
+/// Inbox polls a worker makes, yielding its core between them, before
+/// it parks. 512 polls take about 150 µs on a 2-core box, longer than a
+/// WAL sync (`fdatasync` p99 128 µs): a worker waiting out its peer's
+/// group commit keeps its core, which with no more workers than cores
+/// would otherwise go idle and be slow to wake. In one alternating set
+/// of `rt-mixed-durable` runs 64 polls (22 µs) gave 6.0–10.3 k txn/s and
+/// 1024 gave 10.2–11.9 k; 512 and 1024 measure alike there and on
+/// `rt-mixed-mem`. Yielding leaves the core to whatever else shares it.
+const SPIN_POLLS: u32 = 512;
 
 /// Waits for the next envelope under the park policy (module doc).
 fn wait(rx: &Receiver<Envelope>, engine: &Engine<Node>) -> Result<Envelope, RecvTimeoutError> {
@@ -175,7 +192,8 @@ impl Cmds {
     /// its client is idle, or abandons it at its deadline, then starts
     /// queued commands one at a time (the frontend issues one operation
     /// and blocks on its reply).
-    fn serve(&mut self, engine: &mut Engine<Node>, id: NodeId, port: &InteractivePort) {
+    fn serve(&mut self, engine: &mut Engine<Node>, port: &InteractivePort) {
+        let id = port.client;
         while self.in_flight.is_some() || !self.queued.is_empty() {
             let client = engine.actor(id).as_client();
             let busy = client.expect("interactive port on a client").busy();

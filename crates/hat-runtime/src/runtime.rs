@@ -11,6 +11,7 @@ use hat_obs::ObsSink;
 use hat_sim::{LatencyModel, Link, NodeId, SimDuration, SimTime, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -24,7 +25,8 @@ pub struct RuntimeConfig {
     /// EC2-calibrated means; 0.0 = in-process speed). Tests use small
     /// factors so wall-clock stays short.
     pub latency_scale: f64,
-    /// RNG seed for per-node generators.
+    /// RNG seed for the workers' generators (one per worker engine,
+    /// shared by the nodes it holds).
     pub seed: u64,
     /// Wall-clock per-operation deadline override. `None` uses the
     /// deployment's `SystemConfig::op_deadline` (30 s by default) as
@@ -44,16 +46,18 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A running threaded deployment, one OS thread per node. Driver-mode
+/// A running threaded deployment on a pool of worker threads, at most
+/// one per core, each a wall-clock engine holding a contiguous range of
+/// nodes (servers and clients on separate workers). Driver-mode
 /// clients (installed via [`DeploymentBuilder::drivers`]) run their
 /// closed loops on their own; every client also has a command port, so
 /// interactive transactions run through [`Frontend`] and block the
 /// caller until the client's network round resolves — the same
 /// synchronous surface [`hat_core::SimFrontend`] offers over virtual
-/// time. Dropping the handle stops and joins every thread;
+/// time. Dropping the handle stops and joins every worker;
 /// [`Runtime::shutdown`] does too, and hands the nodes back.
 pub struct Runtime {
-    handles: Vec<JoinHandle<Node>>,
+    handles: Vec<JoinHandle<Vec<Node>>>,
     stop: Arc<AtomicBool>,
     started: Instant,
     router: Arc<Router>,
@@ -68,7 +72,7 @@ pub struct Runtime {
 }
 
 /// The frontend's per-client reply channel. Commands go into the
-/// node's regular inbox (so their arrival wakes its blocked `recv`);
+/// client's worker inbox (so their arrival wakes its blocked `recv`);
 /// replies are correlated by sequence number so a reply that arrives
 /// after its command timed out is discarded instead of being mistaken
 /// for the next command's reply.
@@ -78,11 +82,21 @@ struct FrontPort {
 }
 
 impl Runtime {
-    /// Spawns every node of `builder`'s deployment on its own thread.
+    /// Spawns `builder`'s deployment on min(cores, nodes) worker
+    /// threads; from two on, servers and clients never share one.
     pub fn spawn(builder: DeploymentBuilder, config: RuntimeConfig) -> Runtime {
         let (_engine_cfg, topology, nodes, layout, sys, trace, obs) = builder.build_parts();
         let n = topology.len();
-        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        // Node ids put every server before every client.
+        let servers = layout.clients.first().map_or(n, |&c| c as usize);
+        let ranges = placement(servers, n, cores.min(n));
+        let (senders, receivers): (Vec<_>, Vec<_>) = ranges.iter().map(|_| channel()).unzip();
+        let inboxes = ranges
+            .iter()
+            .zip(senders)
+            .flat_map(|(range, tx)| range.clone().map(move |_| tx.clone()))
+            .collect();
         let delay_us = build_delays(&topology, config.latency_scale);
         let router = Arc::new(Router { inboxes, delay_us });
         let stop = Arc::new(AtomicBool::new(false));
@@ -94,13 +108,14 @@ impl Runtime {
             .op_deadline
             .unwrap_or_else(|| Duration::from_micros(sys.op_deadline.as_micros()));
 
-        let mut node_ports: Vec<Option<InteractivePort>> = (0..n).map(|_| None).collect();
+        let mut node_ports = Vec::new();
         let ports = layout
             .clients
             .iter()
-            .map(|&c| {
+            .map(|&client| {
                 let (reply_tx, reply_rx) = channel();
-                node_ports[c as usize] = Some(InteractivePort {
+                node_ports.push(InteractivePort {
+                    client,
                     reply_tx,
                     op_deadline,
                 });
@@ -111,17 +126,25 @@ impl Runtime {
             })
             .collect();
 
-        let threads = nodes.into_iter().zip(receivers).zip(node_ports);
-        let handles = threads
+        let mut nodes = nodes.into_iter();
+        let handles = ranges
+            .into_iter()
+            .zip(receivers)
             .enumerate()
-            .map(|(i, ((node, rx), port))| {
+            .map(|(w, (range, rx))| {
+                let first = range.start as NodeId;
+                let nodes: Vec<Node> = nodes.by_ref().take(range.len()).collect();
+                let held = node_ports.partition_point(|p| (p.client as usize) < range.end);
+                let ports = node_ports.drain(..held).collect();
                 let (router, stop, trace) = (Arc::clone(&router), Arc::clone(&stop), trace.clone());
-                let rng = StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
-                let id = i as NodeId;
+                let rng =
+                    StdRng::seed_from_u64(config.seed ^ u64::from(first).wrapping_mul(0x9E37));
                 std::thread::Builder::new()
-                    .name(format!("hat-node-{i}"))
-                    .spawn(move || run_node(node, id, rx, router, stop, rng, started, port, trace))
-                    .expect("spawn node thread")
+                    .name(format!("hat-worker-{w}"))
+                    .spawn(move || {
+                        run_node(nodes, first, rx, router, stop, rng, started, ports, trace)
+                    })
+                    .expect("spawn worker thread")
             })
             .collect();
         Runtime {
@@ -198,10 +221,11 @@ impl Runtime {
     /// client metrics, all transaction records)`.
     pub fn shutdown(mut self) -> (Vec<Node>, ClientMetrics, Vec<TxnRecord>) {
         self.stop.store(true, Ordering::Relaxed);
+        // Workers hold ascending contiguous ranges: node-id order.
         let mut nodes: Vec<Node> = self
             .handles
             .drain(..)
-            .map(|h| h.join().expect("node thread panicked"))
+            .flat_map(|h| h.join().expect("worker thread panicked"))
             .collect();
         let mut metrics = ClientMetrics::default();
         let mut records = Vec::new();
@@ -227,8 +251,9 @@ impl Runtime {
     fn roundtrip(&self, idx: usize, cmd: ClientCmd) -> Result<ClientReply, HatError> {
         let port = &self.ports[idx];
         let seq = port.next_seq.fetch_add(1, Ordering::Relaxed);
-        let inbox = &self.router.inboxes[self.layout.clients[idx] as usize];
-        if inbox.send(Envelope::Cmd(seq, cmd)).is_err() {
+        let client = self.layout.clients[idx];
+        let inbox = &self.router.inboxes[client as usize];
+        if inbox.send(Envelope::Cmd(client, seq, cmd)).is_err() {
             return Err(HatError::Unavailable { key: None });
         }
         // The node abandons and replies on its own op deadline; the
@@ -252,7 +277,7 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        // Swallow node-thread panics here: panicking inside drop while
+        // Swallow worker panics here: panicking inside drop while
         // already unwinding would abort the process and mask the root
         // cause (use `shutdown()` to observe them).
         self.stop.store(true, Ordering::Relaxed);
@@ -264,7 +289,7 @@ impl Drop for Runtime {
 
 /// Extension trait giving [`DeploymentBuilder`] a threaded-backend
 /// `build`, mirroring `build()` for the simulator: the same deployment
-/// description, executed on one OS thread per node.
+/// description, executed on the worker pool.
 pub trait BuildThreaded {
     /// Builds the deployment on the threaded backend
     /// ([`Runtime::spawn`]).
@@ -314,17 +339,17 @@ impl Frontend for Runtime {
     }
 
     fn session_metrics(&self, session: &Session) -> ClientMetrics {
-        // An unreachable or wedged client thread yields empty metrics
+        // An unreachable or wedged client worker yields empty metrics
         // rather than a panic.
         self.metrics_of(session.index() as usize)
             .unwrap_or_default()
     }
 
     fn aggregate_metrics(&self) -> ClientMetrics {
-        // Merge what answered: one wedged client thread should not take
+        // Merge what answered: one wedged client worker should not take
         // down end-of-run reporting for the whole deployment (its final
         // counters are still recovered at `shutdown()`, which joins the
-        // thread instead of asking it).
+        // worker instead of asking it).
         let mut total = ClientMetrics::default();
         for m in (0..self.ports.len()).filter_map(|idx| self.metrics_of(idx).ok()) {
             total.merge(&m);
@@ -334,7 +359,7 @@ impl Frontend for Runtime {
 
     fn take_records(&mut self) -> Vec<TxnRecord> {
         // Same merge-what-answered policy as `aggregate_metrics`: an
-        // unreachable thread keeps its records until `shutdown()`.
+        // unreachable worker keeps its records until `shutdown()`.
         let mut all = Vec::new();
         for idx in 0..self.ports.len() {
             match self.roundtrip(idx, ClientCmd::TakeRecords) {
@@ -346,6 +371,31 @@ impl Frontend for Runtime {
         all.sort_by_key(|r| (r.session, r.session_seq));
         all
     }
+}
+
+/// Splits the nodes `0..n`, servers `0..servers` first, into `workers`
+/// contiguous ranges, one per worker. From two workers on, servers and
+/// clients never share one: a client on a server's worker reaches it
+/// without a channel hop, runs ahead of the others and starves them.
+/// Each role gets workers in proportion to its nodes, at least one, and
+/// spreads its nodes over them evenly.
+fn placement(servers: usize, n: usize, workers: usize) -> Vec<Range<usize>> {
+    if workers < 2 || servers == 0 || servers == n {
+        return chunks(0..n, workers);
+    }
+    let to_servers = (workers * servers / n).max(1);
+    let mut ranges = chunks(0..servers, to_servers);
+    ranges.extend(chunks(servers..n, workers - to_servers));
+    ranges
+}
+
+/// `range` cut into `k` contiguous parts whose lengths differ by one at
+/// most.
+fn chunks(range: Range<usize>, k: usize) -> Vec<Range<usize>> {
+    let (start, len) = (range.start, range.len());
+    (0..k)
+        .map(|i| start + i * len / k..start + (i + 1) * len / k)
+        .collect()
 }
 
 /// Precomputes mean one-way delays between all node pairs.
@@ -399,7 +449,7 @@ mod tests {
     }
 
     /// A source with no transactions that reports being dropped, which
-    /// happens once its client's thread has been joined.
+    /// happens once its client's worker has been joined.
     struct DropSignal(std::sync::mpsc::Sender<()>);
     impl TxnSource for DropSignal {
         fn next_txn(&mut self, _: &mut StdRng) -> Option<hat_core::TxnSpec> {
@@ -419,7 +469,7 @@ mod tests {
             .clusters(ClusterSpec::single_dc(1, 1))
             .drivers(vec![Box::new(DropSignal(tx))]);
         drop(Runtime::spawn(builder, RuntimeConfig::default()));
-        assert!(rx.try_recv().is_ok(), "a node thread outlived its runtime");
+        assert!(rx.try_recv().is_ok(), "a worker outlived its runtime");
     }
 
     fn drivers(count: usize, txns: u64) -> Vec<Box<dyn TxnSource>> {
@@ -443,6 +493,87 @@ mod tests {
             metrics.committed
         );
         assert_eq!(records.len() as u64, metrics.committed);
+    }
+
+    /// One of several equal plans: counts the transactions it has handed
+    /// out, and the first plan to run out snapshots every plan's count.
+    struct Counted {
+        me: usize,
+        txns: usize,
+        handed: Arc<[AtomicU64]>,
+        first_out: Arc<std::sync::Mutex<Option<Vec<u64>>>>,
+    }
+    impl TxnSource for Counted {
+        fn next_txn(&mut self, _: &mut StdRng) -> Option<hat_core::TxnSpec> {
+            if self.handed[self.me].load(Ordering::Relaxed) == self.txns as u64 {
+                let counts = self.handed.iter().map(|h| h.load(Ordering::Relaxed));
+                self.first_out
+                    .lock()
+                    .unwrap()
+                    .get_or_insert_with(|| counts.collect());
+                return None;
+            }
+            self.handed[self.me].fetch_add(1, Ordering::Relaxed);
+            let k = format!("key{}", self.me);
+            Some(hat_core::TxnSpec::new(vec![
+                hat_core::Op::read(&k),
+                hat_core::Op::write(&k, "v"),
+            ]))
+        }
+    }
+
+    /// No client runs ahead of the others: placement keeps every client
+    /// off the server's worker, where its round trips would skip the
+    /// channel hop the others pay. When the first of four equal plans
+    /// runs out, every other one is at least half done.
+    #[test]
+    fn clients_progress_together() {
+        const CLIENTS: usize = 4;
+        const TXNS: usize = 2_000;
+        let handed: Arc<[AtomicU64]> = (0..CLIENTS).map(|_| AtomicU64::new(0)).collect();
+        let first_out = Arc::default();
+        let drivers = (0..CLIENTS)
+            .map(|me| {
+                let plan = Counted {
+                    me,
+                    txns: TXNS,
+                    handed: Arc::clone(&handed),
+                    first_out: Arc::clone(&first_out),
+                };
+                Box::new(plan) as Box<dyn TxnSource>
+            })
+            .collect();
+        // No service holds and no injected delay: each transaction costs
+        // what the code does, as in the benchmark's threaded runs.
+        let mut config = SystemConfig::new(ProtocolKind::Eventual);
+        config.service = hat_core::ServiceModel::zero();
+        let builder = DeploymentBuilder::new(ProtocolKind::Eventual)
+            .seed(6)
+            .clusters(ClusterSpec::single_dc(1, 1))
+            .config(config)
+            .drivers(drivers);
+        let config = RuntimeConfig {
+            latency_scale: 0.0,
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::spawn(builder, config);
+        // Spin rather than sleep: on a small box the clients' worker then
+        // shares its core, which is when a client on the server's worker
+        // would run away with it.
+        while first_out.lock().unwrap().is_none() {
+            std::hint::spin_loop();
+        }
+        let (_, metrics, _) = rt.shutdown();
+        assert!(metrics.committed > 0);
+        let counts = first_out.lock().unwrap().take().expect("a plan ran out");
+        // A handed-out transaction is in flight; those before it are done.
+        for (client, handed) in counts.into_iter().enumerate() {
+            assert!(
+                handed.saturating_sub(1) >= TXNS as u64 / 2,
+                "client {client} had finished {} of {TXNS} when the first finished all",
+                handed.saturating_sub(1)
+            );
+        }
     }
 
     #[test]

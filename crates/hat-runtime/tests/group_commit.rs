@@ -30,7 +30,7 @@ use hat_storage::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -323,28 +323,41 @@ fn sim_engine_releases_nothing_before_the_handlers_barrier() {
     }
 }
 
-/// Spawns one `run_node` thread per node, as `Runtime::spawn` does, and
-/// returns the nodes once `until` (handed the router, to inject with)
-/// has returned.
-fn run_threaded(nodes: Vec<Node>, sink: &TraceSink, until: impl FnOnce(&Router)) -> Vec<Node> {
+/// Runs `nodes` on `workers` `run_node` threads, each holding a
+/// contiguous run of them (one per node when `workers` is their
+/// number), and returns the nodes once `until` (handed the router, to
+/// inject with) has returned.
+fn run_threaded(
+    nodes: Vec<Node>,
+    workers: usize,
+    sink: &TraceSink,
+    until: impl FnOnce(&Router),
+) -> Vec<Node> {
     let n = nodes.len();
-    let (inboxes, receivers): (Vec<_>, Vec<mpsc::Receiver<Envelope>>) =
-        (0..n).map(|_| mpsc::channel::<Envelope>()).unzip();
+    let ranges: Vec<_> = (0..workers)
+        .map(|w| w * n / workers..(w + 1) * n / workers)
+        .collect();
+    let (senders, receivers): (Vec<_>, Vec<mpsc::Receiver<Envelope>>) =
+        (0..workers).map(|_| mpsc::channel::<Envelope>()).unzip();
     let router = Arc::new(Router {
-        inboxes,
+        inboxes: (ranges.iter().zip(&senders))
+            .flat_map(|(range, tx)| range.clone().map(|_| tx.clone()))
+            .collect(),
         delay_us: vec![vec![0; n]; n],
     });
     let stop = Arc::new(AtomicBool::new(false));
     let epoch = Instant::now();
-    let handles: Vec<_> = nodes
+    let mut nodes = nodes.into_iter();
+    let handles: Vec<_> = ranges
         .into_iter()
         .zip(receivers)
-        .enumerate()
-        .map(|(i, (node, rx))| {
+        .map(|(range, rx)| {
+            let held: Vec<Node> = nodes.by_ref().take(range.len()).collect();
+            let first = range.start as NodeId;
             let (router, stop, sink) = (Arc::clone(&router), Arc::clone(&stop), sink.clone());
-            let rng = StdRng::seed_from_u64(i as u64);
+            let rng = StdRng::seed_from_u64(range.start as u64);
             std::thread::spawn(move || {
-                run_node(node, i as NodeId, rx, router, stop, rng, epoch, None, sink)
+                run_node(held, first, rx, router, stop, rng, epoch, Vec::new(), sink)
             })
         })
         .collect();
@@ -352,7 +365,7 @@ fn run_threaded(nodes: Vec<Node>, sink: &TraceSink, until: impl FnOnce(&Router))
     stop.store(true, Ordering::Relaxed);
     handles
         .into_iter()
-        .map(|h| h.join().expect("node thread panicked"))
+        .flat_map(|h| h.join().expect("worker thread panicked"))
         .collect()
 }
 
@@ -365,7 +378,8 @@ fn run_node_releases_nothing_before_the_passs_barrier() {
     for kind in ALL_ENGINES {
         let mut run = recorded_deployment(kind, 40);
         let nodes = std::mem::take(&mut run.nodes);
-        let _ = run_threaded(nodes, &run.sink, |_| wait_all_done(&run.all_done));
+        let workers = nodes.len();
+        let _ = run_threaded(nodes, workers, &run.sink, |_| wait_all_done(&run.all_done));
         let total = check_all_servers(kind, &run, &run.sink.events());
         assert!(
             total.barriers <= total.puts,
@@ -373,6 +387,61 @@ fn run_node_releases_nothing_before_the_passs_barrier() {
             total.barriers,
             total.puts
         );
+    }
+}
+
+/// Every node on one worker: a server's reply to a client it shares an
+/// engine with never takes a channel, so the pass must hold it like any
+/// other send. Each reply a client handles was sent from its server
+/// after a barrier had covered every put before it.
+#[test]
+fn a_co_resident_client_handles_no_reply_before_the_passs_barrier() {
+    for kind in ALL_ENGINES {
+        let mut run = recorded_deployment(kind, 40);
+        let nodes = std::mem::take(&mut run.nodes);
+        let _ = run_threaded(nodes, 1, &run.sink, |_| wait_all_done(&run.all_done));
+        let mut events = run.sink.events();
+        events.sort_by_key(|e| e.seq);
+        check_all_servers(kind, &run, &events);
+
+        let servers: Vec<NodeId> = run.layout.servers.iter().flatten().copied().collect();
+        let mut uncovered: HashMap<NodeId, u64> = HashMap::new();
+        // Per (server, client, label): whether each send not yet
+        // handled left covered, in send order.
+        let mut in_flight: HashMap<(NodeId, NodeId, &str), VecDeque<bool>> = HashMap::new();
+        let mut replies = 0;
+        for e in &events {
+            match e.kind {
+                TraceEventKind::WalAppend { .. } => *uncovered.entry(e.node).or_default() += 1,
+                TraceEventKind::WalReplay { .. } => {
+                    uncovered.insert(e.node, 0);
+                }
+                TraceEventKind::MsgSend {
+                    from, to, label, ..
+                } if servers.contains(&from) => {
+                    let covered = uncovered.get(&from).copied().unwrap_or(0) == 0;
+                    in_flight
+                        .entry((from, to, label))
+                        .or_default()
+                        .push_back(covered);
+                }
+                TraceEventKind::MsgRecv {
+                    from, to, label, ..
+                } if servers.contains(&from) && run.layout.clients.contains(&to) => {
+                    let sent = in_flight
+                        .get_mut(&(from, to, label))
+                        .and_then(VecDeque::pop_front);
+                    assert_eq!(
+                        sent,
+                        Some(true),
+                        "{kind:?}: client {to} handled {label} from {from} before its barrier"
+                    );
+                    replies += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(replies > 0, "{kind:?}: no reply reached a client");
     }
 }
 
@@ -444,11 +513,13 @@ fn a_failed_barrier_drops_the_passs_held_sends() {
     let (asked, asked_rx) = mpsc::channel();
     let (nodes, id, client) = failing_deployment(asked);
     let sink = TraceSink::enabled();
-    let nodes = run_threaded(nodes, &sink, |router| {
+    let workers = nodes.len();
+    let nodes = run_threaded(nodes, workers, &sink, |router| {
         router.inboxes[id as usize]
             .send(Envelope::Net {
                 at: SimTime::ZERO,
                 from: client,
+                to: id,
                 msg: put_to("x"),
             })
             .expect("server inbox open");

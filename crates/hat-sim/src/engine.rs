@@ -656,15 +656,23 @@ impl<A: Actor> Engine<A> {
             self.fire(event);
         }
         self.in_pass = false;
-        // A failed barrier drops what it was holding back: the actor then
-        // looks unreachable instead of acknowledging writes it may lose.
+        // Every dirty actor runs its barrier. One that fails drops the
+        // sends it was holding back: it then looks unreachable instead
+        // of acknowledging writes it may lose. The others' sends leave:
+        // none can reflect the failed actor's writes, because the pass
+        // held its sends to co-resident actors too.
         if let Some(held) = self.held.take() {
-            if self.actors.iter_mut().all(A::flush) {
-                self.tick();
-                for (from, sends) in held {
-                    for (hold, to, msg) in sends {
-                        self.route(from, to, msg, hold);
-                    }
+            let failed: Vec<NodeId> = (self.first..)
+                .zip(&mut self.actors)
+                .filter_map(|(id, actor)| (actor.needs_flush() && !actor.flush()).then_some(id))
+                .collect();
+            self.tick();
+            for (from, sends) in held {
+                if failed.contains(&from) {
+                    continue;
+                }
+                for (hold, to, msg) in sends {
+                    self.route(from, to, msg, hold);
                 }
             }
         }
@@ -1056,24 +1064,34 @@ mod tests {
         }
     }
 
-    /// A wall-clock engine holding one [`Durable`] as node 0, with
-    /// messages `msgs` from [`REMOTE`] already due.
-    fn wall_engine(flush_ok: bool, msgs: &[u32]) -> (Engine<Durable>, Log) {
+    /// A wall-clock engine holding a [`Durable`] as node `i` for each
+    /// `flush_ok[i]`, with messages `msgs` (`(to, m)`) from [`REMOTE`]
+    /// already due.
+    fn wall_engine_of(flush_ok: &[bool], msgs: &[(NodeId, u32)]) -> (Engine<Durable>, Log) {
         let log = Log::default();
-        let node = Durable {
-            log: Arc::clone(&log),
-            flush_ok,
-            dirty: false,
-            handled: Vec::new(),
-            fired: Vec::new(),
-        };
+        let nodes = flush_ok
+            .iter()
+            .map(|&flush_ok| Durable {
+                log: Arc::clone(&log),
+                flush_ok,
+                dirty: false,
+                handled: Vec::new(),
+                fired: Vec::new(),
+            })
+            .collect();
         let link = Arc::new(Recorder(Arc::clone(&log)));
         let rng = StdRng::seed_from_u64(5);
-        let mut engine = Engine::wall(Instant::now(), 0, vec![node], rng, link);
-        for &m in msgs {
-            engine.enqueue(SimTime::ZERO, REMOTE, 0, m);
+        let mut engine = Engine::wall(Instant::now(), 0, nodes, rng, link);
+        for &(to, m) in msgs {
+            engine.enqueue(SimTime::ZERO, REMOTE, to, m);
         }
         (engine, log)
+    }
+
+    /// [`wall_engine_of`] with one node, node 0.
+    fn wall_engine(flush_ok: bool, msgs: &[u32]) -> (Engine<Durable>, Log) {
+        let msgs: Vec<_> = msgs.iter().map(|&m| (0, m)).collect();
+        wall_engine_of(&[flush_ok], &msgs)
     }
 
     #[test]
@@ -1119,6 +1137,28 @@ mod tests {
         );
         let sent = seen.iter().filter(|s| matches!(s, Seen::Sent(..))).count();
         assert_eq!(sent, 1, "a held send leaked: {seen:?}");
+    }
+
+    #[test]
+    fn a_failed_flush_drops_only_its_own_actors_held_sends() {
+        // Node 0's barrier fails; node 1's write and read, held behind
+        // node 0's write, still leave once node 1's barrier has run.
+        let (mut engine, log) = wall_engine_of(&[false, true], &[(0, 1), (1, 3), (1, 2)]);
+        engine.run_due();
+        let seen = log.lock().unwrap();
+        assert!(
+            matches!(
+                seen[..],
+                [
+                    Seen::Flush(false),
+                    Seen::Flush(true),
+                    Seen::Sent(_, 1, REMOTE, 3),
+                    Seen::Sent(_, 1, REMOTE, 2),
+                ]
+            ),
+            "both barriers, then node 1's sends alone: {seen:?}"
+        );
+        assert!(engine.actor(0).dirty && !engine.actor(1).dirty);
     }
 
     #[test]

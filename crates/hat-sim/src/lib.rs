@@ -16,8 +16,8 @@
 //! * [`engine`] — the simulation engine: actors exchange messages and
 //!   timers; delivery latency is drawn from the latency model and messages
 //!   crossing an active partition are dropped. Built on the wall clock
-//!   instead ([`Engine::wall`]), the same engine is each node thread of
-//!   the threaded runtime.
+//!   instead ([`Engine::wall`]), the same engine is each worker thread
+//!   of the threaded runtime, holding a range of nodes.
 //!
 //! Everything is deterministic given a seed: two runs with identical
 //! configuration produce identical histories, which the test suite relies

@@ -24,8 +24,8 @@
 //! transactions against it, and a [`Session`] carries its own
 //! [`SessionOptions`]. `build()` executes on the simulator
 //! ([`core::SimFrontend`]); `build_threaded()` (from [`runtime`])
-//! executes the identical deployment on one OS thread per node (a
-//! [`Runtime`]).
+//! executes the identical deployment on a pool of worker threads, at
+//! most one per core (a [`Runtime`]).
 //!
 //! ## Quickstart
 //!
