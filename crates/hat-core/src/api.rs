@@ -584,8 +584,9 @@ impl SimFrontend {
             .clone()
     }
 
-    /// Total MAV `required` misses across servers (0 in a correct run).
-    pub fn mav_required_misses(&self) -> u64 {
+    /// Reads that missed their `required` bound, across servers (0 in a
+    /// correct MAV run, and for engines without the concept).
+    pub fn required_misses(&self) -> u64 {
         self.layout
             .servers
             .iter()
@@ -594,7 +595,7 @@ impl SimFrontend {
                 self.engine
                     .actor(s)
                     .as_server()
-                    .map(|srv| srv.mav_required_misses())
+                    .map(|srv| srv.required_misses())
                     .unwrap_or(0)
             })
             .sum()

@@ -697,7 +697,7 @@ impl Client {
         };
         let core = &mut self.core;
         let step = match msg {
-            Msg::GetResp { found, .. } | Msg::GetVersionResp { found, .. } => {
+            Msg::GetResp { found, .. } => {
                 let key = done.key().expect("keyed request").clone();
                 self.proto.on_value(core, ctx, done, key, found)
             }
@@ -708,7 +708,7 @@ impl Client {
                 }
                 Step::Continue
             }
-            Msg::PutResp { .. } | Msg::CommitBatchResp { .. } => {
+            Msg::PutResp { .. } => {
                 if core.txn().phase == Phase::Committing {
                     self.proto.on_acked(core, ctx, done)
                 } else if done.key().is_some_and(|k| core.prewritten(k).is_some()) {
@@ -721,7 +721,8 @@ impl Client {
                     Step::Continue
                 }
             }
-            reply => self.proto.on_reply(core, ctx, done, reply),
+            Msg::EngineResp { body, .. } => self.proto.on_reply(core, ctx, done, body),
+            _ => Step::Continue,
         };
         self.apply(ctx, step);
         self.step_plan(ctx);

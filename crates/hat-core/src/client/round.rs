@@ -74,15 +74,10 @@ impl Round {
 fn reply_id(reply: &Msg) -> Option<(Timestamp, u32)> {
     match reply {
         Msg::GetResp { txn, op, .. }
-        | Msg::GetTsResp { txn, op, .. }
-        | Msg::GetVersionResp { txn, op, .. }
         | Msg::ScanResp { txn, op, .. }
         | Msg::PutResp { txn, op }
-        | Msg::LockResp { txn, op, .. }
-        | Msg::LockCheckResp { txn, op, .. }
+        | Msg::EngineResp { txn, op, .. }
         | Msg::WrongShard { txn, op, .. } => Some((*txn, *op)),
-        // A batch is registered under its first mark's op.
-        Msg::CommitBatchResp { txn, ops } => ops.first().map(|op| (*txn, *op)),
         _ => None,
     }
 }
@@ -91,33 +86,25 @@ fn reply_id(reply: &Msg) -> Option<(Timestamp, u32)> {
 /// duplicate of an earlier reply under the same op id (a read's first
 /// round answered twice after a retry, say) fails this and is dropped.
 fn answers(reply: &Msg, request: &Msg) -> bool {
-    matches!(
-        (reply, request),
+    match (reply, request) {
         (Msg::GetResp { .. }, Msg::Get { .. })
-            | (Msg::GetTsResp { .. }, Msg::GetTs { .. })
-            | (Msg::GetVersionResp { .. }, Msg::GetVersion { .. })
-            | (Msg::ScanResp { .. }, Msg::Scan { .. })
-            | (Msg::PutResp { .. }, Msg::Put { .. })
-            | (Msg::CommitBatchResp { .. }, Msg::CommitBatch { .. })
-            | (Msg::LockResp { .. }, Msg::Lock { .. })
-            | (Msg::LockCheckResp { .. }, Msg::LockCheck { .. })
-            // Servers refuse only operation-starting requests.
-            | (
-                Msg::WrongShard { .. },
-                Msg::Get { .. } | Msg::GetTs { .. } | Msg::Put { .. }
-            )
-    )
+        | (Msg::ScanResp { .. }, Msg::Scan { .. })
+        | (Msg::PutResp { .. }, Msg::Put { .. }) => true,
+        (Msg::EngineResp { body: reply, .. }, Msg::EngineReq { body: request, .. }) => {
+            reply.answers(request)
+        }
+        // Servers refuse only operation-starting requests.
+        (Msg::WrongShard { .. }, Msg::Get { .. } | Msg::Put { .. }) => true,
+        (Msg::WrongShard { .. }, Msg::EngineReq { body, .. }) => body.may_redirect(),
+        _ => false,
+    }
 }
 
 /// The key a request names (`None` for scans and mark batches).
 fn request_key(msg: &Msg) -> Option<&Key> {
     match msg {
-        Msg::Get { key, .. }
-        | Msg::GetTs { key, .. }
-        | Msg::GetVersion { key, .. }
-        | Msg::Put { key, .. }
-        | Msg::Lock { key, .. }
-        | Msg::LockCheck { key, .. } => Some(key),
+        Msg::Get { key, .. } | Msg::Put { key, .. } => Some(key),
+        Msg::EngineReq { body, .. } => body.key(),
         _ => None,
     }
 }
@@ -210,9 +197,8 @@ impl ClientCore {
 
     /// Puts a request on the wire — the only place one becomes a `Msg`.
     fn transmit(metrics: &mut ClientMetrics, ctx: &mut Ctx<'_, Msg>, req: &Request) {
-        if let Msg::CommitBatch { marks, .. } = &req.msg {
-            metrics.commit_batches += 1;
-            metrics.commit_batch_marks += marks.len() as u64;
+        if let Msg::EngineReq { body, .. } = &req.msg {
+            body.count_sent(metrics);
         }
         ctx.send(req.target, req.msg.clone());
     }

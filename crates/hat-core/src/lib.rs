@@ -70,7 +70,7 @@ pub use cluster::{ClusterLayout, ClusterSpec};
 pub use config::{ProtocolKind, ReadMode, RetryPolicy, ServiceModel, SystemConfig};
 pub use error::HatError;
 pub use frontend::{Frontend, Session, TxnBackend, TxnCtx};
-pub use messages::{Msg, VersionReq};
+pub use messages::Msg;
 pub use metrics::ClientMetrics;
 pub use node::Node;
 pub use protocol::{engine_for, ClientProtocol, ProtocolEngine, ServerView};

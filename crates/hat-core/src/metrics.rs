@@ -39,7 +39,7 @@ pub struct ClientMetrics {
     /// `WrongShard` NACKs received: requests that raced a live shard
     /// handoff and were redirected to the token's new owner.
     pub shard_redirects: u64,
-    /// Group-commit batches sent (`Msg::CommitBatch`), including
+    /// Group-commit batches sent (RAMP's `CommitBatch`), including
     /// retransmissions.
     pub commit_batches: u64,
     /// Total commit marks those batches carried; the mean batch size is

@@ -8,8 +8,10 @@
 //!   protocol-agnostic [`crate::Server`] (service queue, anti-entropy
 //!   gossip, replication log, backing store). It decides how a read at a
 //!   `required` bound is answered, what a write costs and what happens
-//!   when it is installed, how anti-entropy copies, sibling
-//!   notifications and lock traffic are handled, and what extra work the
+//!   when it is installed, how anti-entropy copies are applied, how its
+//!   own messages are served ([`ProtocolEngine::on_message`]: RAMP's
+//!   stamp reads, version fetches and commit marks, MAV's sibling
+//!   notifications, 2PL's lock traffic), and what extra work the
 //!   anti-entropy timer performs;
 //! * the client half is a [`ClientProtocol`], plugged into the
 //!   protocol-agnostic [`crate::client::ClientCore`] (sessions, caches,
@@ -19,20 +21,33 @@
 //!   needs, what read metadata is folded into, whether a write is sent
 //!   now, buffered or locked first, and which phases a commit runs.
 //!
-//! **Adding a level = one file with both halves + one arm in
-//! [`engine_for`].** Most hooks have defaults (last-writer-wins servers,
-//! write-buffering clients), and every driver — the discrete-event
-//! simulator, the threaded runtime and the benchmark harness — picks the
-//! pair up without touching `server.rs` or `client/`. Engines outside
-//! the registry inject the same pair through
+//! An engine's own wire vocabulary is one [`EngineMsg`] variant, defined
+//! in its file ([`RampMsg`], [`MavMsg`], [`LockMsg`]) and carried in
+//! [`Msg`]'s envelopes. The server and the client core move bodies
+//! unopened, asking [`EngineMsg`] only for a trace label and size, the
+//! key a retry reroutes on, whether a shard redirect may refuse the
+//! request, and which request a reply answers.
+//!
+//! **Adding a level = one file with both halves, one arm in
+//! [`engine_for`] and, if it speaks a message of its own, one
+//! [`EngineMsg`] variant — all in `protocol/`.** Most hooks have
+//! defaults (last-writer-wins servers, write-buffering clients), and
+//! every driver — the discrete-event simulator, the threaded runtime and
+//! the benchmark harness — picks the pair up without touching
+//! `messages.rs`, `server.rs` or `client/`. Engines outside the registry
+//! inject the same pair through
 //! [`crate::DeploymentBuilder::engine_factory`].
 
 use crate::client::{ClientCore, Done, Placement};
 use crate::cluster::ClusterLayout;
-use crate::config::{ProtocolKind, ServiceModel, SystemConfig};
-use crate::messages::{Msg, VersionReq};
+use crate::config::{ProtocolKind, SystemConfig};
+use crate::messages::Msg;
+use crate::metrics::ClientMetrics;
+use crate::protocol::mav::MavMsg;
+use crate::protocol::ramp::RampMsg;
 use crate::protocol::replication::ReplicationLog;
-use crate::protocol::twopl::Grant;
+use crate::protocol::twopl::LockMsg;
+use crate::server::ServerStats;
 use crate::timestamp::Timestamp;
 use crate::txn::TxnOutcome;
 use bytes::Bytes;
@@ -40,21 +55,87 @@ use hat_sim::{Ctx, NodeId, SimDuration, SimTime};
 use hat_storage::{Key, Record, SharedRecord, Store};
 use std::collections::BTreeMap;
 
-/// What a [`ProtocolEngine::read_version`] produced.
+/// The body of an engine's own messages ([`Msg::EngineReq`],
+/// [`Msg::EngineResp`], [`Msg::Engine`]): one variant per engine family,
+/// each defined in that engine's file. A closed enum rather than a trait
+/// object, so [`Msg`] stays `Clone + PartialEq` by derive and no body
+/// costs a heap allocation of its own.
 #[derive(Debug, Clone, PartialEq)]
-pub enum VersionAnswer {
-    /// Answer now (`None` = nothing satisfies the request).
-    Ready(Option<SharedRecord>),
-    /// Hold the reply: the requested version is guaranteed to be in
-    /// flight (RAMP exact-stamp fetches); the engine replies itself,
-    /// through `ctx`, when the version arrives.
-    Parked,
+pub enum EngineMsg {
+    /// RAMP's stamp reads, version fetches and commit marks.
+    Ramp(RampMsg),
+    /// MAV's sibling notifications.
+    Mav(MavMsg),
+    /// 2PL's lock requests, grants, checks and releases.
+    Lock(LockMsg),
+}
+
+impl EngineMsg {
+    /// Short stable label for tracing: the message's own name.
+    pub fn label(&self) -> &'static str {
+        match self {
+            EngineMsg::Ramp(m) => m.label(),
+            EngineMsg::Mav(m) => m.label(),
+            EngineMsg::Lock(m) => m.label(),
+        }
+    }
+
+    /// Approximate wire size of the whole message, envelope included,
+    /// with [`Msg::approx_bytes`]'s accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        match self {
+            EngineMsg::Ramp(m) => m.approx_bytes(),
+            EngineMsg::Mav(m) => m.approx_bytes(),
+            EngineMsg::Lock(m) => m.approx_bytes(),
+        }
+    }
+
+    /// The key a request names: a retry on any-replica routing sends it
+    /// to a replica of this key. `None` for requests that name none and
+    /// for replies.
+    pub fn key(&self) -> Option<&Key> {
+        match self {
+            EngineMsg::Ramp(m) => m.key(),
+            EngineMsg::Lock(m) => m.key(),
+            EngineMsg::Mav(_) => None,
+        }
+    }
+
+    /// True if a server may refuse the request with
+    /// [`Msg::WrongShard`] when its key's shard has moved: RAMP-Small's
+    /// round 1 only. A second round must see the state its first round
+    /// saw, commit marks land where the prepares did, and lock tables
+    /// are pinned.
+    pub fn may_redirect(&self) -> bool {
+        matches!(self, EngineMsg::Ramp(RampMsg::GetTs { .. }))
+    }
+
+    /// True if this reply is the kind a server sends back for
+    /// `request`. A late duplicate of an earlier round's reply under the
+    /// same op id (RAMP's second round reuses the first round's) fails
+    /// this and is dropped.
+    pub fn answers(&self, request: &EngineMsg) -> bool {
+        match (self, request) {
+            (EngineMsg::Ramp(reply), EngineMsg::Ramp(request)) => reply.answers(request),
+            (EngineMsg::Lock(reply), EngineMsg::Lock(request)) => reply.answers(request),
+            _ => false,
+        }
+    }
+
+    /// Counts a request the client puts on the wire, retransmissions
+    /// included: RAMP's commit-mark batches.
+    pub fn count_sent(&self, metrics: &mut ClientMetrics) {
+        if let EngineMsg::Ramp(RampMsg::CommitBatch { marks, .. }) = self {
+            metrics.commit_batches += 1;
+            metrics.commit_batch_marks += marks.len() as u64;
+        }
+    }
 }
 
 /// Mutable view over the protocol-agnostic server state, handed to every
 /// engine hook. Borrowing a view (rather than the whole server) keeps the
 /// engine and the server state disjoint, so an engine can never reach the
-/// service queue or timers except through its declared hooks.
+/// timers or the handoff state except through its declared hooks.
 pub struct ServerView<'a> {
     /// The replica's good/visible version store.
     pub store: &'a mut dyn Store,
@@ -64,8 +145,30 @@ pub struct ServerView<'a> {
     pub layout: &'a ClusterLayout,
     /// Deployment configuration.
     pub config: &'a SystemConfig,
-    /// The owning server's cluster index.
-    pub cluster: usize,
+    /// The server's counters.
+    pub stats: &'a mut ServerStats,
+    /// True while the server, fresh out of a crash, still waits for its
+    /// peers' recovery dumps: its replayed store may lack a torn WAL
+    /// tail.
+    pub recovering: bool,
+    /// When the server's one service queue drains.
+    pub(crate) busy_until: &'a mut SimTime,
+}
+
+impl ServerView<'_> {
+    /// Charges `cost` of service time on the server's queue and returns
+    /// how long a reply sent now is held (queueing + service).
+    pub fn service(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
+        charge(self.busy_until, now, cost)
+    }
+}
+
+/// One service queue: a request arriving at `now` starts once the queue
+/// drains, and its reply leaves `cost` later.
+pub(crate) fn charge(busy_until: &mut SimTime, now: SimTime, cost: SimDuration) -> SimDuration {
+    let start = if *busy_until > now { *busy_until } else { now };
+    *busy_until = start + cost;
+    *busy_until - now
 }
 
 /// A protocol state machine plugged into the server.
@@ -90,64 +193,19 @@ pub trait ProtocolEngine: Send + std::fmt::Debug {
         view.store.latest(key)
     }
 
-    /// Service cost charged for installing `record`.
-    fn write_cost(&self, service: &ServiceModel, record: &Record) -> SimDuration {
-        let _ = record;
-        service.write()
-    }
-
-    /// Serves a timestamp-only read (RAMP-Small round 1): the stamp of
-    /// the latest *visible* version, [`Timestamp::INITIAL`] when the key
-    /// has none. The default answers from the ordinary store.
-    fn read_ts(&mut self, view: &mut ServerView<'_>, key: &Key) -> Timestamp {
-        view.store
-            .latest(key)
-            .map(|r| r.stamp)
-            .unwrap_or(Timestamp::INITIAL)
-    }
-
-    /// Serves a second-round version fetch (RAMP repair reads). The
-    /// default resolves against the visible store and never parks;
-    /// engines with a prepared/pending set overlay it and may park
-    /// exact-stamp fetches until the version arrives. `from`/`txn`/`op`
-    /// identify the requester so a parking engine can reply later.
-    fn read_version(
-        &mut self,
-        view: &mut ServerView<'_>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: &Key,
-        req: &VersionReq,
-    ) -> VersionAnswer {
-        let _ = (from, txn, op);
-        VersionAnswer::Ready(resolve_version(view.store, key, req))
-    }
-
-    /// Applies a RAMP commit marker: promote the prepared version of
-    /// `key` stamped `ts` to visible. No-op for engines whose writes are
-    /// visible on install.
-    fn on_commit_mark(
-        &mut self,
-        view: &mut ServerView<'_>,
-        ctx: &mut Ctx<'_, Msg>,
-        key: Key,
-        ts: Timestamp,
-    ) {
-        let _ = (view, ctx, key, ts);
-    }
-
     /// Installs a client write, emitting any protocol traffic through
-    /// `ctx` (e.g. MAV sibling notifications).
+    /// `ctx` (e.g. MAV sibling notifications), and returns the service
+    /// cost charged for it.
     fn apply_client_write(
         &mut self,
         view: &mut ServerView<'_>,
         ctx: &mut Ctx<'_, Msg>,
         key: Key,
         record: SharedRecord,
-    ) {
+    ) -> SimDuration {
         let _ = ctx;
         lww_apply(view, key, record);
+        view.config.service.write()
     }
 
     /// Installs an anti-entropy copy received from a peer replica.
@@ -165,16 +223,24 @@ pub trait ProtocolEngine: Send + std::fmt::Debug {
         let _ = view.store.put(key, record);
     }
 
-    /// Handles a sibling notification (MAV's `notify(ts)`).
-    fn on_notify(
+    /// Serves one of the engine's own messages from `from`: a
+    /// [`Msg::EngineReq`] (`txn` and `op` are the request's, and the
+    /// answer is a [`Msg::EngineResp`] echoing them) or a one-way
+    /// [`Msg::Engine`] (`op` is 0). The engine charges its service time
+    /// through [`ServerView::service`] and sends its replies through
+    /// `ctx`, now or later (RAMP answers a parked fetch when the version
+    /// arrives). Engines without messages of their own never receive
+    /// one: their clients send none.
+    fn on_message(
         &mut self,
         view: &mut ServerView<'_>,
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
-        ts: Timestamp,
-        key: Key,
+        txn: Timestamp,
+        op: u32,
+        body: EngineMsg,
     ) {
-        let _ = (view, ctx, from, ts, key);
+        let _ = (view, ctx, from, txn, op, body);
     }
 
     /// True if a client write of `key` by `txn` may be installed now.
@@ -186,61 +252,6 @@ pub trait ProtocolEngine: Send + std::fmt::Debug {
     fn write_admissible(&self, txn: Timestamp, key: &Key) -> bool {
         let _ = (txn, key);
         true
-    }
-
-    /// True if `txn` still holds a lock (any mode) on `key`. The
-    /// read-path counterpart of [`ProtocolEngine::write_admissible`]:
-    /// at commit time a 2PL client validates every read-locked key with
-    /// a [`Msg::LockCheck`], because a crashed-and-restarted master has
-    /// an empty lock table and may have re-granted the key to a
-    /// conflicting writer while this transaction still believes it
-    /// holds the read lock. Lock-free engines vacuously say yes.
-    fn lock_valid(&self, txn: Timestamp, key: &Key) -> bool {
-        let _ = (txn, key);
-        true
-    }
-
-    /// Handles a peer's complete acknowledgement set for a transaction
-    /// it already promoted (MAV's answer to a duplicate notification —
-    /// the recovery path for notifications lost to one-way partitions).
-    fn on_notify_summary(
-        &mut self,
-        view: &mut ServerView<'_>,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        ts: Timestamp,
-        acks: Vec<(NodeId, Key)>,
-    ) {
-        let _ = (view, ctx, from, ts, acks);
-    }
-
-    /// Handles a lock request, returning the grants to acknowledge now
-    /// (empty means queued — the grant is returned by a later
-    /// [`ProtocolEngine::on_unlock`]). Engines without locking ignore
-    /// the request: their clients never send one.
-    fn on_lock(
-        &mut self,
-        view: &mut ServerView<'_>,
-        client: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-        exclusive: bool,
-    ) -> Vec<Grant> {
-        let _ = (view, client, txn, op, key, exclusive);
-        Vec::new()
-    }
-
-    /// Releases `txn`'s locks on `keys` (all of them when `keys` is
-    /// empty), returning grants for promoted waiters.
-    fn on_unlock(
-        &mut self,
-        view: &mut ServerView<'_>,
-        txn: Timestamp,
-        keys: Vec<Key>,
-    ) -> Vec<Grant> {
-        let _ = (view, txn, keys);
-        Vec::new()
     }
 
     /// Invoked on every anti-entropy tick, after the gossip batches have
@@ -376,8 +387,8 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
         Err(keys)
     }
 
-    /// A `Get` or `GetVersion` for `key` was answered with `found`:
-    /// complete the read, or repair it with a further round.
+    /// A `Get` for `key` was answered with `found`: complete the read,
+    /// or repair it with a further round.
     fn on_value(
         &mut self,
         core: &mut ClientCore,
@@ -423,7 +434,7 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
         core.flush_writes(ctx, core.write_buffer().to_vec(), false, Placement::PerKey)
     }
 
-    /// A commit-phase `Put` or mark batch was acknowledged.
+    /// A commit-phase `Put` was acknowledged.
     fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
         let _ = (ctx, done);
         if core.busy() {
@@ -433,14 +444,14 @@ pub trait ClientProtocol: Send + std::fmt::Debug {
         }
     }
 
-    /// A reply only this protocol's requests elicit (`GetTsResp`,
-    /// `LockResp`, `LockCheckResp`) arrived for `done`.
+    /// The engine answered this protocol's own request `done` with
+    /// `reply` (the body of a [`Msg::EngineResp`]).
     fn on_reply(
         &mut self,
         core: &mut ClientCore,
         ctx: &mut Ctx<'_, Msg>,
         done: Done,
-        reply: Msg,
+        reply: EngineMsg,
     ) -> Step {
         let _ = (core, ctx, done, reply);
         Step::Continue
@@ -485,20 +496,6 @@ pub fn lww_apply(view: &mut ServerView<'_>, key: Key, record: SharedRecord) {
     }
 }
 
-/// Shared resolution of a [`VersionReq`] against a plain visible store —
-/// the default [`ProtocolEngine::read_version`] behavior, also used by
-/// the RAMP engines for the committed part of their lookup.
-pub fn resolve_version(store: &dyn Store, key: &Key, req: &VersionReq) -> Option<SharedRecord> {
-    match req {
-        VersionReq::Exact(ts) => store.exact(key, *ts),
-        VersionReq::AtOrBelow(ts) => store.latest_at_or_below(key, *ts),
-        VersionReq::Among(set) => set
-            .iter()
-            .filter_map(|ts| store.exact(key, *ts))
-            .max_by_key(|r| r.stamp),
-    }
-}
-
 /// Both halves of one engine.
 pub type EnginePair = (Box<dyn ProtocolEngine>, Box<dyn ClientProtocol>);
 
@@ -536,5 +533,168 @@ pub fn engine_for(kind: ProtocolKind) -> EnginePair {
             Box::<twopl::TwoPlEngine>::default(),
             Box::<twopl::TwoPlClient>::default(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::ramp::VersionReq;
+
+    fn key(s: &str) -> Key {
+        Key::from(s.to_owned())
+    }
+
+    /// The wire accounting of every engine message, pinned: tracing
+    /// (`msg.per_txn`, `msg.bytes_per_txn`, per-layer attribution by
+    /// label) reads these, so a change of message shape must leave them
+    /// exactly as they are. Each body counts its envelope's fields, and
+    /// the envelope reports its body's figures.
+    #[test]
+    fn engine_messages_keep_their_labels_and_sizes() {
+        let (txn, op, ts) = (Timestamp::new(7, 1), 3, Timestamp::new(9, 2));
+        let record: SharedRecord = Record::new(ts, Bytes::from("val")).into();
+        let cases: [(EngineMsg, &str, u64); 15] = [
+            (
+                EngineMsg::Ramp(RampMsg::GetTs { key: key("key") }),
+                "GetTs",
+                19,
+            ),
+            (
+                EngineMsg::Ramp(RampMsg::GetVersion {
+                    key: key("key"),
+                    req: VersionReq::Exact(ts),
+                }),
+                "GetVersion",
+                31,
+            ),
+            (
+                EngineMsg::Ramp(RampMsg::GetVersion {
+                    key: key("key"),
+                    req: VersionReq::Among(vec![ts, txn]),
+                }),
+                "GetVersion",
+                43,
+            ),
+            (
+                EngineMsg::Ramp(RampMsg::CommitBatch {
+                    ts,
+                    marks: vec![(0, key("key")), (1, key("k2"))].into(),
+                }),
+                "CommitBatch",
+                37,
+            ),
+            (
+                EngineMsg::Lock(LockMsg::Lock {
+                    key: key("key"),
+                    exclusive: true,
+                }),
+                "Lock",
+                20,
+            ),
+            (
+                EngineMsg::Lock(LockMsg::Unlock {
+                    keys: vec![key("key"), key("k2")],
+                }),
+                "Unlock",
+                25,
+            ),
+            (
+                EngineMsg::Lock(LockMsg::LockCheck { key: key("key") }),
+                "LockCheck",
+                19,
+            ),
+            (EngineMsg::Ramp(RampMsg::GetTsResp { ts }), "GetTsResp", 28),
+            (
+                EngineMsg::Ramp(RampMsg::GetVersionResp {
+                    found: Some(record),
+                }),
+                "GetVersionResp",
+                35,
+            ),
+            (
+                EngineMsg::Ramp(RampMsg::GetVersionResp { found: None }),
+                "GetVersionResp",
+                16,
+            ),
+            (
+                EngineMsg::Ramp(RampMsg::CommitBatchResp { ops: vec![0, 1] }),
+                "CommitBatchResp",
+                20,
+            ),
+            (
+                EngineMsg::Lock(LockMsg::LockResp { floor: ts }),
+                "LockResp",
+                28,
+            ),
+            (
+                EngineMsg::Lock(LockMsg::LockCheckResp { ok: true }),
+                "LockCheckResp",
+                17,
+            ),
+            (
+                EngineMsg::Mav(MavMsg::Notify { key: key("key") }),
+                "Notify",
+                19,
+            ),
+            (
+                EngineMsg::Mav(MavMsg::NotifySummary {
+                    acks: vec![(4, key("key")), (5, key("k2"))],
+                }),
+                "NotifySummary",
+                33,
+            ),
+        ];
+        for (body, label, bytes) in cases {
+            assert_eq!(body.label(), label, "{body:?}");
+            assert_eq!(body.approx_bytes(), bytes, "{body:?}");
+            for msg in [
+                Msg::EngineReq {
+                    txn,
+                    op,
+                    body: body.clone(),
+                },
+                Msg::EngineResp {
+                    txn,
+                    op,
+                    body: body.clone(),
+                },
+                Msg::Engine {
+                    txn,
+                    body: body.clone(),
+                },
+            ] {
+                assert_eq!((msg.label(), msg.approx_bytes()), (label, bytes));
+            }
+        }
+    }
+
+    /// A reply answers only its own request kind. RAMP's second round
+    /// reuses its first round's op id, so a late round-1 answer must not
+    /// pass for the version fetch. Only a first round may follow a shard
+    /// redirect.
+    #[test]
+    fn replies_answer_only_their_request_kind() {
+        let ts = Timestamp::new(1, 1);
+        let get_ts = EngineMsg::Ramp(RampMsg::GetTs { key: key("x") });
+        let fetch = EngineMsg::Ramp(RampMsg::GetVersion {
+            key: key("x"),
+            req: VersionReq::Exact(ts),
+        });
+        let version = EngineMsg::Ramp(RampMsg::GetVersionResp { found: None });
+        let stamp = EngineMsg::Ramp(RampMsg::GetTsResp { ts });
+        assert!(version.answers(&fetch) && stamp.answers(&get_ts));
+        assert!(!stamp.answers(&fetch), "a late round-1 answer is dropped");
+        assert!(!version.answers(&get_ts));
+        let lock = EngineMsg::Lock(LockMsg::Lock {
+            key: key("x"),
+            exclusive: false,
+        });
+        let check = EngineMsg::Lock(LockMsg::LockCheck { key: key("x") });
+        let granted = EngineMsg::Lock(LockMsg::LockResp { floor: ts });
+        assert!(granted.answers(&lock) && !granted.answers(&check));
+        assert!(!stamp.answers(&lock), "no reply crosses families");
+        assert!(get_ts.may_redirect() && !fetch.may_redirect() && !lock.may_redirect());
+        assert_eq!(lock.key(), Some(&key("x")));
     }
 }

@@ -36,14 +36,64 @@
 //! end-to-end test pins this boundary down explicitly.
 
 use crate::client::{ClientCore, Placement};
-use crate::config::ServiceModel;
-use crate::messages::Msg;
-use crate::protocol::engine::{ClientProtocol, ProtocolEngine, ServerView, Step};
+use crate::messages::{Msg, TS_WIRE_BYTES as TS};
+use crate::protocol::engine::{ClientProtocol, EngineMsg, ProtocolEngine, ServerView, Step};
 use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration};
 use hat_storage::{Key, Memtable, Record, SharedRecord, Store};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// MAV's messages between replicas: the body of an [`EngineMsg::Mav`],
+/// sent one-way in a [`Msg::Engine`] whose `txn` is the notified
+/// transaction's stamp.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MavMsg {
+    /// A replica announces it has received the transaction's write of
+    /// `key` (Appendix B's `notify(w.ts)`, keyed so retransmissions
+    /// count once).
+    Notify {
+        /// The key whose write the sender received.
+        key: Key,
+    },
+    /// The complete acknowledgement set a replica collected before
+    /// promoting the transaction. Sent in answer to a *duplicate*
+    /// notification for an already-promoted transaction — the sender of
+    /// that duplicate is replaying notifications on its anti-entropy
+    /// timer because it is still pending, which means the notifications
+    /// it is missing were lost (e.g. to a one-way partition) *and* every
+    /// replica that could re-send them has already promoted and stopped
+    /// replaying. The summary lets the stuck replica finish its count
+    /// from a peer's records instead.
+    NotifySummary {
+        /// Every `(origin, key)` notification the sender collected.
+        acks: Vec<(NodeId, Key)>,
+    },
+}
+
+impl MavMsg {
+    pub(super) fn label(&self) -> &'static str {
+        match self {
+            MavMsg::Notify { .. } => "Notify",
+            MavMsg::NotifySummary { .. } => "NotifySummary",
+        }
+    }
+
+    pub(super) fn approx_bytes(&self) -> u64 {
+        match self {
+            MavMsg::Notify { key } => TS + 4 + key.len() as u64,
+            MavMsg::NotifySummary { acks } => {
+                TS + acks.iter().map(|(_, k)| 8 + k.len() as u64).sum::<u64>()
+            }
+        }
+    }
+}
+
+/// Sends MAV's `body` about transaction `ts` to `to`.
+fn send(ctx: &mut Ctx<'_, Msg>, to: NodeId, ts: Timestamp, body: MavMsg) {
+    let body = EngineMsg::Mav(body);
+    ctx.send(to, Msg::Engine { txn: ts, body });
+}
 
 /// Outcome of receiving a write at a MAV replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,11 +133,6 @@ pub struct MavState {
 }
 
 impl MavState {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of writes currently pending.
     pub fn pending_len(&self) -> usize {
         self.pending.version_count()
@@ -167,7 +212,7 @@ impl MavState {
     /// duplicate notification. Duplicates arriving for an already
     /// promoted transaction identify a sender stuck replaying
     /// notifications it never got answered for (see
-    /// [`Msg::NotifySummary`]).
+    /// [`MavMsg::NotifySummary`]).
     pub fn has_ack(&self, ts: Timestamp, origin: NodeId, key: &Key) -> bool {
         self.acks
             .get(&ts)
@@ -296,13 +341,7 @@ impl MavEngine {
         );
         if outcome.first_receipt {
             for t in Self::notify_targets(view, &key, &siblings) {
-                ctx.send(
-                    t,
-                    Msg::Notify {
-                        ts,
-                        key: key.clone(),
-                    },
-                );
+                send(ctx, t, ts, MavMsg::Notify { key: key.clone() });
             }
             if let Some(copy) = gossip_copy {
                 view.repl.push(key, copy);
@@ -325,19 +364,16 @@ impl ProtocolEngine for MavEngine {
         self.state.read(view.store, key, required)
     }
 
-    fn write_cost(&self, service: &ServiceModel, record: &Record) -> SimDuration {
-        let meta_bytes = record.encoded_len().saturating_sub(4 + record.value.len());
-        service.mav_write(meta_bytes)
-    }
-
     fn apply_client_write(
         &mut self,
         view: &mut ServerView<'_>,
         ctx: &mut Ctx<'_, Msg>,
         key: Key,
         record: SharedRecord,
-    ) {
+    ) -> SimDuration {
+        let meta_bytes = record.encoded_len().saturating_sub(4 + record.value.len());
         self.receive(view, ctx, key, record, true);
+        view.config.service.mav_write(meta_bytes)
     }
 
     fn apply_replicated_write(
@@ -352,39 +388,43 @@ impl ProtocolEngine for MavEngine {
         self.receive(view, ctx, key, record, false);
     }
 
-    fn on_notify(
+    /// Each notification is charged its service time; nothing answers
+    /// it, except a duplicate for a transaction already promoted here.
+    fn on_message(
         &mut self,
         view: &mut ServerView<'_>,
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         ts: Timestamp,
-        key: Key,
+        _op: u32,
+        body: EngineMsg,
     ) {
-        let duplicate = self.state.has_ack(ts, from, &key);
-        let _promoted = self.state.receive_notify(view.store, ts, from, key);
-        // A duplicate notification for a transaction we already promoted
-        // means the sender is replaying on its anti-entropy timer — it
-        // is still pending, and the replicas whose notifications it lost
-        // (to a one-way partition, say) have promoted and gone quiet.
-        // Answer with our complete acknowledgement set so it can finish
-        // its count. First-time notifications never trigger this, so the
-        // fault-free path sends nothing extra.
-        if duplicate && self.state.is_promoted(ts) {
-            let acks = self.state.ack_set(ts);
-            ctx.send(from, Msg::NotifySummary { ts, acks });
-        }
-    }
-
-    fn on_notify_summary(
-        &mut self,
-        view: &mut ServerView<'_>,
-        _ctx: &mut Ctx<'_, Msg>,
-        _from: NodeId,
-        ts: Timestamp,
-        acks: Vec<(NodeId, Key)>,
-    ) {
-        for (origin, key) in acks {
-            let _ = self.state.receive_notify(view.store, ts, origin, key);
+        match body {
+            EngineMsg::Mav(MavMsg::Notify { key }) => {
+                let _ = view.service(ctx.now(), view.config.service.notify(1));
+                let duplicate = self.state.has_ack(ts, from, &key);
+                let _promoted = self.state.receive_notify(view.store, ts, from, key);
+                // A duplicate notification for a transaction we already
+                // promoted means the sender is replaying on its
+                // anti-entropy timer — it is still pending, and the
+                // replicas whose notifications it lost (to a one-way
+                // partition, say) have promoted and gone quiet. Answer
+                // with our complete acknowledgement set so it can finish
+                // its count. First-time notifications never trigger
+                // this, so the fault-free path sends nothing extra.
+                if duplicate && self.state.is_promoted(ts) {
+                    let acks = self.state.ack_set(ts);
+                    send(ctx, from, ts, MavMsg::NotifySummary { acks });
+                }
+            }
+            EngineMsg::Mav(MavMsg::NotifySummary { acks }) => {
+                let _ = view.service(ctx.now(), view.config.service.notify(acks.len()));
+                for (origin, key) in acks {
+                    let _ = self.state.receive_notify(view.store, ts, origin, key);
+                }
+            }
+            // Other engines' bodies never reach a MAV server.
+            _ => {}
         }
     }
 
@@ -394,13 +434,7 @@ impl ProtocolEngine for MavEngine {
         // idempotent). Bounded per tick.
         for (ts, key, siblings) in self.state.pending_writes().into_iter().take(256) {
             for t in Self::notify_targets(view, &key, &siblings) {
-                ctx.send(
-                    t,
-                    Msg::Notify {
-                        ts,
-                        key: key.clone(),
-                    },
-                );
+                send(ctx, t, ts, MavMsg::Notify { key: key.clone() });
             }
         }
     }
@@ -459,7 +493,7 @@ mod tests {
     #[test]
     fn write_promotes_after_all_sibling_acks() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let ts = Timestamp::new(1, 1);
         let out = mav.receive_write(&mut store, Key::from("x"), rec(ts, "1", &["x", "y"]), 1);
         assert!(out.first_receipt);
@@ -484,7 +518,7 @@ mod tests {
     #[test]
     fn duplicate_write_is_not_first_receipt() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let ts = Timestamp::new(1, 1);
         let r = rec(ts, "1", &["x"]);
         assert!(
@@ -507,7 +541,7 @@ mod tests {
     #[test]
     fn notify_before_write_arrival_counts() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let ts = Timestamp::new(2, 1);
         // notifications race ahead of the write copy
         assert!(mav
@@ -524,7 +558,7 @@ mod tests {
     #[test]
     fn read_semantics_follow_appendix_b() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let t1 = Timestamp::new(1, 1);
         let t2 = Timestamp::new(2, 1);
 
@@ -563,7 +597,7 @@ mod tests {
     #[test]
     fn required_miss_is_counted_and_falls_back() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let t1 = Timestamp::new(1, 1);
         store
             .put(Key::from("x"), rec(t1, "old", &["x"]).into())
@@ -577,7 +611,7 @@ mod tests {
     fn multi_replica_counting() {
         // 2 clusters: txn writes {x, y}; expected acks = 2 sibs * 2 clusters = 4.
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let ts = Timestamp::new(3, 1);
         mav.receive_write(&mut store, Key::from("x"), rec(ts, "1", &["x", "y"]), 2);
         let sources: [(NodeId, &str); 4] = [(10, "x"), (11, "x"), (12, "y"), (13, "y")];
@@ -595,7 +629,7 @@ mod tests {
     fn same_server_holds_two_sibling_writes() {
         // both x and y hash to this server: promotion releases both
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let ts = Timestamp::new(4, 1);
         mav.receive_write(&mut store, Key::from("x"), rec(ts, "vx", &["x", "y"]), 1);
         mav.receive_write(&mut store, Key::from("y"), rec(ts, "vy", &["x", "y"]), 1);
@@ -611,7 +645,7 @@ mod tests {
     #[test]
     fn gc_acks_retains_pending() {
         let mut store = MemStore::new();
-        let mut mav = MavState::new();
+        let mut mav = MavState::default();
         let old_done = Timestamp::new(1, 1);
         let old_pending = Timestamp::new(2, 1);
         mav.receive_write(&mut store, Key::from("x"), rec(old_done, "1", &["x"]), 1);

@@ -3,7 +3,8 @@
 //! by side in one module.
 //!
 //! * [`engine`] — the two traits every isolation / consistency level
-//!   implements, the [`ServerView`] handed to server hooks, and the
+//!   implements, the [`ServerView`] handed to server hooks, the
+//!   [`EngineMsg`] body an engine's own messages carry, and the
 //!   [`engine_for`] registry.
 //! * [`eventual`] / [`read_committed`] / [`master`] — the last-writer-
 //!   wins engines (the isolation differences live in the client halves:
@@ -28,8 +29,8 @@ pub mod replication;
 pub mod twopl;
 
 pub use engine::{
-    engine_for, lww_apply, resolve_version, ClientProtocol, EnginePair, ProtocolEngine, Route,
-    ServerView, Step, VersionAnswer,
+    engine_for, lww_apply, ClientProtocol, EngineMsg, EnginePair, ProtocolEngine, Route,
+    ServerView, Step,
 };
 pub use eventual::EventualEngine;
 pub use master::MasterEngine;

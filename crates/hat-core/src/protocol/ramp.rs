@@ -41,17 +41,156 @@
 //! guarantee is exact within a cluster and best-effort across the WAN.
 
 use crate::client::{bottom, sibling_bytes, ClientCore, Done, Placement};
-use crate::config::ServiceModel;
-use crate::messages::{Msg, VersionReq};
-use crate::protocol::engine::{
-    resolve_version, ClientProtocol, ProtocolEngine, ServerView, Step, VersionAnswer,
-};
+use crate::messages::{Msg, TS_WIRE_BYTES};
+use crate::protocol::engine::{ClientProtocol, EngineMsg, ProtocolEngine, ServerView, Step};
 use crate::timestamp::Timestamp;
 use crate::txn::TxnOutcome;
 use hat_sim::{Ctx, NodeId, SimDuration};
-use hat_storage::{Key, Memtable, Record, SharedRecord};
+use hat_storage::{Key, Memtable, Record, SharedRecord, Store};
 use hat_trace::OpKind;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Which version a RAMP second-round fetch asks for.
+#[derive(Debug, Clone, PartialEq)]
+pub enum VersionReq {
+    /// Exactly this stamp (RAMP-Fast repair: the sibling version named
+    /// in another record's metadata). The server may hold the reply
+    /// until the version arrives — it is guaranteed to be in flight.
+    Exact(Timestamp),
+    /// The newest committed version at or below this stamp (RAMP-Fast
+    /// ceiling repair: a later read must not expose a write-set a
+    /// previously returned read fractures).
+    AtOrBelow(Timestamp),
+    /// The newest version whose stamp is in this set (RAMP-Small second
+    /// round: the transaction's observed-timestamp set).
+    Among(Vec<Timestamp>),
+}
+
+/// RAMP's messages: the body of an [`EngineMsg::Ramp`]. Requests travel
+/// in a [`Msg::EngineReq`], answers in a [`Msg::EngineResp`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum RampMsg {
+    /// RAMP-Small round 1: fetch the latest *committed stamp* of `key`
+    /// (no value moves — this is the constant-size metadata read).
+    GetTs {
+        /// Key whose latest committed stamp is wanted.
+        key: Key,
+    },
+    /// Answer to [`RampMsg::GetTs`].
+    GetTsResp {
+        /// Latest committed stamp (INITIAL when the key has no version).
+        ts: Timestamp,
+    },
+    /// Second-round fetch: a specific version of `key`, selected by
+    /// `req` (exact sibling stamp, ceiling, or timestamp set). Carries
+    /// the op id of the read it continues.
+    GetVersion {
+        /// Key to fetch.
+        key: Key,
+        /// Which version is wanted.
+        req: VersionReq,
+    },
+    /// Answer to [`RampMsg::GetVersion`].
+    GetVersionResp {
+        /// The version found, or `None` when nothing satisfies the
+        /// request.
+        found: Option<SharedRecord>,
+    },
+    /// Commit markers, group-committed: promote the prepared versions
+    /// of the marked keys stamped `ts` to visible (phase 2 of the
+    /// two-phase write). Every marker a transaction owes one server is
+    /// coalesced into a single message, registered under its first
+    /// mark's op.
+    CommitBatch {
+        /// Stamp of the versions committing (the transaction's write
+        /// stamp).
+        ts: Timestamp,
+        /// `(op, key)` commit marks, in op order.
+        marks: Box<[(u32, Key)]>,
+    },
+    /// Answer to [`RampMsg::CommitBatch`]: every mark in the batch was
+    /// applied.
+    CommitBatchResp {
+        /// Op indexes of the acknowledged marks.
+        ops: Vec<u32>,
+    },
+}
+
+impl RampMsg {
+    pub(super) fn label(&self) -> &'static str {
+        match self {
+            RampMsg::GetTs { .. } => "GetTs",
+            RampMsg::GetTsResp { .. } => "GetTsResp",
+            RampMsg::GetVersion { .. } => "GetVersion",
+            RampMsg::GetVersionResp { .. } => "GetVersionResp",
+            RampMsg::CommitBatch { .. } => "CommitBatch",
+            RampMsg::CommitBatchResp { .. } => "CommitBatchResp",
+        }
+    }
+
+    pub(super) fn approx_bytes(&self) -> u64 {
+        const TS: u64 = TS_WIRE_BYTES;
+        match self {
+            RampMsg::GetTs { key } => TS + 4 + key.len() as u64,
+            RampMsg::GetTsResp { .. } => TS + 4 + TS,
+            RampMsg::GetVersion { key, req } => {
+                let req_bytes = match req {
+                    VersionReq::Exact(_) | VersionReq::AtOrBelow(_) => TS,
+                    VersionReq::Among(set) => TS * set.len() as u64,
+                };
+                TS + 4 + key.len() as u64 + req_bytes
+            }
+            RampMsg::GetVersionResp { found } => {
+                TS + 4 + found.as_ref().map_or(0, |r| r.encoded_len() as u64)
+            }
+            RampMsg::CommitBatch { marks, .. } => {
+                TS + TS + marks.iter().map(|(_, k)| 4 + k.len() as u64).sum::<u64>()
+            }
+            RampMsg::CommitBatchResp { ops } => TS + 4 * ops.len() as u64,
+        }
+    }
+
+    pub(super) fn key(&self) -> Option<&Key> {
+        match self {
+            RampMsg::GetTs { key } | RampMsg::GetVersion { key, .. } => Some(key),
+            _ => None,
+        }
+    }
+
+    pub(super) fn answers(&self, request: &RampMsg) -> bool {
+        matches!(
+            (self, request),
+            (RampMsg::GetTsResp { .. }, RampMsg::GetTs { .. })
+                | (RampMsg::GetVersionResp { .. }, RampMsg::GetVersion { .. })
+                | (RampMsg::CommitBatchResp { .. }, RampMsg::CommitBatch { .. })
+        )
+    }
+}
+
+/// Sends `reply` to `to` as the answer to its request `(txn, op)`.
+fn reply_after(
+    ctx: &mut Ctx<'_, Msg>,
+    hold: SimDuration,
+    to: NodeId,
+    txn: Timestamp,
+    op: u32,
+    reply: RampMsg,
+) {
+    let body = EngineMsg::Ramp(reply);
+    ctx.send_after(hold, to, Msg::EngineResp { txn, op, body });
+}
+
+/// Resolves a [`VersionReq`] against the visible store.
+fn resolve_version(store: &dyn Store, key: &Key, req: &VersionReq) -> Option<SharedRecord> {
+    match req {
+        VersionReq::Exact(ts) => store.exact(key, *ts),
+        VersionReq::AtOrBelow(ts) => store.latest_at_or_below(key, *ts),
+        VersionReq::Among(set) => set
+            .iter()
+            .filter_map(|ts| store.exact(key, *ts))
+            .max_by_key(|r| r.stamp),
+    }
+}
 
 /// A reader waiting on a parked exact-stamp fetch.
 type Waiter = (NodeId, Timestamp, u32);
@@ -79,10 +218,6 @@ pub struct RampCore {
     /// [`PARKED_GC_TICKS`] are dropped (their readers have long since
     /// hit the operation deadline and abandoned).
     parked_age: BTreeMap<(Key, Timestamp), u32>,
-    /// Second-round fetches served (RAMP-Small round 2 + repairs).
-    pub version_fetches: u64,
-    /// Exact fetches that had to park (the version was still in flight).
-    pub parked_fetches: u64,
     /// `Among` fetches that matched nothing in their set — routine for
     /// keys with no committed history; the answer is then `None` (`⊥`),
     /// never an out-of-set version (which could itself fracture).
@@ -202,36 +337,74 @@ impl RampCore {
         self.parked_age.remove(&(key.clone(), ts));
         let hold = view.config.service.read();
         for (from, txn, op) in waiters {
-            ctx.send_after(
-                hold,
-                from,
-                Msg::GetVersionResp {
-                    txn,
-                    op,
-                    found: Some(rec.clone()),
-                },
-            );
+            let found = Some(rec.clone());
+            reply_after(ctx, hold, from, txn, op, RampMsg::GetVersionResp { found });
         }
     }
 
-    /// Serves a second-round fetch against committed ∪ prepared.
-    fn read_version(
+    /// Serves one RAMP request from `from`: each is charged its service
+    /// time and answered once the queue drains — a parked fetch later,
+    /// when its version arrives.
+    fn on_message(
         &mut self,
         view: &mut ServerView<'_>,
+        ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         txn: Timestamp,
         op: u32,
+        body: EngineMsg,
+    ) {
+        match body {
+            // Round 1 of RAMP-Small: the latest visible stamp, a
+            // constant-size reply.
+            EngineMsg::Ramp(RampMsg::GetTs { key }) => {
+                let hold = view.service(ctx.now(), view.config.service.ts_read());
+                let latest = view.store.latest(&key);
+                let ts = latest.map_or(Timestamp::INITIAL, |r| r.stamp);
+                reply_after(ctx, hold, from, txn, op, RampMsg::GetTsResp { ts });
+            }
+            EngineMsg::Ramp(RampMsg::GetVersion { key, req }) => {
+                let hold = view.service(ctx.now(), view.config.service.read());
+                if let Some(found) = self.read_version(view, (from, txn, op), &key, &req) {
+                    reply_after(ctx, hold, from, txn, op, RampMsg::GetVersionResp { found });
+                }
+            }
+            // Every mark is charged its full commit cost; the saving over
+            // one message per mark is the round trips.
+            EngineMsg::Ramp(RampMsg::CommitBatch { ts, marks }) => {
+                view.stats.commit_batches += 1;
+                view.stats.commit_batch_size += marks.len() as u64;
+                let cost = view.config.service.ramp_commits(marks.len());
+                let hold = view.service(ctx.now(), cost);
+                let mut ops = Vec::with_capacity(marks.len());
+                for (mark, key) in marks.into_vec() {
+                    self.commit_mark(view, key, ts);
+                    ops.push(mark);
+                }
+                reply_after(ctx, hold, from, txn, op, RampMsg::CommitBatchResp { ops });
+            }
+            // Answers, and other engines' bodies, never reach a RAMP server.
+            _ => {}
+        }
+    }
+
+    /// Serves a second-round fetch against committed ∪ prepared: the
+    /// answer (`None` inside for nothing found), or `None` when the fetch
+    /// parked — `waiter` is answered when the version arrives.
+    fn read_version(
+        &mut self,
+        view: &mut ServerView<'_>,
+        waiter: Waiter,
         key: &Key,
         req: &VersionReq,
-    ) -> VersionAnswer {
-        self.version_fetches += 1;
+    ) -> Option<Option<SharedRecord>> {
         match req {
             VersionReq::Exact(ts) => {
                 if let Some(r) = view.store.exact(key, *ts) {
-                    return VersionAnswer::Ready(Some(r));
+                    return Some(Some(r));
                 }
                 if let Some(r) = self.prepared.exact(key, *ts) {
-                    return VersionAnswer::Ready(Some(r.clone()));
+                    return Some(Some(r.clone()));
                 }
                 // The requested stamp is a *floor*: any visible version
                 // at or above it satisfies the reader (fracture checks
@@ -240,24 +413,23 @@ impl RampCore {
                 // evicted by the bounded version chain — the newer
                 // versions that evicted it are the proof it is stale.
                 if let Some(r) = view.store.latest_at_or_above(key, *ts) {
-                    return VersionAnswer::Ready(Some(r));
+                    return Some(Some(r));
                 }
                 // The version is guaranteed in flight (the reader
                 // learned the stamp from a committed sibling): park and
                 // answer on arrival. Duplicate parks (request retries)
                 // are deduplicated.
-                self.parked_fetches += 1;
                 let waiters = self.parked.entry((key.clone(), *ts)).or_default();
-                if !waiters.contains(&(from, txn, op)) {
-                    waiters.push((from, txn, op));
+                if !waiters.contains(&waiter) {
+                    waiters.push(waiter);
                 }
                 self.parked_age.entry((key.clone(), *ts)).or_insert(0);
-                VersionAnswer::Parked
+                None
             }
             VersionReq::AtOrBelow(_) => {
                 // Ceiling repairs want a *visible* version: committed
                 // only.
-                VersionAnswer::Ready(resolve_version(view.store, key, req))
+                Some(resolve_version(view.store, key, req))
             }
             VersionReq::Among(set) => {
                 let committed = resolve_version(view.store, key, req);
@@ -277,7 +449,7 @@ impl RampCore {
                     // justify — itself a potential fractured read.
                     self.among_misses += 1;
                 }
-                VersionAnswer::Ready(best)
+                Some(best)
             }
         }
     }
@@ -324,19 +496,16 @@ macro_rules! ramp_engine {
                 view.store.latest(key)
             }
 
-            fn write_cost(&self, service: &ServiceModel, record: &Record) -> SimDuration {
-                let meta = record.encoded_len().saturating_sub(4 + record.value.len());
-                service.ramp_prepare(meta)
-            }
-
             fn apply_client_write(
                 &mut self,
                 view: &mut ServerView<'_>,
                 ctx: &mut Ctx<'_, Msg>,
                 key: Key,
                 record: SharedRecord,
-            ) {
+            ) -> SimDuration {
+                let meta = record.encoded_len().saturating_sub(4 + record.value.len());
                 self.core.prepare(view, ctx, key, record);
+                view.config.service.ramp_prepare(meta)
             }
 
             fn apply_replicated_write(
@@ -349,26 +518,16 @@ macro_rules! ramp_engine {
                 self.core.apply_replicated(view, ctx, key, record);
             }
 
-            fn on_commit_mark(
+            fn on_message(
                 &mut self,
                 view: &mut ServerView<'_>,
-                _ctx: &mut Ctx<'_, Msg>,
-                key: Key,
-                ts: Timestamp,
-            ) {
-                self.core.commit_mark(view, key, ts);
-            }
-
-            fn read_version(
-                &mut self,
-                view: &mut ServerView<'_>,
+                ctx: &mut Ctx<'_, Msg>,
                 from: NodeId,
                 txn: Timestamp,
                 op: u32,
-                key: &Key,
-                req: &VersionReq,
-            ) -> VersionAnswer {
-                self.core.read_version(view, from, txn, op, key, req)
+                body: EngineMsg,
+            ) {
+                self.core.on_message(view, ctx, from, txn, op, body);
             }
 
             fn on_anti_entropy_tick(&mut self, view: &mut ServerView<'_>, _ctx: &mut Ctx<'_, Msg>) {
@@ -404,11 +563,8 @@ ramp_engine!(
 /// [`crate::ClientMetrics::unrepaired_reads`]).
 const MAX_RAMP_REPAIRS: u32 = 4;
 
-/// Encoded size of one timestamp on the wire (seq + writer).
-const TS_WIRE_BYTES: u64 = 12;
-
 /// Group commit: the most phase-2 commit marks coalesced into one
-/// [`Msg::CommitBatch`] per destination server.
+/// [`RampMsg::CommitBatch`] per destination server.
 const COMMIT_BATCH_MARKS: usize = 64;
 
 /// Continues the read `done` belongs to with a second-round version
@@ -426,13 +582,8 @@ fn fetch_version(
     }
     core.open_round(ctx, done.issued);
     let (txn, op) = (core.txn_id(), done.op);
-    core.send(
-        ctx,
-        op,
-        done.target,
-        true,
-        Msg::GetVersion { txn, op, key, req },
-    );
+    let body = EngineMsg::Ramp(RampMsg::GetVersion { key, req });
+    core.send(ctx, op, done.target, true, Msg::EngineReq { txn, op, body });
 }
 
 /// The two-phase, master-less RAMP write both client halves share:
@@ -482,17 +633,31 @@ impl TwoPhaseWrite {
         }
         for (target, marks) in per_dest {
             for chunk in marks.chunks(COMMIT_BATCH_MARKS) {
-                let marks = chunk.to_vec();
-                core.send(
-                    ctx,
-                    chunk[0].0,
-                    target,
-                    true,
-                    Msg::CommitBatch { txn, ts, marks },
-                );
+                let (op, marks) = (chunk[0].0, chunk.into());
+                let body = EngineMsg::Ramp(RampMsg::CommitBatch { ts, marks });
+                core.send(ctx, op, target, true, Msg::EngineReq { txn, op, body });
             }
         }
         Step::Continue
+    }
+}
+
+/// The answers both RAMP clients take alike: a version fetch's goes
+/// back to the read it continues, a mark batch's ack to the commit.
+fn on_reply(
+    proto: &mut impl ClientProtocol,
+    core: &mut ClientCore,
+    ctx: &mut Ctx<'_, Msg>,
+    done: Done,
+    reply: RampMsg,
+) -> Step {
+    match reply {
+        RampMsg::GetVersionResp { found } => {
+            let key = done.key().expect("keyed request").clone();
+            proto.on_value(core, ctx, done, key, found)
+        }
+        RampMsg::CommitBatchResp { .. } => proto.on_acked(core, ctx, done),
+        _ => Step::Continue,
     }
 }
 
@@ -603,6 +768,19 @@ impl ClientProtocol for RampFastClient {
     fn on_acked(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, done: Done) -> Step {
         self.write.on_acked(core, ctx, done)
     }
+
+    fn on_reply(
+        &mut self,
+        core: &mut ClientCore,
+        ctx: &mut Ctx<'_, Msg>,
+        done: Done,
+        reply: EngineMsg,
+    ) -> Step {
+        match reply {
+            EngineMsg::Ramp(reply) => on_reply(self, core, ctx, done, reply),
+            _ => Step::Continue,
+        }
+    }
 }
 
 /// A one-shot multi-key read in progress.
@@ -639,7 +817,12 @@ impl ClientProtocol for RampSmallClient {
 
     fn read(&mut self, core: &mut ClientCore, ctx: &mut Ctx<'_, Msg>, key: Key) {
         let target = core.pick_replica(ctx, &key);
-        core.request(ctx, target, false, |txn, op| Msg::GetTs { txn, op, key });
+        let body = EngineMsg::Ramp(RampMsg::GetTs { key });
+        core.request(ctx, target, false, |txn, op| Msg::EngineReq {
+            txn,
+            op,
+            body,
+        });
     }
 
     /// The paper's `GET_ALL`: round 1 fetches every key's latest
@@ -671,8 +854,9 @@ impl ClientProtocol for RampSmallClient {
             core.open_round(ctx, ctx.now());
             for key in remote {
                 let target = core.pick_replica(ctx, key);
-                let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
-                core.send(ctx, op, target, true, Msg::GetTs { txn, op, key });
+                let (txn, op) = (core.txn_id(), core.next_op());
+                let body = EngineMsg::Ramp(RampMsg::GetTs { key: key.clone() });
+                core.send(ctx, op, target, true, Msg::EngineReq { txn, op, body });
             }
             self.batch = Some(Batch {
                 keys,
@@ -688,18 +872,24 @@ impl ClientProtocol for RampSmallClient {
         })
     }
 
-    /// Round-1 answer: continue into round 2 with the transaction's
+    /// A round-1 answer continues into round 2 with the transaction's
     /// observed-stamp set plus the stamp(s) just learnt. With nothing to
     /// fetch — no observed stamps and `⊥` keys — the read completes as
-    /// `⊥` without a value round.
+    /// `⊥` without a value round. The other answers go where both RAMP
+    /// clients send them.
     fn on_reply(
         &mut self,
         core: &mut ClientCore,
         ctx: &mut Ctx<'_, Msg>,
         done: Done,
-        reply: Msg,
+        reply: EngineMsg,
     ) -> Step {
-        let (Msg::GetTsResp { ts, .. }, Some(key)) = (reply, done.key().cloned()) else {
+        let ts = match reply {
+            EngineMsg::Ramp(RampMsg::GetTsResp { ts }) => ts,
+            EngineMsg::Ramp(reply) => return on_reply(self, core, ctx, done, reply),
+            _ => return Step::Continue,
+        };
+        let Some(key) = done.key().cloned() else {
             return Step::Continue;
         };
         core.metrics.metadata_bytes += TS_WIRE_BYTES;
@@ -735,7 +925,8 @@ impl ClientProtocol for RampSmallClient {
         for (key, &(_, target)) in &batch.stamps {
             let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
             let req = VersionReq::Among(set.clone());
-            core.send(ctx, op, target, true, Msg::GetVersion { txn, op, key, req });
+            let body = EngineMsg::Ramp(RampMsg::GetVersion { key, req });
+            core.send(ctx, op, target, true, Msg::EngineReq { txn, op, body });
         }
         Step::Continue
     }
@@ -801,6 +992,7 @@ mod tests {
     use crate::cluster::ClusterLayout;
     use crate::config::{ProtocolKind, SystemConfig};
     use crate::protocol::replication::ReplicationLog;
+    use crate::server::ServerStats;
     use bytes::Bytes;
     use hat_sim::SimTime;
     use hat_storage::MemStore;
@@ -809,6 +1001,10 @@ mod tests {
 
     fn layout() -> ClusterLayout {
         ClusterLayout::new(vec![vec![0], vec![1]], vec![2], vec![0])
+    }
+
+    fn exact(ts: Timestamp) -> VersionReq {
+        VersionReq::Exact(ts)
     }
 
     fn rec(ts: Timestamp, val: &str, sibs: &[&str]) -> Record {
@@ -830,12 +1026,16 @@ mod tests {
         let config = SystemConfig::new(ProtocolKind::RampFast);
         let mut store = MemStore::new();
         let mut repl = ReplicationLog::new(1);
+        let mut stats = ServerStats::default();
+        let mut busy_until = SimTime::ZERO;
         let mut view = ServerView {
             store: &mut store,
             repl: &mut repl,
             layout: &layout,
             config: &config,
-            cluster: 0,
+            stats: &mut stats,
+            recovering: false,
+            busy_until: &mut busy_until,
         };
         let mut rng = StdRng::seed_from_u64(7);
         let mut ctx = Ctx::detached(0, SimTime::ZERO, &mut rng);
@@ -853,18 +1053,17 @@ mod tests {
             assert!(view.store.latest(b"x").is_none(), "prepare is invisible");
             assert_eq!(e.core.prepared_len(), 1);
             // exact fetch sees the prepared version
-            let ans = e.read_version(view, 2, ts, 0, &Key::from("x"), &VersionReq::Exact(ts));
-            assert_eq!(
-                ans,
-                VersionAnswer::Ready(Some(rec(ts, "v", &["x", "y"]).into()))
-            );
+            let ans = e
+                .core
+                .read_version(view, (2, ts, 0), &Key::from("x"), &exact(ts));
+            assert_eq!(ans, Some(Some(rec(ts, "v", &["x", "y"]).into())));
             // commit promotes it and queues gossip
-            e.on_commit_mark(view, ctx, Key::from("x"), ts);
+            e.core.commit_mark(view, Key::from("x"), ts);
             assert_eq!(view.store.latest(b"x").unwrap().value, Bytes::from("v"));
             assert_eq!(e.core.prepared_len(), 0);
             assert_eq!(view.repl.len(), 1, "committed version gossips");
             // duplicate commit (retry) is idempotent
-            e.on_commit_mark(view, ctx, Key::from("x"), ts);
+            e.core.commit_mark(view, Key::from("x"), ts);
             assert_eq!(view.repl.len(), 1);
         });
     }
@@ -873,11 +1072,15 @@ mod tests {
     fn exact_fetch_parks_until_the_version_arrives() {
         let ts = Timestamp::new(3, 1);
         let ((), sends) = with_engine(|e, view, ctx| {
-            let ans = e.read_version(view, 9, ts, 4, &Key::from("x"), &VersionReq::Exact(ts));
-            assert_eq!(ans, VersionAnswer::Parked);
+            let ans = e
+                .core
+                .read_version(view, (9, ts, 4), &Key::from("x"), &exact(ts));
+            assert_eq!(ans, None, "parked");
             // a retried fetch parks once
-            let ans = e.read_version(view, 9, ts, 4, &Key::from("x"), &VersionReq::Exact(ts));
-            assert_eq!(ans, VersionAnswer::Parked);
+            let ans = e
+                .core
+                .read_version(view, (9, ts, 4), &Key::from("x"), &exact(ts));
+            assert_eq!(ans, None, "parked");
             assert_eq!(e.core.parked_len(), 1);
             // the anti-entropy copy lands: the parked reader is answered
             e.apply_replicated_write(view, ctx, Key::from("x"), rec(ts, "late", &["x"]).into());
@@ -885,13 +1088,16 @@ mod tests {
         });
         let replies: Vec<_> = sends
             .iter()
-            .filter(|(_, to, m)| *to == 9 && matches!(m, Msg::GetVersionResp { .. }))
+            .filter_map(|(_, to, m)| match m {
+                Msg::EngineResp {
+                    body: EngineMsg::Ramp(RampMsg::GetVersionResp { found }),
+                    ..
+                } if *to == 9 => Some(found),
+                _ => None,
+            })
             .collect();
         assert_eq!(replies.len(), 1, "deduplicated park answers once");
-        let Msg::GetVersionResp { found, .. } = &replies[0].2 else {
-            unreachable!()
-        };
-        assert_eq!(found.as_ref().unwrap().value, Bytes::from("late"));
+        assert_eq!(replies[0].as_ref().unwrap().value, Bytes::from("late"));
     }
 
     #[test]
@@ -905,30 +1111,22 @@ mod tests {
                 .unwrap();
             e.apply_client_write(view, ctx, Key::from("x"), rec(t2, "prepped", &[]).into());
             // t3 has no version of x: ignored
-            let ans = e.read_version(
-                view,
-                2,
-                t3,
-                0,
-                &Key::from("x"),
-                &VersionReq::Among(vec![t1, t2, t3]),
-            );
-            let VersionAnswer::Ready(Some(r)) = ans else {
+            let among = VersionReq::Among(vec![t1, t2, t3]);
+            let ans = e
+                .core
+                .read_version(view, (2, t3, 0), &Key::from("x"), &among);
+            let Some(Some(r)) = ans else {
                 panic!("expected a version");
             };
             assert_eq!(r.value, Bytes::from("prepped"));
             // a set matching nothing answers ⊥ — never an out-of-set
             // version, which the reader's set membership couldn't
             // justify (and could itself fracture)
-            let ans = e.read_version(
-                view,
-                2,
-                t3,
-                1,
-                &Key::from("x"),
-                &VersionReq::Among(vec![t3]),
-            );
-            assert_eq!(ans, VersionAnswer::Ready(None));
+            let among = VersionReq::Among(vec![t3]);
+            let ans = e
+                .core
+                .read_version(view, (2, t3, 1), &Key::from("x"), &among);
+            assert_eq!(ans, Some(None));
             assert_eq!(e.core.among_misses, 1);
         });
     }
@@ -949,8 +1147,10 @@ mod tests {
                 rec(ts, "orphan", &["x", "y"]).into(),
             );
             // A remote reader parks on the sibling stamp meanwhile.
-            let ans = e.read_version(view, 9, ts, 1, &Key::from("y"), &VersionReq::Exact(ts));
-            assert_eq!(ans, VersionAnswer::Parked);
+            let ans = e
+                .core
+                .read_version(view, (9, ts, 1), &Key::from("y"), &exact(ts));
+            assert_eq!(ans, None, "parked");
             for _ in 0..COOPERATIVE_TERMINATION_TICKS {
                 assert!(view.store.latest(b"x").is_none() || e.core.prepared_len() == 0);
                 e.on_anti_entropy_tick(view, ctx);
@@ -974,16 +1174,40 @@ mod tests {
     fn round_one_read_sees_only_committed_versions() {
         let t1 = Timestamp::new(1, 1);
         let t2 = Timestamp::new(2, 1);
-        with_engine(|e, view, ctx| {
+        let ((), sends) = with_engine(|e, view, ctx| {
             view.store
                 .put(Key::from("x"), rec(t1, "good", &[]).into())
                 .unwrap();
             e.apply_client_write(view, ctx, Key::from("x"), rec(t2, "prep", &[]).into());
             let r = e.read(view, &Key::from("x"), Timestamp::INITIAL).unwrap();
             assert_eq!(r.value, Bytes::from("good"));
-            assert_eq!(e.read_ts(view, &Key::from("x")), t1);
-            e.on_commit_mark(view, ctx, Key::from("x"), t2);
-            assert_eq!(e.read_ts(view, &Key::from("x")), t2);
+            let get_ts = RampMsg::GetTs {
+                key: Key::from("x"),
+            };
+            e.on_message(view, ctx, 9, t2, 0, EngineMsg::Ramp(get_ts.clone()));
+            let marks = vec![(1, Key::from("x"))].into();
+            let batch = RampMsg::CommitBatch { ts: t2, marks };
+            e.on_message(view, ctx, 9, t2, 1, EngineMsg::Ramp(batch));
+            e.on_message(view, ctx, 9, t2, 2, EngineMsg::Ramp(get_ts));
+            assert_eq!(view.stats.commit_batches, 1);
         });
+        let bodies: Vec<_> = sends
+            .into_iter()
+            .map(|(_, to, m)| match m {
+                Msg::EngineResp { op, body, .. } if to == 9 => (op, body),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            bodies,
+            [
+                (0, EngineMsg::Ramp(RampMsg::GetTsResp { ts: t1 })),
+                (
+                    1,
+                    EngineMsg::Ramp(RampMsg::CommitBatchResp { ops: vec![1] })
+                ),
+                (2, EngineMsg::Ramp(RampMsg::GetTsResp { ts: t2 })),
+            ]
+        );
     }
 }

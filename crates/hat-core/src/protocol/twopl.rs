@@ -17,29 +17,114 @@
 //! the buffered writes to the masters, and only then unlocks.
 
 use crate::client::{ClientCore, Done, Placement};
-use crate::messages::Msg;
-use crate::protocol::engine::{ClientProtocol, ProtocolEngine, Route, ServerView, Step};
+use crate::messages::{Msg, TS_WIRE_BYTES as TS};
+use crate::protocol::engine::{ClientProtocol, EngineMsg, ProtocolEngine, Route, ServerView, Step};
 use crate::timestamp::Timestamp;
 use crate::txn::TxnOutcome;
 use bytes::Bytes;
-use hat_sim::{Ctx, NodeId, SimTime};
+use hat_sim::{Ctx, NodeId, SimDuration, SimTime};
 use hat_storage::Key;
 use hat_trace::TraceEventKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+/// 2PL's messages: the body of an [`EngineMsg::Lock`]. Requests travel
+/// in a [`Msg::EngineReq`] to the key's lock master and are answered in
+/// a [`Msg::EngineResp`]; an unlock is one-way, in a [`Msg::Engine`]
+/// naming the releasing transaction.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LockMsg {
+    /// Acquire a lock on `key`.
+    Lock {
+        /// Key to lock.
+        key: Key,
+        /// Exclusive (write) or shared (read) mode.
+        exclusive: bool,
+    },
+    /// The lock on the requested key was granted.
+    LockResp {
+        /// Lamport floor: the granted key's current version stamp
+        /// ([`Timestamp::INITIAL`] when the key has no version). The
+        /// client observes it into its clock so the commit stamp
+        /// Lamport-dominates every locked key's current version — a
+        /// *blind* write (locked X, never read) would otherwise carry a
+        /// stamp ordered only against the transaction's read set, and
+        /// last-writer-wins could place it *behind* the version it
+        /// overwrote, inverting the lock serialization order.
+        floor: Timestamp,
+    },
+    /// Release the transaction's locks on `keys` (all of them when
+    /// `keys` is empty).
+    Unlock {
+        /// Keys to release.
+        keys: Vec<Key>,
+    },
+    /// Commit-time validation: is the transaction's lock on `key` still
+    /// on the master's table? A crash wipes the volatile lock table, so a
+    /// read lock can vanish mid-transaction and a conflicting writer can
+    /// be granted the key before the reader commits — write skew the
+    /// write-path fence ([`ProtocolEngine::write_admissible`]) cannot
+    /// see, because the reader never writes the key. The client checks
+    /// every read-locked key before flushing its commit writes and
+    /// aborts on any `ok: false` answer.
+    LockCheck {
+        /// Key whose lock is being validated.
+        key: Key,
+    },
+    /// Answer to [`LockMsg::LockCheck`]. `ok: false` means the lock is no
+    /// longer on the table (the master crashed and rebuilt an empty
+    /// one) — the transaction must abort instead of committing.
+    LockCheckResp {
+        /// Whether the lock is still held.
+        ok: bool,
+    },
+}
+
+impl LockMsg {
+    pub(super) fn label(&self) -> &'static str {
+        match self {
+            LockMsg::Lock { .. } => "Lock",
+            LockMsg::LockResp { .. } => "LockResp",
+            LockMsg::Unlock { .. } => "Unlock",
+            LockMsg::LockCheck { .. } => "LockCheck",
+            LockMsg::LockCheckResp { .. } => "LockCheckResp",
+        }
+    }
+
+    pub(super) fn approx_bytes(&self) -> u64 {
+        match self {
+            LockMsg::Lock { key, .. } => TS + 5 + key.len() as u64,
+            LockMsg::LockResp { .. } => 2 * TS + 4,
+            LockMsg::Unlock { keys } => TS + keys.iter().map(|k| 4 + k.len() as u64).sum::<u64>(),
+            LockMsg::LockCheck { key } => TS + 4 + key.len() as u64,
+            LockMsg::LockCheckResp { .. } => TS + 5,
+        }
+    }
+
+    pub(super) fn key(&self) -> Option<&Key> {
+        match self {
+            LockMsg::Lock { key, .. } | LockMsg::LockCheck { key } => Some(key),
+            _ => None,
+        }
+    }
+
+    pub(super) fn answers(&self, request: &LockMsg) -> bool {
+        matches!(
+            (self, request),
+            (LockMsg::LockResp { .. }, LockMsg::Lock { .. })
+                | (LockMsg::LockCheckResp { .. }, LockMsg::LockCheck { .. })
+        )
+    }
+}
+
 /// A lock grant to report back to a waiting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
-    /// Client node to notify.
-    pub client: NodeId,
-    /// Transaction granted.
-    pub txn: Timestamp,
-    /// Op index echoed back.
-    pub op: u32,
-    /// Key granted — the server looks up its current version stamp so
-    /// the [`crate::messages::Msg::LockResp`] can carry a Lamport floor
-    /// (see the `floor` field there for why blind writes need it).
-    pub key: Key,
+struct Grant {
+    client: NodeId,
+    txn: Timestamp,
+    op: u32,
+    /// Key granted: its current version stamp is the grant's Lamport
+    /// floor ([`LockMsg::LockResp`]).
+    key: Key,
 }
 
 #[derive(Debug, Clone)]
@@ -93,11 +178,6 @@ pub struct LockTable {
 }
 
 impl LockTable {
-    /// Fresh table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Requests a lock on `key` for `txn`.
     pub fn acquire(
         &mut self,
@@ -146,7 +226,7 @@ impl LockTable {
     }
 
     /// Releases `txn`'s locks on `keys`, returning the grants to send.
-    pub fn release(&mut self, txn: Timestamp, keys: &[Key]) -> Vec<Grant> {
+    fn release(&mut self, txn: Timestamp, keys: &[Key]) -> Vec<Grant> {
         let mut grants = Vec::new();
         for key in keys {
             grants.extend(self.release_one(txn, key));
@@ -161,7 +241,7 @@ impl LockTable {
     }
 
     /// Releases everything `txn` holds (abort path).
-    pub fn release_all(&mut self, txn: Timestamp) -> Vec<Grant> {
+    fn release_all(&mut self, txn: Timestamp) -> Vec<Grant> {
         let keys = self.held.remove(&txn).unwrap_or_default();
         let mut grants = Vec::new();
         for key in &keys {
@@ -257,10 +337,6 @@ impl ProtocolEngine for TwoPlEngine {
         self.locks.holds_exclusive(key, txn)
     }
 
-    fn lock_valid(&self, txn: Timestamp, key: &Key) -> bool {
-        self.locks.holds_any(key, txn)
-    }
-
     fn acks_after_replication(&self) -> bool {
         true
     }
@@ -271,38 +347,78 @@ impl ProtocolEngine for TwoPlEngine {
         true
     }
 
-    fn on_lock(
+    /// Lock requests, checks and releases are each charged one lock
+    /// operation. Grants leave once the queue drains, each carrying its
+    /// key's Lamport floor.
+    fn on_message(
         &mut self,
-        _view: &mut ServerView<'_>,
-        client: NodeId,
+        view: &mut ServerView<'_>,
+        ctx: &mut Ctx<'_, Msg>,
+        from: NodeId,
         txn: Timestamp,
         op: u32,
-        key: Key,
-        exclusive: bool,
-    ) -> Vec<Grant> {
-        match self.locks.acquire(key.clone(), txn, op, exclusive, client) {
-            Acquire::Granted => vec![Grant {
-                client,
-                txn,
-                op,
-                key,
-            }],
-            Acquire::Queued => Vec::new(), // grant arrives at release time
+        body: EngineMsg,
+    ) {
+        let EngineMsg::Lock(msg) = body else {
+            return;
+        };
+        // A lock master fresh out of a crash must not grant until its
+        // peer recovery completes: the replayed WAL may be missing a torn
+        // tail, and a grant would let a new transaction read (and
+        // serialize against) state that silently excludes writes whose
+        // transactions committed. Dropping the request is safe — the
+        // client re-sends on its retry backoff and gives up at its lock
+        // timeout: 2PL trades availability, never isolation.
+        if view.recovering && matches!(msg, LockMsg::Lock { .. }) {
+            return;
+        }
+        let hold = view.service(ctx.now(), view.config.service.lock());
+        match msg {
+            LockMsg::Lock { key, exclusive } => {
+                // A queued request is granted at a later release.
+                if self.locks.acquire(key.clone(), txn, op, exclusive, from) == Acquire::Granted {
+                    let grant = Grant {
+                        client: from,
+                        txn,
+                        op,
+                        key,
+                    };
+                    send_grant(view, ctx, hold, grant);
+                }
+            }
+            LockMsg::Unlock { keys } => {
+                let grants = if keys.is_empty() {
+                    self.locks.release_all(txn)
+                } else {
+                    self.locks.release(txn, &keys)
+                };
+                for grant in grants {
+                    send_grant(view, ctx, hold, grant);
+                }
+            }
+            // After a crash the rebuilt lock table is empty, so every
+            // check against it fails — exactly the signal the committing
+            // client needs to abort instead of publishing writes whose
+            // read set may already have been overwritten.
+            LockMsg::LockCheck { key } => {
+                let ok = self.locks.holds_any(&key, txn);
+                let body = EngineMsg::Lock(LockMsg::LockCheckResp { ok });
+                ctx.send_after(hold, from, Msg::EngineResp { txn, op, body });
+            }
+            // Answers are never addressed to servers.
+            LockMsg::LockResp { .. } | LockMsg::LockCheckResp { .. } => {}
         }
     }
+}
 
-    fn on_unlock(
-        &mut self,
-        _view: &mut ServerView<'_>,
-        txn: Timestamp,
-        keys: Vec<Key>,
-    ) -> Vec<Grant> {
-        if keys.is_empty() {
-            self.locks.release_all(txn)
-        } else {
-            self.locks.release(txn, &keys)
-        }
-    }
+/// Answers a granted lock request after `hold`, with the granted key's
+/// current version stamp as the Lamport floor.
+fn send_grant(view: &ServerView<'_>, ctx: &mut Ctx<'_, Msg>, hold: SimDuration, grant: Grant) {
+    let latest = view.store.latest(&grant.key);
+    let floor = latest.map_or(Timestamp::INITIAL, |r| r.stamp);
+    let (txn, op, body) = (grant.txn, grant.op, LockMsg::LockResp { floor });
+    let body = EngineMsg::Lock(body);
+    ctx.send_after(hold, grant.client, Msg::EngineResp { txn, op, body });
 }
 
 /// Client half of [`crate::ProtocolKind::TwoPhaseLocking`].
@@ -333,11 +449,11 @@ impl TwoPlClient {
         );
         let target = core.pick_replica(ctx, &key);
         let exclusive = write.is_some();
-        core.request(ctx, target, true, |txn, op| Msg::Lock {
+        let body = EngineMsg::Lock(LockMsg::Lock { key, exclusive });
+        core.request(ctx, target, true, |txn, op| Msg::EngineReq {
             txn,
             op,
-            key,
-            exclusive,
+            body,
         });
         // Lock timeout (deadlock breaker / unavailability bound). Counted
         // from the first issue, not from retries: the lock request keeps
@@ -384,11 +500,15 @@ impl ClientProtocol for TwoPlClient {
         core: &mut ClientCore,
         ctx: &mut Ctx<'_, Msg>,
         done: Done,
-        reply: Msg,
+        reply: EngineMsg,
     ) -> Step {
-        match (reply, done.msg) {
-            (Msg::LockResp { floor, .. }, Msg::Lock { key, .. }) => {
-                let Some((_, write)) = self.waiting.take() else {
+        let EngineMsg::Lock(reply) = reply else {
+            return Step::Continue;
+        };
+        match reply {
+            LockMsg::LockResp { floor } => {
+                let (Some((_, write)), Some(key)) = (self.waiting.take(), done.key().cloned())
+                else {
                     return Step::Continue;
                 };
                 // Lamport-advance past the granted key's current version
@@ -425,12 +545,12 @@ impl ClientProtocol for TwoPlClient {
             // transaction's lock — the read set may already be
             // overwritten by a freshly granted writer, so the transaction
             // aborts instead of publishing write skew.
-            (Msg::LockCheckResp { ok: false, .. }, _) => {
+            LockMsg::LockCheckResp { ok: false } => {
                 core.clear_round();
                 self.release(core, ctx);
                 Step::Finish(TxnOutcome::AbortedExternal)
             }
-            (Msg::LockCheckResp { .. }, _) if !core.busy() => {
+            LockMsg::LockCheckResp { .. } if !core.busy() => {
                 // Every read lock is confirmed still on its master's
                 // table; now the writes may be published.
                 self.flush(core, ctx)
@@ -459,8 +579,9 @@ impl ClientProtocol for TwoPlClient {
         }
         core.open_round(ctx, ctx.now());
         for (key, master) in read_only {
-            let (txn, op, key) = (core.txn_id(), core.next_op(), key.clone());
-            core.send(ctx, op, *master, true, Msg::LockCheck { txn, op, key });
+            let (txn, op) = (core.txn_id(), core.next_op());
+            let body = EngineMsg::Lock(LockMsg::LockCheck { key: key.clone() });
+            core.send(ctx, op, *master, true, Msg::EngineReq { txn, op, body });
         }
         Step::Continue
     }
@@ -498,8 +619,8 @@ impl ClientProtocol for TwoPlClient {
             per_master.entry(master).or_default().push(k);
         }
         for (master, keys) in per_master {
-            let txn = core.txn_id();
-            ctx.send(master, Msg::Unlock { txn, keys });
+            let (txn, body) = (core.txn_id(), EngineMsg::Lock(LockMsg::Unlock { keys }));
+            ctx.send(master, Msg::Engine { txn, body });
         }
     }
 }
@@ -517,7 +638,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist_exclusive_does_not() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         assert_eq!(t.acquire(k("x"), ts(1), 0, false, 10), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(2), 0, false, 11), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(3), 0, true, 12), Acquire::Queued);
@@ -525,7 +646,7 @@ mod tests {
 
     #[test]
     fn exclusive_blocks_everyone() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         assert_eq!(t.acquire(k("x"), ts(1), 0, true, 10), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(2), 0, false, 11), Acquire::Queued);
         assert_eq!(t.acquire(k("x"), ts(3), 0, true, 12), Acquire::Queued);
@@ -541,7 +662,7 @@ mod tests {
 
     #[test]
     fn reentrant_grants() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         assert_eq!(t.acquire(k("x"), ts(1), 0, true, 10), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(1), 1, true, 10), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(1), 2, false, 10), Acquire::Granted);
@@ -549,7 +670,7 @@ mod tests {
 
     #[test]
     fn upgrade_when_sole_holder() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         assert_eq!(t.acquire(k("x"), ts(1), 0, false, 10), Acquire::Granted);
         assert_eq!(t.acquire(k("x"), ts(1), 1, true, 10), Acquire::Granted);
         // now exclusive: others queue
@@ -558,7 +679,7 @@ mod tests {
 
     #[test]
     fn upgrade_waits_for_other_sharers() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         t.acquire(k("x"), ts(1), 0, false, 10);
         t.acquire(k("x"), ts(2), 0, false, 11);
         assert_eq!(t.acquire(k("x"), ts(1), 1, true, 10), Acquire::Queued);
@@ -569,7 +690,7 @@ mod tests {
 
     #[test]
     fn release_all_purges_queue_entries() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         t.acquire(k("x"), ts(1), 0, true, 10);
         t.acquire(k("x"), ts(2), 0, true, 11); // queued
         t.acquire(k("y"), ts(2), 1, true, 11); // granted
@@ -583,7 +704,7 @@ mod tests {
 
     #[test]
     fn fifo_prevents_writer_starvation() {
-        let mut t = LockTable::new();
+        let mut t = LockTable::default();
         t.acquire(k("x"), ts(1), 0, false, 10);
         assert_eq!(t.acquire(k("x"), ts(2), 0, true, 11), Acquire::Queued);
         // a later shared request queues behind the exclusive waiter

@@ -8,11 +8,13 @@
 //!
 //! All protocol-specific behavior lives behind the
 //! [`ProtocolEngine`] plugged in at construction: the server itself only
-//! knows about queueing, the anti-entropy gossip loop, and which message
-//! maps to which engine hook. Adding a new isolation level requires no
-//! change here — implement the trait and register it in
-//! [`crate::protocol::engine_for`] (or inject it via
-//! [`crate::DeploymentBuilder::engine_factory`]).
+//! knows about queueing, the anti-entropy gossip loop, shard routing and
+//! the durability barrier. Reads and writes go to the engine's read and
+//! install hooks; an engine's own messages ([`Msg::EngineReq`],
+//! [`Msg::Engine`]) go, body unopened, to [`ProtocolEngine::on_message`].
+//! Adding a new isolation level requires no change here — implement the
+//! trait and register it in [`crate::protocol::engine_for`] (or inject
+//! it via [`crate::DeploymentBuilder::engine_factory`]).
 //!
 //! All accepted writes are buffered in a [`ReplicationLog`] and gossiped
 //! to the positional peer replica in every other cluster on an
@@ -39,7 +41,7 @@
 use crate::cluster::ClusterLayout;
 use crate::config::{SystemConfig, ANTI_ENTROPY_INTERVAL};
 use crate::messages::Msg;
-use crate::protocol::engine::{ProtocolEngine, ServerView};
+use crate::protocol::engine::{charge, ProtocolEngine, ServerView};
 use crate::protocol::replication::{ReplicationLog, MAX_BATCH};
 use crate::timestamp::Timestamp;
 use hat_sim::{Ctx, NodeId, SimDuration, SimTime, TimerId};
@@ -70,7 +72,7 @@ pub struct ServerStats {
     pub replication_records: u64,
     /// How many of the batches were delta-compressed catch-ups.
     pub catchup_batches: u64,
-    /// `CommitBatch` messages received.
+    /// RAMP commit-mark batches received.
     pub commit_batches: u64,
     /// Total commit marks carried by those batches (mean batch size =
     /// `commit_batch_size / commit_batches`).
@@ -343,7 +345,7 @@ impl Server {
 
     /// Reads that missed their `required` bound (must be 0 in a correct
     /// MAV run; 0 by definition for engines without the concept).
-    pub fn mav_required_misses(&self) -> u64 {
+    pub fn required_misses(&self) -> u64 {
         self.engine.required_misses()
     }
 
@@ -411,7 +413,9 @@ impl Server {
             repl: &mut self.repl,
             layout: &self.layout,
             config: &self.config,
-            cluster: self.cluster,
+            stats: &mut self.stats,
+            recovering: !self.recovering.is_empty(),
+            busy_until: &mut self.busy_until,
         };
         (self.engine.as_mut(), view)
     }
@@ -419,13 +423,7 @@ impl Server {
     /// Charges `cost` of service time and returns how long the caller's
     /// reply is held (queueing + service).
     fn service(&mut self, now: SimTime, cost: SimDuration) -> SimDuration {
-        let start = if self.busy_until > now {
-            self.busy_until
-        } else {
-            now
-        };
-        self.busy_until = start + cost;
-        self.busy_until - now
+        charge(&mut self.busy_until, now, cost)
     }
 
     /// Invoked once at simulation start.
@@ -550,7 +548,8 @@ impl Server {
     }
 
     /// Invoked when a message arrives. Thin dispatch: each message maps
-    /// to one engine hook plus service-time accounting.
+    /// to one engine hook plus service-time accounting, and an engine's
+    /// own messages go to its [`ProtocolEngine::on_message`].
     pub fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         // WAL growth is observed as a delta across the whole dispatch so
         // every write path (puts, commit marks, replication applies) is
@@ -590,21 +589,18 @@ impl Server {
                 key,
                 record,
             } => self.handle_put(ctx, from, txn, op, key, record),
-            Msg::GetTs { txn, op, key } => self.handle_get_ts(ctx, from, txn, op, key),
-            Msg::GetVersion { txn, op, key, req } => {
-                self.handle_get_version(ctx, from, txn, op, key, req)
+            Msg::EngineReq { txn, op, body } => {
+                let key = body.key().filter(|_| body.may_redirect());
+                if key.is_some_and(|key| self.refuse_moved(ctx, from, txn, op, key)) {
+                    return;
+                }
+                let (engine, mut view) = self.engine_view();
+                engine.on_message(&mut view, ctx, from, txn, op, body);
             }
-            Msg::CommitBatch { txn, ts, marks } => {
-                self.handle_commit_batch(ctx, from, txn, ts, marks)
+            Msg::Engine { txn, body } => {
+                let (engine, mut view) = self.engine_view();
+                engine.on_message(&mut view, ctx, from, txn, 0, body);
             }
-            Msg::Lock {
-                txn,
-                op,
-                key,
-                exclusive,
-            } => self.handle_lock(ctx, from, txn, op, key, exclusive),
-            Msg::Unlock { txn, keys } => self.handle_unlock(ctx, txn, keys),
-            Msg::LockCheck { txn, op, key } => self.handle_lock_check(ctx, from, txn, op, key),
             Msg::Replicate { upto, writes } => self.handle_replicate(ctx, from, upto, writes),
             Msg::ReplicateAck { upto } => {
                 if let Some(i) = self.peers.iter().position(|&p| p == from) {
@@ -623,8 +619,6 @@ impl Server {
             Msg::ShardTransferAck { token, upto } => {
                 self.handle_shard_transfer_ack(ctx, token, upto)
             }
-            Msg::Notify { ts, key } => self.handle_notify(ctx, from, ts, key),
-            Msg::NotifySummary { ts, acks } => self.handle_notify_summary(ctx, from, ts, acks),
             // Responses are never addressed to servers.
             _ => {}
         }
@@ -639,8 +633,7 @@ impl Server {
         key: Key,
         required: Timestamp,
     ) {
-        if let Some(owner) = self.redirect_for(&key) {
-            self.nack_wrong_shard(ctx, from, txn, op, key, owner);
+        if self.refuse_moved(ctx, from, txn, op, &key) {
             return;
         }
         let cost = self.config.service.read();
@@ -648,71 +641,6 @@ impl Server {
         let found = engine.read(&mut view, &key, required);
         let hold = self.service(ctx.now(), cost);
         ctx.send_after(hold, from, Msg::GetResp { txn, op, found });
-    }
-
-    /// RAMP-Small round 1: latest committed stamp, constant-size reply.
-    fn handle_get_ts(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-    ) {
-        if let Some(owner) = self.redirect_for(&key) {
-            self.nack_wrong_shard(ctx, from, txn, op, key, owner);
-            return;
-        }
-        let cost = self.config.service.ts_read();
-        let (engine, mut view) = self.engine_view();
-        let ts = engine.read_ts(&mut view, &key);
-        let hold = self.service(ctx.now(), cost);
-        ctx.send_after(hold, from, Msg::GetTsResp { txn, op, ts });
-    }
-
-    /// RAMP second-round fetch. A parked answer sends no reply now — the
-    /// engine answers through its own `ctx` when the version arrives.
-    fn handle_get_version(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-        req: crate::messages::VersionReq,
-    ) {
-        let cost = self.config.service.read();
-        let (engine, mut view) = self.engine_view();
-        let answer = engine.read_version(&mut view, from, txn, op, &key, &req);
-        let hold = self.service(ctx.now(), cost);
-        if let crate::protocol::engine::VersionAnswer::Ready(found) = answer {
-            ctx.send_after(hold, from, Msg::GetVersionResp { txn, op, found });
-        }
-    }
-
-    /// RAMP commit markers (promote prepared → visible), group-committed:
-    /// apply every mark in the batch, then ack them all with one
-    /// message. Each mark is charged its full commit cost; the saving
-    /// over one message per mark is the round trips.
-    fn handle_commit_batch(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        ts: Timestamp,
-        marks: Vec<(u32, Key)>,
-    ) {
-        self.stats.commit_batches += 1;
-        self.stats.commit_batch_size += marks.len() as u64;
-        let cost = self.config.service.ramp_commits(marks.len());
-        let mut ops = Vec::with_capacity(marks.len());
-        for (op, key) in marks {
-            let (engine, mut view) = self.engine_view();
-            engine.on_commit_mark(&mut view, ctx, key, ts);
-            ops.push(op);
-        }
-        let hold = self.service(ctx.now(), cost);
-        ctx.send_after(hold, from, Msg::CommitBatchResp { txn, ops });
     }
 
     fn handle_scan(
@@ -738,8 +666,7 @@ impl Server {
         key: Key,
         record: SharedRecord,
     ) {
-        if let Some(owner) = self.redirect_for(&key) {
-            self.nack_wrong_shard(ctx, from, txn, op, key, owner);
+        if self.refuse_moved(ctx, from, txn, op, &key) {
             return;
         }
         if !self.engine.write_admissible(txn, &key) {
@@ -751,9 +678,8 @@ impl Server {
             // as if the server were unreachable.
             return;
         }
-        let cost = self.engine.write_cost(&self.config.service, &record);
         let (engine, mut view) = self.engine_view();
-        engine.apply_client_write(&mut view, ctx, key, record);
+        let cost = engine.apply_client_write(&mut view, ctx, key, record);
         let hold = self.service(ctx.now(), cost);
         if self.engine.acks_after_replication() && !self.peers.is_empty() {
             // Serializable commits are acked only once a replication
@@ -931,32 +857,33 @@ impl Server {
             || self.tokens_acquired.contains(&token)
     }
 
-    /// If `key`'s token has been handed off (and routing cut over),
-    /// returns the new owner to name in a [`Msg::WrongShard`] refusal.
-    /// `None` means serve locally. Engines that pin their shards are
-    /// exempt (see module docs).
-    fn redirect_for(&self, key: &Key) -> Option<NodeId> {
-        if self.handoffs.is_empty() || self.engine.pins_shards() {
-            return None;
-        }
-        let token = self.layout.ring().token_of(key);
-        let h = self.handoffs.get(&token)?;
-        h.released.then_some(h.to)
-    }
-
-    /// Refuses an operation-starting request whose key now lives at
-    /// `owner`. Sent without a service charge: the refusal is a routing
-    /// hint, not store work.
-    fn nack_wrong_shard(
+    /// Refuses a request for `key` with a [`Msg::WrongShard`] naming the
+    /// new owner if the key's token has been handed off (and routing cut
+    /// over); false means serve locally. Sent without a service charge:
+    /// the refusal is a routing hint, not store work. Engines that pin
+    /// their shards are exempt (see module docs).
+    fn refuse_moved(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         txn: Timestamp,
         op: u32,
-        key: Key,
-        owner: NodeId,
-    ) {
+        key: &Key,
+    ) -> bool {
+        if self.handoffs.is_empty() || self.engine.pins_shards() {
+            return false;
+        }
+        let token = self.layout.ring().token_of(key);
+        let Some(owner) = self
+            .handoffs
+            .get(&token)
+            .filter(|h| h.released)
+            .map(|h| h.to)
+        else {
+            return false;
+        };
         self.stats.shard_nacks += 1;
+        let key = key.clone();
         ctx.send(
             from,
             Msg::WrongShard {
@@ -966,6 +893,7 @@ impl Server {
                 owner,
             },
         );
+        true
     }
 
     /// Inbound handoff chunk: acquire the token, install the records
@@ -1080,116 +1008,6 @@ impl Server {
                 self.note_handoff_write(&key, &record);
             }
             self.handoff_cursor += 1;
-        }
-    }
-
-    fn handle_notify(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, ts: Timestamp, key: Key) {
-        let cost = self.config.service.notify(1);
-        let _ = self.service(ctx.now(), cost);
-        let (engine, mut view) = self.engine_view();
-        engine.on_notify(&mut view, ctx, from, ts, key);
-    }
-
-    fn handle_notify_summary(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        ts: Timestamp,
-        acks: Vec<(NodeId, Key)>,
-    ) {
-        let cost = self.config.service.notify(acks.len());
-        let _ = self.service(ctx.now(), cost);
-        let (engine, mut view) = self.engine_view();
-        engine.on_notify_summary(&mut view, ctx, from, ts, acks);
-    }
-
-    fn handle_lock(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-        exclusive: bool,
-    ) {
-        // A lock master fresh out of a crash must not grant until its
-        // peer recovery completes: the replayed WAL may be missing a
-        // torn tail, and a grant would let a new transaction read (and
-        // serialize against) state that silently excludes writes whose
-        // transactions committed. Dropping the request is safe — the
-        // client re-sends on its retry backoff and gives up at its lock
-        // timeout: 2PL trades availability, never isolation.
-        if !self.recovering.is_empty() {
-            return;
-        }
-        let cost = self.config.service.lock();
-        let hold = self.service(ctx.now(), cost);
-        let grants = {
-            let (engine, mut view) = self.engine_view();
-            engine.on_lock(&mut view, from, txn, op, key, exclusive)
-        };
-        for g in grants {
-            let floor = self.lock_floor(&g.key);
-            ctx.send_after(
-                hold,
-                g.client,
-                Msg::LockResp {
-                    txn: g.txn,
-                    op: g.op,
-                    floor,
-                },
-            );
-        }
-    }
-
-    /// The Lamport floor carried on a [`Msg::LockResp`]: the granted
-    /// key's current version stamp, so the committing client's clock
-    /// advances past every locked key's version — blind writes
-    /// included — before it assigns the commit stamp.
-    fn lock_floor(&self, key: &Key) -> Timestamp {
-        self.store
-            .latest(key)
-            .map(|r| r.stamp)
-            .unwrap_or(Timestamp::INITIAL)
-    }
-
-    /// 2PL commit-time lock validation: answers whether `txn` still
-    /// holds its lock on `key`. After a crash the rebuilt lock table is
-    /// empty, so every check against it fails — exactly the signal the
-    /// committing client needs to abort instead of publishing writes
-    /// whose read set may already have been overwritten.
-    fn handle_lock_check(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        txn: Timestamp,
-        op: u32,
-        key: Key,
-    ) {
-        let cost = self.config.service.lock();
-        let hold = self.service(ctx.now(), cost);
-        let ok = self.engine.lock_valid(txn, &key);
-        ctx.send_after(hold, from, Msg::LockCheckResp { txn, op, ok });
-    }
-
-    fn handle_unlock(&mut self, ctx: &mut Ctx<'_, Msg>, txn: Timestamp, keys: Vec<Key>) {
-        let cost = self.config.service.lock();
-        let hold = self.service(ctx.now(), cost);
-        let grants = {
-            let (engine, mut view) = self.engine_view();
-            engine.on_unlock(&mut view, txn, keys)
-        };
-        for g in grants {
-            let floor = self.lock_floor(&g.key);
-            ctx.send_after(
-                hold,
-                g.client,
-                Msg::LockResp {
-                    txn: g.txn,
-                    op: g.op,
-                    floor,
-                },
-            );
         }
     }
 }

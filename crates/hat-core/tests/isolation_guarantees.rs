@@ -1,5 +1,5 @@
 //! Guarantee-preservation tests for the PR-6 performance machinery:
-//! group commit (`Msg::CommitBatch`) and delta-compressed anti-entropy
+//! group commit (RAMP's `CommitBatch`) and delta-compressed anti-entropy
 //! catch-up (a compacted `Msg::Replicate`) are *optimizations* — every engine's
 //! advertised isolation level must be exactly what it was with per-key
 //! commit markers and per-record replay. These tests drive partition /
@@ -176,7 +176,7 @@ fn delta_catchup_preserves_every_engines_guarantees() {
         }
         assert!(stats.replication_msgs > 0 && stats.replication_bytes > 0);
         if kind == ProtocolKind::Mav {
-            assert_eq!(front.mav_required_misses(), 0);
+            assert_eq!(front.required_misses(), 0);
         }
     }
 }
@@ -244,7 +244,7 @@ fn mav_sibling_notification_survives_compacted_catchup() {
     front.quiesce();
     front.quiesce();
     probe(&mut front, "after quiesce");
-    assert_eq!(front.mav_required_misses(), 0);
+    assert_eq!(front.required_misses(), 0);
     assert!(front.server_stats().catchup_batches > 0);
 }
 

@@ -85,7 +85,7 @@ fn mav_atomic_visibility() {
         }
     }
     assert_eq!(
-        front.mav_required_misses(),
+        front.required_misses(),
         0,
         "required bound always satisfiable"
     );

@@ -594,7 +594,7 @@ mod tests {
         let misses: u64 = nodes
             .iter()
             .filter_map(|n| n.as_server())
-            .map(|s| s.mav_required_misses())
+            .map(|s| s.required_misses())
             .sum();
         assert_eq!(misses, 0);
     }

@@ -42,7 +42,7 @@ fn atomic_audit_trail() {
         println!("  auditor sees audit={audit:?} balance={balance:?}");
         front.run_for(SimDuration::from_millis(23));
     }
-    assert_eq!(front.mav_required_misses(), 0);
+    assert_eq!(front.required_misses(), 0);
 }
 
 fn lost_update_is_unpreventable() {

@@ -51,6 +51,6 @@ fn main() {
     assert_eq!(profiles.len(), 2);
 
     // The MAV invariant held everywhere: no read ever needed a fallback.
-    assert_eq!(front.mav_required_misses(), 0);
+    assert_eq!(front.required_misses(), 0);
     println!("done: MAV served every read within its required bound");
 }

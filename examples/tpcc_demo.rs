@@ -83,7 +83,7 @@ fn main() {
         .build();
     let client = sim.open_session(session_options());
     run_mix(&mut sim, &client, 25);
-    assert_eq!(sim.mav_required_misses(), 0);
+    assert_eq!(sim.required_misses(), 0);
 
     println!();
     println!("threaded backend (same workload, real threads + channels):");

@@ -42,6 +42,15 @@
 # loop can grow beside it. Tests and the bench's inline harness
 # (bench/src/inline.rs, outside this script's reach) may still drive an
 # actor by hand.
+#
+# An engine's own wire vocabulary — the `EngineMsg` body and its family
+# types `RampMsg`, `MavMsg`, `LockMsg` and RAMP's `VersionReq` — is named
+# in crates/hat-core/src/protocol/ and nowhere else in crates/*/src, src/
+# or examples/, test modules exempt. The one exception is messages.rs,
+# whose envelopes (`Msg::EngineReq`, `Msg::EngineResp`, `Msg::Engine`)
+# carry an `EngineMsg` without naming what is inside it. The server and
+# the client core move bodies unopened, so a new engine message edits
+# its engine's file alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,4 +104,16 @@ while IFS= read -r f; do
         status=1
     fi
 done < <(find crates/*/src src -name '*.rs' | sort)
+while IFS= read -r f; do
+    case "$f" in
+    crates/hat-core/src/protocol/*) continue ;;
+    crates/hat-core/src/messages.rs) vocabulary='RampMsg|MavMsg|LockMsg|VersionReq' ;;
+    *) vocabulary='EngineMsg|RampMsg|MavMsg|LockMsg|VersionReq' ;;
+    esac
+    if hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE "$vocabulary"); then
+        echo "$f names an engine's message vocabulary outside crates/hat-core/src/protocol/:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done < <(find crates/*/src src examples -name '*.rs' | sort)
 exit $status
